@@ -2,10 +2,11 @@
 
 from .criticality import (
     CriticalityRecord,
+    Encounter,
     KinState,
-    MetricSample,
     Thresholds,
     direction_stats,
+    encounter,
     euclidean_distance,
     most_critical,
     thw,

@@ -31,6 +31,7 @@ from .robustness import Perturbation, sweep
 from .stats import event_stats
 from .synth import SyntheticCorpus, generate_corpus
 from .trajectory import (
+    InsufficientSamplesError,
     LaneLayout,
     Trajectory,
     continuous_lateral,
@@ -104,7 +105,11 @@ def cmd_detect(args) -> int:
 
     all_events = []
     for traj in trajectories:
-        pre = _preprocess(traj, cfg, layout)
+        try:
+            pre = _preprocess(traj, cfg, layout)
+        except InsufficientSamplesError as exc:
+            print(f"warning: vehicle {traj.vehicle_id} skipped: {exc}", file=sys.stderr)
+            continue
         y = continuous_lateral(pre, layout)
         if "gradient" in criteria and traj.has_markings:
             ev = detect_gradient(traj, layout, params)

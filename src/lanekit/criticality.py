@@ -8,13 +8,21 @@ with a small TTCE and is therefore evaluated only where TTCE < 2.6 s.
 Per event, the most critical value over the window and over all opponents
 is selected (minimum for d, THW, DCE, TTCE; maximum for v and the
 accelerations).
+
+The four pairwise metrics come from one array kernel, ``encounter``: it
+takes the ego and opponent states as ``KinState`` objects whose channels
+(``s``, ``y``, ``vs``, ``vy``) are equal-length arrays or floats, and
+returns d, THW, TTCE and DCE elementwise.  ``most_critical`` calls it once
+per opponent on that opponent's whole time overlap with the event window;
+``euclidean_distance``, ``thw`` and ``ttce_dce`` are scalar wrappers
+around it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,13 +32,14 @@ from .trajectory import LaneLayout, Trajectory, VehicleShape, continuous_lateral
 __all__ = [
     "Thresholds",
     "KinState",
-    "MetricSample",
+    "Encounter",
     "CriticalityRecord",
+    "encounter",
     "euclidean_distance",
     "thw",
     "ttce_dce",
+    "time_overlap",
     "most_critical",
-    "pairwise_samples",
     "direction_stats",
     "METRIC_NAMES",
 ]
@@ -61,26 +70,24 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class KinState:
-    """Planar kinematic state at one instant: longitudinal s, global
-    lateral y, and the corresponding velocity components."""
+    """Planar kinematic state: longitudinal s, global lateral y, and the
+    corresponding velocity components.  Each field is a float for one
+    instant or an array for a series of instants."""
 
-    t: float
-    s: float
-    y: float
-    vs: float
-    vy: float = 0.0
+    t: float | np.ndarray
+    s: float | np.ndarray
+    y: float | np.ndarray
+    vs: float | np.ndarray
+    vy: float | np.ndarray = 0.0
 
 
-@dataclass(frozen=True)
-class MetricSample:
-    """Pairwise metrics at one timestep; nan marks an undefined value."""
+class Encounter(NamedTuple):
+    """Pairwise metrics per instant; nan marks an undefined value."""
 
-    t: float
-    opponent_id: str
-    d: float
-    thw: float
-    ttce: float
-    dce: float
+    d: np.ndarray
+    thw: np.ndarray
+    ttce: np.ndarray
+    dce: np.ndarray
 
 
 def _rect_gap(ds: float | np.ndarray, dy: float | np.ndarray,
@@ -91,50 +98,61 @@ def _rect_gap(ds: float | np.ndarray, dy: float | np.ndarray,
     return np.hypot(gs, gy)
 
 
+def encounter(ego: KinState, opp: KinState, ego_shape: VehicleShape,
+              opp_shape: VehicleShape) -> Encounter:
+    """Distance, time headway and closest encounter, elementwise.
+
+    d is the minimum gap between the two road-aligned rectangular
+    footprints.  THW is the bumper-to-bumper gap to a leading opponent over
+    ego speed, defined only when the opponent is ahead, its lateral
+    corridor overlaps the ego's, and the ego is moving.  For TTCE both
+    centers are extrapolated at constant velocity; the encounter time
+    minimizes the center distance, clamped to now (diverging or equally
+    fast vehicles give ttce = 0).  DCE is the footprint gap at that
+    instant, never exceeding the current gap.
+    """
+    half_len = 0.5 * (ego_shape.length + opp_shape.length)
+    half_wid = 0.5 * (ego_shape.width + opp_shape.width)
+    ps = np.subtract(opp.s, ego.s)
+    py = np.subtract(opp.y, ego.y)
+    vs = np.subtract(opp.vs, ego.vs)
+    vy = np.subtract(opp.vy, ego.vy)
+    gap_now = _rect_gap(ps, py, half_len, half_wid)
+    v2 = vs * vs + vy * vy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = ps - half_len
+        headway = np.where(gap < 0.0, 0.0, gap) / ego.vs
+        t_star = -(ps * vs + py * vy) / v2
+    # where(x > 0, x, 0) rather than maximum: it never yields -0.0
+    t_star = np.where((v2 != 0.0) & (t_star > 0.0), t_star, 0.0)
+    undefined = (np.less_equal(opp.s, ego.s) | np.less(ego.vs, V_EGO_MIN)
+                 | (np.abs(py) >= half_wid))
+    gap_star = _rect_gap(ps + t_star * vs, py + t_star * vy, half_len, half_wid)
+    return Encounter(
+        d=gap_now,
+        thw=np.where(undefined, np.nan, headway),
+        ttce=t_star,
+        dce=np.where(gap_now < gap_star, gap_now, gap_star),
+    )
+
+
 def euclidean_distance(ego: KinState, opp: KinState,
                        ego_shape: VehicleShape, opp_shape: VehicleShape) -> float:
     """Minimum gap between the two road-aligned rectangular footprints."""
-    half_len = 0.5 * (ego_shape.length + opp_shape.length)
-    half_wid = 0.5 * (ego_shape.width + opp_shape.width)
-    return float(_rect_gap(opp.s - ego.s, opp.y - ego.y, half_len, half_wid))
+    return float(encounter(ego, opp, ego_shape, opp_shape).d)
 
 
 def thw(ego: KinState, opp: KinState, ego_shape: VehicleShape,
         opp_shape: VehicleShape) -> float:
-    """Time headway: bumper-to-bumper gap to a leading vehicle over ego speed.
-
-    Defined only when the opponent is ahead, its lateral corridor overlaps
-    the ego's, and the ego is moving; nan otherwise.
-    """
-    if opp.s <= ego.s or ego.vs < V_EGO_MIN:
-        return math.nan
-    if abs(opp.y - ego.y) >= 0.5 * (ego_shape.width + opp_shape.width):
-        return math.nan
-    gap = opp.s - ego.s - 0.5 * (ego_shape.length + opp_shape.length)
-    return max(gap, 0.0) / ego.vs
+    """Time headway to a leading vehicle; nan where undefined (see ``encounter``)."""
+    return float(encounter(ego, opp, ego_shape, opp_shape).thw)
 
 
 def ttce_dce(ego: KinState, opp: KinState, ego_shape: VehicleShape,
              opp_shape: VehicleShape) -> tuple[float, float]:
-    """Time to and distance of the closest encounter.
-
-    Both centers are extrapolated at constant velocity; the encounter time
-    minimizes the center distance, clamped to now (diverging vehicles give
-    ttce = 0).  The distance is the footprint gap at that instant, never
-    exceeding the current gap.
-    """
-    ps = opp.s - ego.s
-    py = opp.y - ego.y
-    vs = opp.vs - ego.vs
-    vy = opp.vy - ego.vy
-    v2 = vs * vs + vy * vy
-    t_star = 0.0 if v2 == 0.0 else max(0.0, -(ps * vs + py * vy) / v2)
-    half_len = 0.5 * (ego_shape.length + opp_shape.length)
-    half_wid = 0.5 * (ego_shape.width + opp_shape.width)
-    gap_now = float(_rect_gap(ps, py, half_len, half_wid))
-    gap_star = float(_rect_gap(ps + t_star * vs, py + t_star * vy,
-                               half_len, half_wid))
-    return t_star, min(gap_star, gap_now)
+    """Time to and distance of the closest encounter (see ``encounter``)."""
+    m = encounter(ego, opp, ego_shape, opp_shape)
+    return float(m.ttce), float(m.dce)
 
 
 @dataclass(frozen=True)
@@ -185,42 +203,33 @@ def _window_mask(t: np.ndarray, window: tuple[float, float]) -> np.ndarray:
     return (t >= window[0]) & (t <= window[1])
 
 
-def pairwise_samples(ego: Trajectory, opp: Trajectory, layout: LaneLayout,
-                     window: tuple[float, float]) -> list[MetricSample]:
-    """Per-timestep pairwise metrics on the ego grid inside the window."""
-    mask = _window_mask(ego.t, window)
-    t = ego.t[mask]
-    if len(t) == 0:
-        return []
-    e_y = continuous_lateral(ego, layout).y[mask]
-    e_s = ego.s[mask]
-    e_vs = ego.v[mask]
-    e_vy = np.gradient(continuous_lateral(ego, layout).y, ego.dt)[mask]
+def time_overlap(t: np.ndarray, other_t: np.ndarray) -> slice:
+    """Slice of the increasing grid ``t`` inside ``[other_t[0], other_t[-1]]``."""
+    return slice(int(np.searchsorted(t, other_t[0], side="left")),
+                 int(np.searchsorted(t, other_t[-1], side="right")))
 
-    # opponent states interpolated onto the ego grid, overlap only
-    lo, hi = float(opp.t[0]), float(opp.t[-1])
-    overlap = (t >= lo) & (t <= hi)
-    if not np.any(overlap):
-        return []
-    tt = t[overlap]
-    o_y_full = continuous_lateral(opp, layout).y
-    o_s = np.interp(tt, opp.t, opp.s)
-    o_y = np.interp(tt, opp.t, o_y_full)
-    o_vs = np.interp(tt, opp.t, opp.v)
-    o_vy = np.interp(tt, opp.t, np.gradient(o_y_full, opp.dt))
 
-    out: list[MetricSample] = []
-    for i, when in enumerate(tt):
-        j = np.nonzero(t == when)[0][0]
-        e = KinState(float(when), float(e_s[j]), float(e_y[j]),
-                     float(e_vs[j]), float(e_vy[j]))
-        o = KinState(float(when), float(o_s[i]), float(o_y[i]),
-                     float(o_vs[i]), float(o_vy[i]))
-        d = euclidean_distance(e, o, ego.shape, opp.shape)
-        hw = thw(e, o, ego.shape, opp.shape)
-        tc, dc = ttce_dce(e, o, ego.shape, opp.shape)
-        out.append(MetricSample(float(when), opp.vehicle_id, d, hw, tc, dc))
-    return out
+def _lateral(traj: Trajectory, layout: LaneLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Continuous lateral position and its rate, computed once per vehicle.
+
+    Trajectories are immutable, so the result is memoised on the instance
+    (per layout) for every later event that meets the same vehicle.
+    """
+    memo = traj.__dict__.setdefault("_lateral_memo", {})
+    if layout not in memo:
+        y = continuous_lateral(traj, layout).y
+        memo[layout] = (y, np.gradient(y, traj.dt))
+    return memo[layout]
+
+
+def _nanmin(x: np.ndarray) -> float:
+    return float(np.fmin.reduce(x)) if len(x) else math.nan
+
+
+def _nmin(cur: float, new: float) -> float:
+    if math.isnan(new):
+        return cur
+    return new if math.isnan(cur) else min(cur, new)
 
 
 def most_critical(ego: Trajectory, opponents: Sequence[Trajectory],
@@ -229,10 +238,12 @@ def most_critical(ego: Trajectory, opponents: Sequence[Trajectory],
                   direction: str = "", speed_limit: float | None = None) -> CriticalityRecord:
     """Worst-case metrics of one event window over all opponents.
 
-    Pairwise minima are taken over every opponent sample in the window;
-    DCE only over samples whose TTCE is below the gate.  Ego-only fields
-    (max speed, max acceleration magnitudes) are produced even without
-    opponents; pairwise fields are then undefined (nan).
+    Pairwise metrics are evaluated on the ego samples in the window that
+    each opponent's track covers, with the opponent interpolated onto the
+    ego grid.  Minima are taken over every such sample; DCE only over
+    samples whose TTCE is below the gate.  Ego-only fields (max speed, max
+    acceleration magnitudes) are produced even without opponents; pairwise
+    fields are then undefined (nan).
     """
     thresholds = thresholds or Thresholds()
     if speed_limit is None:
@@ -247,20 +258,26 @@ def most_critical(ego: Trajectory, opponents: Sequence[Trajectory],
     min_dce = math.nan
     min_ttce = math.nan
 
-    def nmin(cur: float, new: float) -> float:
-        if math.isnan(new):
-            return cur
-        return new if math.isnan(cur) else min(cur, new)
-
-    for opp in opponents:
-        if opp.vehicle_id == ego.vehicle_id:
-            continue
-        for sample in pairwise_samples(ego, opp, layout, window):
-            min_d = nmin(min_d, sample.d)
-            min_thw = nmin(min_thw, sample.thw)
-            min_ttce = nmin(min_ttce, sample.ttce)
-            if sample.ttce < thresholds.ttce_gate:
-                min_dce = nmin(min_dce, sample.dce)
+    t = ego.t[mask]
+    rivals = [opp for opp in opponents if opp.vehicle_id != ego.vehicle_id]
+    if len(t) and rivals:
+        e_y, e_vy = _lateral(ego, layout)
+        e_s, e_y, e_vs, e_vy = ego.s[mask], e_y[mask], ego.v[mask], e_vy[mask]
+        for opp in rivals:
+            k = time_overlap(t, opp.t)
+            tt = t[k]
+            if len(tt) == 0:
+                continue
+            o_y, o_vy = _lateral(opp, layout)
+            m = encounter(
+                KinState(tt, e_s[k], e_y[k], e_vs[k], e_vy[k]),
+                KinState(tt, np.interp(tt, opp.t, opp.s), np.interp(tt, opp.t, o_y),
+                         np.interp(tt, opp.t, opp.v), np.interp(tt, opp.t, o_vy)),
+                ego.shape, opp.shape)
+            min_d = _nmin(min_d, _nanmin(m.d))
+            min_thw = _nmin(min_thw, _nanmin(m.thw))
+            min_ttce = _nmin(min_ttce, _nanmin(m.ttce))
+            min_dce = _nmin(min_dce, _nanmin(m.dce[m.ttce < thresholds.ttce_gate]))
 
     values = {"d": min_d, "v": max_v, "a_lon": max_a_lon, "a_lat": max_a_lat,
               "thw": min_thw, "dce": min_dce, "ttce": min_ttce}

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .criticality import KinState, thw
+from .criticality import KinState, encounter, time_overlap
 from .trajectory import LaneLayout, Trajectory
 
 __all__ = [
@@ -267,18 +267,15 @@ class SampledScenarioSet:
 def _thw_trace(ego: Trajectory, opp: Trajectory, layout: LaneLayout) -> np.ndarray:
     """THW of ego against one replayed opponent on the ego time grid."""
     w = layout.lane_width
-    e_y = ego.lane * w + ego.lat
+    k = time_overlap(ego.t, opp.t)
+    tt = ego.t[k]
     trace = np.full(len(ego.t), np.nan)
-    lo, hi = float(opp.t[0]), float(opp.t[-1])
-    o_y_full = opp.lane * w + opp.lat
-    for i, tk in enumerate(ego.t):
-        if tk < lo or tk > hi:
-            continue
-        e = KinState(float(tk), float(ego.s[i]), float(e_y[i]), float(ego.v[i]))
-        o = KinState(float(tk), float(np.interp(tk, opp.t, opp.s)),
-                     float(np.interp(tk, opp.t, o_y_full)),
-                     float(np.interp(tk, opp.t, opp.v)))
-        trace[i] = thw(e, o, ego.shape, opp.shape)
+    trace[k] = encounter(
+        KinState(tt, ego.s[k], (ego.lane * w + ego.lat)[k], ego.v[k]),
+        KinState(tt, np.interp(tt, opp.t, opp.s),
+                 np.interp(tt, opp.t, opp.lane * w + opp.lat),
+                 np.interp(tt, opp.t, opp.v)),
+        ego.shape, opp.shape).thw
     return trace
 
 

@@ -47,6 +47,26 @@ def test_detect_reproducible(workdir, tmp_path):
     assert (a / "events.csv").read_bytes() == (b / "events.csv").read_bytes()
 
 
+def test_detect_skips_short_track(workdir, tmp_path, capsys):
+    import numpy as np
+    from lanekit.io import ingest, write_trajectories
+    from helpers import make_trajectory
+
+    normal = ingest(workdir / "trajectories.csv").trajectories
+    t = np.arange(0.0, 1.0, 0.2)  # 5 samples at 5 Hz: too short to low-pass
+    short = make_trajectory(t, np.zeros(len(t)), vehicle_id="short")
+    write_trajectories(tmp_path / "normal.csv", normal)
+    write_trajectories(tmp_path / "mixed.csv", [normal[0], short, *normal[1:]])
+
+    assert run("detect", "--traj", tmp_path / "normal.csv", "--out", tmp_path / "a") == 0
+    capsys.readouterr()
+    assert run("detect", "--traj", tmp_path / "mixed.csv", "--out", tmp_path / "b") == 0
+    assert "warning: vehicle short skipped: insufficient samples" in capsys.readouterr().err
+    events = (tmp_path / "b" / "events.csv").read_text()
+    assert events == (tmp_path / "a" / "events.csv").read_text()
+    assert len(events.splitlines()) > 1
+
+
 def test_robustness(workdir, tmp_path):
     out = tmp_path / "rob"
     assert run("robustness", "--traj", workdir / "trajectories.csv",

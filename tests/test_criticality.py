@@ -10,14 +10,26 @@ from lanekit.criticality import (
     Thresholds,
     classify,
     direction_stats,
+    encounter,
     euclidean_distance,
     most_critical,
     thw,
     ttce_dce,
 )
+from lanekit.synth import generate_corpus
 from lanekit.trajectory import Trajectory, VehicleShape
 
-from helpers import CAR, LAYOUT
+from helpers import (
+    CAR,
+    LAYOUT,
+    TRUCK,
+    assert_same_record,
+    ref_distance,
+    ref_most_critical,
+    ref_thw,
+    ref_ttce_dce,
+    same_float,
+)
 
 POINT = VehicleShape(1e-6, 0.5e-6)
 V_LIM = LAYOUT.speed_limit  # 33.33 m/s
@@ -232,6 +244,105 @@ def test_undefined_values_never_critical():
     thr = Thresholds()
     nanrow = {m: math.nan for m in ("d", "v", "a_lon", "a_lat", "thw", "dce", "ttce")}
     assert not any(classify(nanrow, thr, V_LIM).values())
+
+
+# ---------------------------------------------------------------------------
+# array kernel against the per-sample reference
+
+def test_scalar_wrappers_match_reference():
+    rng = np.random.default_rng(5)
+    states = [(state(), state(0.0, 3.5, vs=5.0)),          # ps = 0, vy = 0
+              (state(vs=20.0), state(50.0, vs=20.0)),      # v2 == 0
+              (state(vs=0.05), state(30.0)),               # ego too slow
+              (state(vs=30.0), state(23.0)),
+              (state(vs=30.0), state(-20.0)),
+              (state(), state(-10.0, vs=1e-200))]          # v2 underflows to 0
+    for _ in range(300):
+        states.append((KinState(0.0, rng.uniform(-50, 50), rng.uniform(-8, 8),
+                                rng.uniform(-1, 40), rng.uniform(-2, 2)),
+                       KinState(0.0, rng.uniform(-50, 50), rng.uniform(-8, 8),
+                                rng.uniform(-1, 40), rng.uniform(-2, 2))))
+    for ego, opp in states:
+        for a, b in ((CAR, CAR), (CAR, TRUCK)):
+            assert same_float(euclidean_distance(ego, opp, a, b),
+                              ref_distance(ego, opp, a, b))
+            assert same_float(thw(ego, opp, a, b), ref_thw(ego, opp, a, b))
+            got, want = ttce_dce(ego, opp, a, b), ref_ttce_dce(ego, opp, a, b)
+            assert same_float(got[0], want[0]) and same_float(got[1], want[1])
+
+
+def test_kernel_broadcasts_over_arrays():
+    ego = KinState(0.0, np.zeros(3), np.zeros(3), np.full(3, 30.0))
+    opp = KinState(0.0, np.array([23.0, -20.0, 0.0]), np.array([0.0, 0.0, 3.5]),
+                   np.array([30.0, 30.0, 35.0]))
+    m = encounter(ego, opp, CAR, CAR)
+    for i in range(3):
+        e = KinState(0.0, 0.0, 0.0, 30.0)
+        o = KinState(0.0, float(opp.s[i]), float(opp.y[i]), float(opp.vs[i]))
+        assert same_float(float(m.d[i]), ref_distance(e, o, CAR, CAR))
+        assert same_float(float(m.thw[i]), ref_thw(e, o, CAR, CAR))
+        tc, dc = ref_ttce_dce(e, o, CAR, CAR)
+        assert same_float(float(m.ttce[i]), tc) and same_float(float(m.dce[i]), dc)
+    # alongside at a different speed: -(0 * 5 + 3.5 * 0) / 25 is -0.0
+    assert math.copysign(1.0, float(m.ttce[2])) == 1.0
+
+
+def test_most_critical_matches_reference_on_corpus():
+    corpus = generate_corpus(n=24, seed=3)
+    by_id = {t.vehicle_id: t for t in corpus.trajectories}
+    assert len(corpus.truth_events) >= 10
+    for ev in corpus.truth_events:
+        ego = by_id[ev.vehicle_id]
+        window = (ev.t_start, ev.t_end)
+        assert_same_record(
+            most_critical(ego, corpus.trajectories, window, LAYOUT),
+            ref_most_critical(ego, corpus.trajectories, window, LAYOUT))
+
+
+def edge_track(vid, s, y, v, t):
+    n = len(t)
+    lane = np.full(n, int(round(y / LAYOUT.lane_width)))
+    return Trajectory(vid, CAR, t, s, lane, np.full(n, y - lane[0] * LAYOUT.lane_width),
+                      np.full(n, v), np.zeros(n), np.zeros(n), 1.0 / (t[1] - t[0]))
+
+
+T5 = np.arange(0.0, 10.0, 0.2)
+T25 = np.arange(0.0, 7.0, 0.04)
+EGO = edge_track("ego", 30.0 * T5, 0.0, 30.0, T5)
+
+EDGE_CASES = {
+    "empty window": (EGO, [edge_track("o", 20.0 + 30.0 * T5, 0.0, 30.0, T5)],
+                     (20.0, 30.0)),
+    "no time overlap": (EGO, [edge_track("o", 30.0 * (T5 + 12.0), 0.0, 30.0, T5 + 12.0)],
+                        (0.0, 9.8)),
+    "diverging": (EGO, [edge_track("o", 10.0 + 40.0 * T5, 0.0, 40.0, T5)], (1.0, 6.0)),
+    # alongside at another speed: t_star is -0.0 before the clamp
+    "alongside": (EGO, [edge_track("o", 30.0 * T5, 3.5, 35.0, T5)], (1.0, 6.0)),
+    "equal velocity": (EGO, [edge_track("o", 25.0 + 30.0 * T5, 0.0, 30.0, T5)],
+                       (0.0, 9.8)),
+    # -(-52 * 20) / 20**2 is exactly the 2.6 s gate at the window's one sample
+    "ttce at the gate": (edge_track("ego", 0.0 * T5, 0.0, 0.0, T5),
+                         [edge_track("o", -52.0 + 20.0 * T5, 1.0, 20.0, T5)], (0.0, 0.1)),
+    "ego too slow": (edge_track("ego", 0.05 * T5, 0.0, 0.05, T5),
+                     [edge_track("o", 20.0 + 0.05 * T5, 0.0, 0.05, T5)], (0.0, 9.8)),
+    "different rate": (EGO, [edge_track("o", 40.0 + 28.0 * T25, 1.0, 28.0, 2.02 + T25)],
+                       (0.0, 9.8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_most_critical_matches_reference_on_edge_cases(case):
+    ego, opponents, window = EDGE_CASES[case]
+    got = most_critical(ego, opponents, window, LAYOUT)
+    assert_same_record(got, ref_most_critical(ego, opponents, window, LAYOUT))
+    if case in ("empty window", "no time overlap"):
+        assert math.isnan(got.min_d) and math.isnan(got.min_ttce)
+    if case in ("diverging", "alongside", "equal velocity"):
+        assert got.min_ttce == 0.0 and math.copysign(1.0, got.min_ttce) == 1.0
+    if case == "ttce at the gate":
+        assert got.min_ttce == Thresholds().ttce_gate and math.isnan(got.min_dce)
+    if case == "ego too slow":
+        assert math.isnan(got.min_thw) and not math.isnan(got.min_d)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ from lanekit.wiedemann import (
     ScenarioSpec,
     W99Params,
     sample_cc1,
+    _thw_trace,
     simulate,
     w99_accel,
 )
 
-from helpers import LAYOUT, make_trajectory
+from helpers import LAYOUT, make_trajectory, ref_thw_trace
 
 
 def test_params_validation():
@@ -194,3 +195,22 @@ def test_single_default_value_equals_simulate(cc1_sweep):
     sampled = sample_cc1(spec, [spec.model.cc1]).scenarios[0]
     assert np.array_equal(sampled.trajectory.s, plain.s)
     assert np.array_equal(sampled.trajectory.v, plain.v)
+
+
+def test_thw_trace_matches_per_sample_reference():
+    spec = overtake_scenario()
+    ego = simulate(spec)
+    # one opponent resampled at another rate and cut short, so the trace
+    # has samples outside the opponent's track
+    other = spec.others()[0]
+    k = slice(30, 200, 3)
+    cut = dataclasses.replace(
+        other, vehicle_id="cut", t=other.t[k] + 0.07, s=other.s[k], lane=other.lane[k],
+        lat=other.lat[k], v=other.v[k], a_lon=other.a_lon[k], a_lat=other.a_lat[k],
+        rate=other.rate / 3.0, d_left=None, d_right=None)
+    for opp in spec.others() + (cut,):
+        got = _thw_trace(ego, opp, LAYOUT)
+        want = ref_thw_trace(ego, opp, LAYOUT)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.isnan(_thw_trace(ego, cut, LAYOUT)).any()
