@@ -136,16 +136,13 @@ def cmd_robustness(args) -> int:
 
     grid = ([Perturbation("bias", b) for b in cfg.bias_grid]
             + [Perturbation("brownian", s) for s in cfg.brownian_grid])
-    points = []
-    for criterion in ("peak", "distance"):
-        rep = sweep(corpus, criterion, grid, layout, cfg.peak_params(),
-                    distance_threshold=cfg.distance_threshold, seed=cfg.seed,
-                    refilter=cfg.sweep_refilter, cutoff=cfg.lowpass_cutoff)
-        points.extend(rep.points)
-    from .robustness import RobustnessReport
-    report = RobustnessReport(tuple(points))
+    report = sweep(corpus, ("peak", "distance"), grid, layout, cfg.peak_params(),
+                   distance_threshold=cfg.distance_threshold, seed=cfg.seed,
+                   refilter=cfg.sweep_refilter, cutoff=cfg.lowpass_cutoff)
+    for vid, reason in report.skipped:
+        print(f"warning: vehicle {vid} skipped: {reason}", file=sys.stderr)
     lkio.write_robustness(out / "robustness.csv", out / "robustness_plot.json", report)
-    print(f"wrote {len(points)} grid points to {out / 'robustness.csv'}")
+    print(f"wrote {len(report.points)} grid points to {out / 'robustness.csv'}")
     return 0
 
 

@@ -303,56 +303,64 @@ def detect_distance(y: ContinuousLateral, layout: LaneLayout,
     rate = np.abs(derivative(yy, y.dt))
     w = layout.lane_width
     nearest = layout.nearest_lane(yy)
+    # settle test against the nearest lane; the loop adds "not the settled lane"
+    rests = ((np.abs(yy - nearest * w) <= threshold)
+             & (rate <= settle_rate)).tolist()
+    ts, ys, lanes = t.tolist(), yy.tolist(), nearest.tolist()
+    n = len(ts)
 
     events: list[LaneChangeEvent] = []
-    settled = int(nearest[0])
-    t_exceed: float | None = None
-    cand_lane: int | None = None
-    cand_t0 = 0.0
-    for i in range(len(t)):
-        dev = yy[i] - layout.center(settled)
-        if t_exceed is None:
-            if abs(dev) > threshold:
-                t_exceed = float(t[i])
-            continue
-        lane_i = int(nearest[i])
-        if lane_i == settled and abs(dev) <= threshold:
-            t_exceed = None  # returned home, abandoned maneuver
-            cand_lane = None
-            continue
-        at_rest = (lane_i != settled
-                   and abs(yy[i] - layout.center(lane_i)) <= threshold
-                   and rate[i] <= settle_rate)
-        if not at_rest:
-            cand_lane = None
-            continue
-        if cand_lane != lane_i:
-            cand_lane = lane_i
-            cand_t0 = float(t[i])
-        if float(t[i]) - cand_t0 < settle_dwell:
-            continue
-        # settle confirmed; the event ends where the rest began
-        direction = Direction.LEFT if lane_i > settled else Direction.RIGHT
-        step = 1 if lane_i > settled else -1
-        boundary = layout.center(settled) + step * w / 2.0
-        t_mid = _boundary_cross_time(t, yy, t_exceed, cand_t0, boundary)
-        v_mid = (_interp_at(t, y.v, t_mid) if y.v is not None else math.nan)
-        events.append(LaneChangeEvent(
-            vehicle_id=y.vehicle_id,
-            t_start=t_exceed,
-            t_mid=t_mid,
-            t_end=cand_t0,
-            duration=cand_t0 - t_exceed,
-            direction=direction,
-            v_mid=v_mid,
-            # center-to-center displacement: the settle window clips the
-            # transition tails, so the raw |dy| would under-measure
-            lateral_extent=abs(lane_i - settled) * w,
-            criterion="distance",
-        ))
-        settled = lane_i
-        t_exceed = None
-        cand_lane = None
+    settled = lanes[0]
+    i = 0
+    while i < n:
+        center = layout.center(settled)
+        # no maneuver open: jump to the next exceedance
+        hits = np.flatnonzero(np.abs(yy[i:] - center) > threshold)
+        if len(hits) == 0:
+            break
+        i += int(hits[0])
+        t_exceed = ts[i]
+        cand_lane: int | None = None
+        cand_t0 = 0.0
+        for i in range(i + 1, n):
+            lane_i = lanes[i]
+            if lane_i == settled:
+                if abs(ys[i] - center) <= threshold:
+                    break  # returned home, abandoned maneuver
+                cand_lane = None
+                continue
+            if not rests[i]:
+                cand_lane = None
+                continue
+            if cand_lane != lane_i:
+                cand_lane = lane_i
+                cand_t0 = ts[i]
+            if ts[i] - cand_t0 < settle_dwell:
+                continue
+            # settle confirmed; the event ends where the rest began
+            direction = Direction.LEFT if lane_i > settled else Direction.RIGHT
+            step = 1 if lane_i > settled else -1
+            boundary = center + step * w / 2.0
+            t_mid = _boundary_cross_time(t, yy, t_exceed, cand_t0, boundary)
+            v_mid = (_interp_at(t, y.v, t_mid) if y.v is not None else math.nan)
+            events.append(LaneChangeEvent(
+                vehicle_id=y.vehicle_id,
+                t_start=t_exceed,
+                t_mid=t_mid,
+                t_end=cand_t0,
+                duration=cand_t0 - t_exceed,
+                direction=direction,
+                v_mid=v_mid,
+                # center-to-center displacement: the settle window clips the
+                # transition tails, so the raw |dy| would under-measure
+                lateral_extent=abs(lane_i - settled) * w,
+                criterion="distance",
+            ))
+            settled = lane_i
+            break
+        else:
+            break  # the record ends inside a maneuver
+        i += 1
     return events
 
 

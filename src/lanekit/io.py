@@ -84,9 +84,10 @@ def ingest(path: str | Path,
            default_shape: VehicleShape | None = None) -> IngestReport:
     """Read and validate a trajectory CSV.
 
-    Rows with non-finite values are rejected and counted; vehicles with
-    non-monotone time or fewer than two valid samples are rejected with a
-    diagnostic.  A malformed header is a hard error.
+    Rows with non-finite values or a non-integer lane are rejected and
+    counted; vehicles with non-monotone time or fewer than two valid
+    samples are rejected with a diagnostic.  A malformed header is a hard
+    error.
     """
     path = Path(path)
     default_shape = default_shape or VehicleShape(4.8, 2.0)
@@ -112,6 +113,9 @@ def ingest(path: str | Path,
             # t,s,lane,lat,v,a_lon,a_lat must be finite; markings may be empty
             if not all(math.isfinite(v) for v in values[:7]):
                 report.rejected_rows.append((lineno, "non-finite value"))
+                continue
+            if not values[2].is_integer():
+                report.rejected_rows.append((lineno, "non-integer lane"))
                 continue
             if vid not in per_vehicle:
                 per_vehicle[vid] = []

@@ -20,7 +20,14 @@ from .detection import (
     detect_distance,
     detect_peak,
 )
-from .trajectory import LaneLayout, Trajectory, continuous_lateral, lowpass
+from .trajectory import (  # noqa: F401 - lowpass: perfbench/tracer.py wraps it here
+    InsufficientSamplesError,
+    LaneLayout,
+    Trajectory,
+    _zero_phase,
+    continuous_lateral,
+    lowpass,
+)
 
 __all__ = [
     "Perturbation",
@@ -68,6 +75,7 @@ class RobustnessPoint:
 @dataclass(frozen=True)
 class RobustnessReport:
     points: tuple[RobustnessPoint, ...]
+    skipped: tuple[tuple[str, str], ...] = ()  # (vehicle_id, reason) left out
 
     def series(self, criterion: str, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """(magnitudes, detected counts) for one criterion and grid axis."""
@@ -85,16 +93,19 @@ def inject_bias(traj: Trajectory, b: float) -> Trajectory:
     return traj.with_channels(lat=traj.lat + b)
 
 
+def _brownian_walk(n: int, step_std: float, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(0.0, step_std, n - 1)
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
 def inject_brownian(traj: Trajectory, step_std: float, seed: int) -> Trajectory:
     """Add a random walk W_k = W_{k-1} + N(0, step_std^2), W_0 = 0, to lat."""
     if step_std < 0.0:
         raise ValueError("step_std must be >= 0")
     if step_std == 0.0:
         return traj
-    rng = np.random.default_rng(seed)
-    steps = rng.normal(0.0, step_std, len(traj.t) - 1)
-    walk = np.concatenate([[0.0], np.cumsum(steps)])
-    return traj.with_channels(lat=traj.lat + walk)
+    return traj.with_channels(lat=traj.lat + _brownian_walk(len(traj.t), step_std, seed))
 
 
 class _CorpusLike(Protocol):
@@ -102,47 +113,67 @@ class _CorpusLike(Protocol):
     truth_events: Sequence[LaneChangeEvent] | None
 
 
-def _apply(traj: Trajectory, pert: Perturbation, stream_seed: int) -> Trajectory:
+def _perturbed_lat(traj: Trajectory, pert: Perturbation, seed: int, gi: int,
+                   ti: int) -> np.ndarray:
+    """``lat`` of ``traj`` under one grid point, as inject_bias/inject_brownian."""
+    if pert.magnitude == 0.0:
+        return traj.lat
     if pert.kind == "bias":
-        return inject_bias(traj, pert.magnitude)
-    return inject_brownian(traj, pert.magnitude, stream_seed)
+        return traj.lat + pert.magnitude
+    stream = int(np.random.SeedSequence((seed, gi, ti)).generate_state(1)[0])
+    return traj.lat + _brownian_walk(len(traj.t), pert.magnitude, stream)
 
 
-def sweep(corpus: _CorpusLike, criterion: str, grid: Sequence[Perturbation],
-          layout: LaneLayout, params: PeakParams | None = None,
-          distance_threshold: float = 0.8, seed: int = 0,
-          refilter: bool = True, cutoff: float = 1.3,
+def sweep(corpus: _CorpusLike, criterion: str | Sequence[str],
+          grid: Sequence[Perturbation], layout: LaneLayout,
+          params: PeakParams | None = None, distance_threshold: float = 0.8,
+          seed: int = 0, refilter: bool = True, cutoff: float = 1.3,
           min_extent: float | None = None) -> RobustnessReport:
-    """Detection counts of one criterion over a perturbation grid.
+    """Detection counts of one or more criteria over a perturbation grid.
 
-    Perturbations are applied to the resampled lateral channel; with
-    ``refilter`` the low-pass runs again afterwards, modelling raw
-    measurement error entering before preprocessing.  Random streams are
-    keyed by (seed, grid index, trajectory index) so evaluation order does
-    not change results.  The peak criterion runs without the minimum
-    lateral-extent filter by default, counting raw detections.
+    Perturbations are added to the lateral channel at the trajectories'
+    own rate; with ``refilter`` the low-pass runs again afterwards,
+    modelling raw measurement error entering before preprocessing.  Each
+    vehicle is perturbed and filtered once per grid point, all grid points
+    in one filter call, and every criterion runs on that signal.  Random
+    streams are keyed by (seed, grid index, trajectory index) so
+    evaluation order does not change results.  The points come back per
+    criterion in the given order, each in grid order.  The peak criterion
+    runs without the minimum lateral-extent filter by default, counting
+    raw detections.  A vehicle too short to filter is left out and listed
+    in ``skipped`` with the reason.
     """
-    if criterion not in ("peak", "distance"):
-        raise ValueError(f"unknown criterion {criterion!r}")
+    criteria = (criterion,) if isinstance(criterion, str) else tuple(criterion)
+    for name in criteria:
+        if name not in ("peak", "distance"):
+            raise ValueError(f"unknown criterion {name!r}")
     if corpus.truth_events is None:
         raise GroundTruthError("corpus has no ground-truth events")
     truth = len(corpus.truth_events)
+    if not grid:
+        return RobustnessReport(())
 
-    points: list[RobustnessPoint] = []
-    for gi, pert in enumerate(grid):
-        detected = 0
-        for ti, traj in enumerate(corpus.trajectories):
-            stream = int(np.random.SeedSequence((seed, gi, ti)).generate_state(1)[0])
-            perturbed = _apply(traj, pert, stream)
-            if refilter:
-                perturbed = lowpass(perturbed, cutoff, layout)
-            y = continuous_lateral(perturbed, layout)
-            if criterion == "peak":
-                events = detect_peak(y, traj.shape, layout, params,
-                                     min_extent=min_extent)
-            else:
-                events = detect_distance(y, layout, distance_threshold)
-            detected += len(events)
-        points.append(RobustnessPoint(criterion, pert.kind, pert.magnitude,
-                                      detected, truth))
-    return RobustnessReport(tuple(points))
+    detected = {name: [0] * len(grid) for name in criteria}
+    skipped = []
+    for ti, traj in enumerate(corpus.trajectories):
+        lat = np.stack([_perturbed_lat(traj, pert, seed, gi, ti)
+                        for gi, pert in enumerate(grid)])
+        if refilter:
+            try:
+                lat = _zero_phase(traj, lat, cutoff, layout, lateral=True)
+            except InsufficientSamplesError as exc:
+                skipped.append((traj.vehicle_id, str(exc)))
+                continue
+        for gi in range(len(grid)):
+            y = continuous_lateral(traj, layout, lat[gi])
+            for name in criteria:
+                if name == "peak":
+                    events = detect_peak(y, traj.shape, layout, params,
+                                         min_extent=min_extent)
+                else:
+                    events = detect_distance(y, layout, distance_threshold)
+                detected[name][gi] += len(events)
+
+    return RobustnessReport(tuple(
+        RobustnessPoint(name, pert.kind, pert.magnitude, detected[name][gi], truth)
+        for name in criteria for gi, pert in enumerate(grid)), tuple(skipped))

@@ -9,6 +9,7 @@ boundaries and is the signal all lane-change detectors operate on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -300,6 +301,45 @@ def resample(traj: Trajectory, target_rate: float) -> Trajectory:
     )
 
 
+@functools.lru_cache(maxsize=32)
+def _butter_design(cutoff: float, rate: float) -> np.ndarray:
+    return _signal.butter(2, cutoff, btype="low", fs=rate, output="sos")
+
+
+def _butter_sos(cutoff: float, rate: float) -> np.ndarray:
+    """Second-order low-pass in SOS form, designed once per (cutoff, rate).
+
+    Each call gets its own copy: ``sosfiltfilt`` rejects a read-only array,
+    and a caller writing to it must not change the cached design.
+    """
+    return _butter_design(cutoff, rate).copy()
+
+
+def _zero_phase(traj: Trajectory, rows: np.ndarray, cutoff: float,
+                layout: LaneLayout | None, lateral: bool) -> np.ndarray:
+    """Forward-backward Butterworth filter along the last axis of ``rows``.
+
+    ``rows`` holds one or more versions of a channel of ``traj``.  With
+    ``lateral`` they are ``lat`` rows, filtered in the composite form
+    ``lane * lane_width + lat`` and returned as ``lat``.
+    """
+    nyquist = traj.rate / 2.0
+    if cutoff >= nyquist:
+        raise ValueError(f"cutoff {cutoff} Hz must be below Nyquist {nyquist} Hz")
+    sos = _butter_sos(cutoff, traj.rate)
+    if len(traj.t) < 10:  # shorter than the forward-backward pad
+        raise InsufficientSamplesError("insufficient samples")
+    if not lateral:
+        return _signal.sosfiltfilt(sos, rows, axis=-1)
+    if np.all(traj.lane == traj.lane[0]):
+        offset = np.zeros(len(traj.t))
+    else:
+        if layout is None:
+            raise ValueError("layout required to filter 'lat' across lane changes")
+        offset = traj.lane * layout.lane_width
+    return _signal.sosfiltfilt(sos, rows + offset, axis=-1) - offset
+
+
 def lowpass(traj: Trajectory, cutoff: float, layout: LaneLayout | None = None,
             channels: Sequence[str] = ("lat",)) -> Trajectory:
     """Zero-phase second-order Butterworth low-pass on selected channels.
@@ -310,39 +350,24 @@ def lowpass(traj: Trajectory, cutoff: float, layout: LaneLayout | None = None,
     the lane index is not constant.  Forward-backward filtering keeps peak
     locations unshifted for symmetric inputs.
     """
-    nyquist = traj.rate / 2.0
-    if cutoff >= nyquist:
-        raise ValueError(f"cutoff {cutoff} Hz must be below Nyquist {nyquist} Hz")
-    sos = _signal.butter(2, cutoff, btype="low", fs=traj.rate, output="sos")
-    if len(traj.t) < 10:  # shorter than the forward-backward pad
-        raise InsufficientSamplesError("insufficient samples")
-
-    def run(x: np.ndarray) -> np.ndarray:
-        return _signal.sosfiltfilt(sos, x)
-
     updates = {}
     for name in channels:
-        if name == "lat":
-            if np.all(traj.lane == traj.lane[0]):
-                offset = np.zeros(len(traj.t))
-            else:
-                if layout is None:
-                    raise ValueError("layout required to filter 'lat' across lane changes")
-                offset = traj.lane * layout.lane_width
-            updates["lat"] = run(traj.lat + offset) - offset
-        else:
-            ch = getattr(traj, name)
-            if ch is None:
-                raise ValueError(f"channel {name!r} not present")
-            updates[name] = run(ch)
+        ch = getattr(traj, name)
+        if ch is None:
+            raise ValueError(f"channel {name!r} not present")
+        updates[name] = _zero_phase(traj, ch, cutoff, layout, lateral=name == "lat")
     return traj.with_channels(**updates)
 
 
-def continuous_lateral(traj: Trajectory, layout: LaneLayout) -> ContinuousLateral:
-    """Build the continuous global lateral channel y = lane*width + lat."""
+def continuous_lateral(traj: Trajectory, layout: LaneLayout,
+                       lat: np.ndarray | None = None) -> ContinuousLateral:
+    """Build the continuous global lateral channel y = lane*width + lat.
+
+    ``lat`` replaces the trajectory's own lateral channel when given.
+    """
     if np.any(traj.lane < 0) or np.any(traj.lane >= layout.lane_count):
         raise ValueError("lane index out of range for layout")
-    y = traj.lane * layout.lane_width + traj.lat
+    y = traj.lane * layout.lane_width + (traj.lat if lat is None else lat)
     return ContinuousLateral(vehicle_id=traj.vehicle_id, t=traj.t, y=y,
                              rate=traj.rate, v=traj.v)
 

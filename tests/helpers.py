@@ -203,3 +203,111 @@ def assert_same_record(got, want) -> None:
             assert same_float(a, b), (f.name, a, b)
         else:
             assert a == b, (f.name, a, b)
+
+
+# ---------------------------------------------------------------------------
+# Reference sweep: the two-pass, per-criterion loop the one-pass sweep
+# replaced, with its per-call filter design and the per-sample distance
+# criterion.  Test-only; the library must match it exactly.
+
+def ref_lowpass_lat(traj, cutoff, layout):
+    """``lat`` filtered as one composite row, the filter designed per call."""
+    from scipy import signal
+    sos = signal.butter(2, cutoff, btype="low", fs=traj.rate, output="sos")
+    if np.all(traj.lane == traj.lane[0]):
+        offset = np.zeros(len(traj.t))
+    else:
+        offset = traj.lane * layout.lane_width
+    return traj.with_channels(lat=signal.sosfiltfilt(sos, traj.lat + offset) - offset)
+
+
+def ref_perturb(traj, pert, stream):
+    if pert.magnitude == 0.0:
+        return traj
+    if pert.kind == "bias":
+        return traj.with_channels(lat=traj.lat + pert.magnitude)
+    rng = np.random.default_rng(stream)
+    steps = rng.normal(0.0, pert.magnitude, len(traj.t) - 1)
+    return traj.with_channels(lat=traj.lat + np.concatenate([[0.0], np.cumsum(steps)]))
+
+
+def ref_sweep(corpus, criterion, grid, layout, params=None, distance_threshold=0.8,
+              seed=0, refilter=True, cutoff=1.3, min_extent=None):
+    from lanekit.detection import detect_peak
+    from lanekit.robustness import RobustnessPoint, RobustnessReport
+    from lanekit.trajectory import continuous_lateral
+    truth = len(corpus.truth_events)
+    points = []
+    for gi, pert in enumerate(grid):
+        detected = 0
+        for ti, traj in enumerate(corpus.trajectories):
+            stream = int(np.random.SeedSequence((seed, gi, ti)).generate_state(1)[0])
+            perturbed = ref_perturb(traj, pert, stream)
+            if refilter:
+                perturbed = ref_lowpass_lat(perturbed, cutoff, layout)
+            y = continuous_lateral(perturbed, layout)
+            if criterion == "peak":
+                events = detect_peak(y, traj.shape, layout, params, min_extent=min_extent)
+            else:
+                events = ref_detect_distance(y, layout, distance_threshold)
+            detected += len(events)
+        points.append(RobustnessPoint(criterion, pert.kind, pert.magnitude,
+                                      detected, truth))
+    return RobustnessReport(tuple(points))
+
+
+def ref_detect_distance(y, layout, threshold=0.8, settle_rate=0.15, settle_dwell=2.0):
+    """Per-sample state machine of the distance criterion."""
+    from lanekit.detection import (
+        Direction,
+        LaneChangeEvent,
+        _boundary_cross_time,
+        _interp_at,
+    )
+    from lanekit.trajectory import derivative
+    t = y.t
+    yy = y.y
+    rate = np.abs(derivative(yy, y.dt))
+    w = layout.lane_width
+    nearest = layout.nearest_lane(yy)
+
+    events = []
+    settled = int(nearest[0])
+    t_exceed = None
+    cand_lane = None
+    cand_t0 = 0.0
+    for i in range(len(t)):
+        dev = yy[i] - layout.center(settled)
+        if t_exceed is None:
+            if abs(dev) > threshold:
+                t_exceed = float(t[i])
+            continue
+        lane_i = int(nearest[i])
+        if lane_i == settled and abs(dev) <= threshold:
+            t_exceed = None
+            cand_lane = None
+            continue
+        at_rest = (lane_i != settled
+                   and abs(yy[i] - layout.center(lane_i)) <= threshold
+                   and rate[i] <= settle_rate)
+        if not at_rest:
+            cand_lane = None
+            continue
+        if cand_lane != lane_i:
+            cand_lane = lane_i
+            cand_t0 = float(t[i])
+        if float(t[i]) - cand_t0 < settle_dwell:
+            continue
+        direction = Direction.LEFT if lane_i > settled else Direction.RIGHT
+        step = 1 if lane_i > settled else -1
+        boundary = layout.center(settled) + step * w / 2.0
+        t_mid = _boundary_cross_time(t, yy, t_exceed, cand_t0, boundary)
+        v_mid = _interp_at(t, y.v, t_mid) if y.v is not None else math.nan
+        events.append(LaneChangeEvent(
+            vehicle_id=y.vehicle_id, t_start=t_exceed, t_mid=t_mid, t_end=cand_t0,
+            duration=cand_t0 - t_exceed, direction=direction, v_mid=v_mid,
+            lateral_extent=abs(lane_i - settled) * w, criterion="distance"))
+        settled = lane_i
+        t_exceed = None
+        cand_lane = None
+    return events

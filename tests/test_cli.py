@@ -80,6 +80,27 @@ def test_robustness(workdir, tmp_path):
                      ("distance", "bias"), ("distance", "brownian")}
 
 
+def test_robustness_skips_short_track(workdir, tmp_path, capsys):
+    import numpy as np
+    from lanekit.io import ingest, write_trajectories
+    from helpers import make_trajectory
+
+    normal = ingest(workdir / "trajectories.csv").trajectories
+    t = np.arange(0.0, 1.6, 0.2)  # 8 samples at 5 Hz: too short to low-pass
+    short = make_trajectory(t, np.zeros(len(t)), vehicle_id="short")
+    write_trajectories(tmp_path / "mixed.csv", [*normal, short])
+
+    truth = workdir / "truth_events.csv"
+    assert run("robustness", "--traj", workdir / "trajectories.csv", "--truth", truth,
+               "--out", tmp_path / "a") == 0
+    capsys.readouterr()
+    assert run("robustness", "--traj", tmp_path / "mixed.csv", "--truth", truth,
+               "--out", tmp_path / "b") == 0
+    assert "warning: vehicle short skipped: insufficient samples" in capsys.readouterr().err
+    for name in ("robustness.csv", "robustness_plot.json"):
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+
 def test_criticality_and_stats(workdir, tmp_path):
     det = tmp_path / "det"
     assert run("detect", "--traj", workdir / "trajectories.csv",

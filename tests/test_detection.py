@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lanekit.detection import (
     Direction,
@@ -17,13 +19,16 @@ from lanekit.detection import (
     rel_height_from_widths,
 )
 from lanekit.io import fmt
+from lanekit.trajectory import ContinuousLateral
 
 from helpers import (
     CAR,
     LAYOUT,
+    assert_same_record,
     continuous,
     lane_keeping,
     make_trajectory,
+    ref_detect_distance,
     sigmoid_lane_change,
     sigmoid_profile,
 )
@@ -194,6 +199,85 @@ def test_distance_threshold_validation():
     y = continuous(lane_keeping())
     with pytest.raises(ValueError):
         detect_distance(y, LAYOUT, 2.0)
+
+
+# the array-driven loop against the per-sample reference
+
+def lateral(y, rate=4.0):
+    y = np.asarray(y, dtype=float)
+    t = np.arange(len(y)) / rate  # exact sample times at 4 Hz
+    return ContinuousLateral("veh", t, y, rate, v=30.0 + 0.1 * t)
+
+
+def assert_distance_like_reference(y, **kwargs):
+    got = detect_distance(y, LAYOUT, **kwargs)
+    want = ref_detect_distance(y, LAYOUT, **kwargs)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_same_record(a, b)
+    return got
+
+
+def test_distance_exceedance_at_first_sample():
+    y = lateral([1.0] + [3.5] * 20)
+    events = assert_distance_like_reference(y)
+    assert len(events) == 1 and events[0].t_start == 0.0
+
+
+def test_distance_exceedance_at_last_sample():
+    assert assert_distance_like_reference(lateral([0.0] * 20 + [1.0])) == []
+
+
+def test_distance_abandoned_return():
+    y = lateral(np.concatenate([np.zeros(8), np.linspace(0.0, 1.6, 6),
+                                np.linspace(1.6, 0.0, 6), np.zeros(20)]))
+    assert assert_distance_like_reference(y) == []
+
+
+@pytest.mark.parametrize("hold,count", [(0, 1), (12, 2)])
+def test_distance_double_change(hold, count):
+    # straight through lane 1, or a settled stop in it
+    y = lateral(np.concatenate([np.zeros(8), np.linspace(0.0, 3.5, 8),
+                                np.full(hold, 3.5), np.linspace(3.5, 7.0, 8),
+                                np.full(16, 7.0)]))
+    events = assert_distance_like_reference(y)
+    assert len(events) == count
+    assert sum(e.lateral_extent for e in events) == 7.0
+
+
+@pytest.mark.parametrize("hold,count", [(10, 0), (11, 1)])
+def test_distance_dwell_exactly_settle_dwell(hold, count):
+    # step up at sample 8, step down at 8 + hold: the rest run spans
+    # (hold - 3) * 0.25 s, exactly settle_dwell = 2.0 s for hold = 11
+    y = lateral([0.0] * 8 + [3.5] * hold + [0.0] * 4)
+    assert len(assert_distance_like_reference(y, settle_dwell=2.0)) == count
+
+
+@st.composite
+def lane_signals(draw):
+    rate = draw(st.sampled_from([4.0, 5.0, 25.0]))
+    dwell = int(2.0 * rate)
+    # mostly lane centers, else excursions that may turn back
+    level = (st.sampled_from([0.0, 3.5, 7.0]) | st.sampled_from([0.0, 3.5, 7.0])
+             | st.sampled_from([0.9, 2.6, -0.5]) | st.floats(-0.5, 7.5))
+    hold = (st.integers(0, 6) | st.sampled_from([dwell - 1, dwell, dwell + 1])
+            | st.integers(dwell + 2, 3 * dwell))
+    y = [draw(level)]
+    for _ in range(draw(st.integers(0, 6))):
+        target = draw(level)
+        y.extend(np.linspace(y[-1], target, draw(st.integers(1, 12)) + 1)[1:])
+        y.extend([target] * draw(hold))
+    y.extend([y[-1]] * max(0, 2 - len(y)))
+    noise = draw(st.sampled_from([0.0, 0.0, 0.005, 0.05]))
+    seed = draw(st.integers(0, 2**16))
+    y = np.asarray(y) + np.cumsum(np.random.default_rng(seed).normal(0.0, noise, len(y)))
+    return lateral(y, rate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_signals(), st.sampled_from([0.5, 0.8, 1.2]))
+def test_distance_matches_reference_on_random_signals(y, threshold):
+    assert_distance_like_reference(y, threshold=threshold)
 
 
 def test_exceedance_predicate_shift():

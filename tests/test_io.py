@@ -77,6 +77,17 @@ def test_ingest_rejects_nan_speed_row(tmp_path):
     assert len(report.trajectories[0].t) == 4
 
 
+def test_ingest_rejects_non_integer_lane(tmp_path):
+    path = tmp_path / "lane.csv"
+    lanes = ["0", "1.0", "2.7", "1", "1e0"]
+    path.write_text("\n".join(
+        ["vehicle_id,t,s,lane,lat,v,a_lon,a_lat,d_left,d_right"]
+        + [f"a,{0.2 * i},0,{lane},0.1,30,0,0,," for i, lane in enumerate(lanes)]) + "\n")
+    report = ingest(path)
+    assert report.rejected_rows == [(4, "non-integer lane")]
+    assert report.trajectories[0].lane.tolist() == [0, 1, 1, 1]
+
+
 def test_ingest_rejects_non_monotone_vehicle(tmp_path):
     path = tmp_path / "mono.csv"
     lines = ["vehicle_id,t,s,lane,lat,v,a_lon,a_lat,d_left,d_right",

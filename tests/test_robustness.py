@@ -142,3 +142,55 @@ def test_report_series_sorted(corpus):
     x, y = rep.series("peak", "bias")
     assert np.array_equal(x, [0.0, 0.25, 0.5])
     assert len(y) == 3
+
+
+# ---------------------------------------------------------------------------
+# one-pass sweep against the two-pass reference
+
+BIAS_GRID = [Perturbation("bias", b) for b in (0.0, 0.5, 1.0, 1.5)]
+BROWNIAN_GRID = [Perturbation("brownian", s) for s in (0.0, 0.01, 0.05)]
+
+
+@pytest.fixture(scope="module")
+def sample():
+    return generate_corpus(n=24, seed=3)
+
+
+@pytest.mark.parametrize("refilter", [True, False])
+@pytest.mark.parametrize("grid", [BIAS_GRID, BROWNIAN_GRID], ids=["bias", "brownian"])
+def test_one_pass_sweep_matches_two_pass_reference(sample, grid, refilter):
+    from helpers import ref_sweep
+    got = sweep(sample, ("peak", "distance"), grid, sample.layout, seed=9,
+                refilter=refilter)
+    want = (ref_sweep(sample, "peak", grid, sample.layout, seed=9, refilter=refilter).points
+            + ref_sweep(sample, "distance", grid, sample.layout, seed=9,
+                        refilter=refilter).points)
+    assert got.points == want
+    assert any(p.detected != p.truth for p in got.points)
+
+
+def test_sweep_points_grouped_by_criterion_in_given_order(corpus):
+    grid = [Perturbation("bias", 0.5), Perturbation("brownian", 0.01)]
+    both = sweep(corpus, ("distance", "peak"), grid, corpus.layout, seed=2)
+    assert [(p.criterion, p.kind) for p in both.points] == [
+        ("distance", "bias"), ("distance", "brownian"),
+        ("peak", "bias"), ("peak", "brownian")]
+    for name in ("distance", "peak"):
+        alone = sweep(corpus, name, grid, corpus.layout, seed=2)
+        assert alone.points == tuple(p for p in both.points if p.criterion == name)
+
+
+def test_sweep_skips_short_track(corpus):
+    from helpers import make_trajectory
+    t = np.arange(8) * 0.2  # 8 samples: too short to low-pass
+    short = make_trajectory(t, np.full(len(t), 3.6), vehicle_id="short")
+    mixed = SyntheticCorpus((corpus.trajectories[0], short, *corpus.trajectories[1:]),
+                            corpus.truth_events, corpus.layout, corpus.seed)
+    grid = [Perturbation("bias", 0.5), Perturbation("brownian", 0.01)]
+    got = sweep(mixed, ("peak", "distance"), grid, corpus.layout)
+    assert got.skipped == (("short", "insufficient samples"),)
+    # bias draws no random stream: the other vehicles' counts stay as without it
+    want = sweep(corpus, ("peak", "distance"), grid[:1], corpus.layout)
+    assert want.skipped == ()
+    assert tuple(p for p in got.points if p.kind == "bias") == want.points
+    assert sweep(mixed, "peak", grid, corpus.layout, refilter=False).skipped == ()

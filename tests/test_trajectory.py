@@ -175,6 +175,49 @@ def test_lowpass_needs_layout_across_lane_changes():
         lowpass(sigmoid_lane_change(), 1.3)
 
 
+@pytest.mark.parametrize("cutoff,rate", [(1.3, 5.0), (1.3, 25.0), (0.5, 10.0)])
+def test_cached_filter_design_matches_butter(cutoff, rate):
+    from scipy import signal
+    from lanekit.trajectory import _butter_sos
+    want = signal.butter(2, cutoff, btype="low", fs=rate, output="sos")
+    for _ in range(2):  # the miss, then the hit
+        assert np.array_equal(_butter_sos(cutoff, rate), want)
+
+
+def test_mutating_returned_filter_leaves_cache_intact():
+    from helpers import ref_lowpass_lat, sigmoid_lane_change
+    from lanekit.trajectory import _butter_sos
+    traj = sigmoid_lane_change(rate=25.0)
+    want = ref_lowpass_lat(traj, 1.3, LAYOUT).lat
+    sos = _butter_sos(1.3, 25.0)
+    sos[:] = 0.0
+    assert np.array_equal(lowpass(traj, 1.3, LAYOUT).lat, want)
+
+
+@pytest.mark.parametrize("rate", [5.0, 25.0])
+def test_stacked_rows_filter_like_one_lowpass_each(rate):
+    # the sweep filters all grid points of a vehicle in one call
+    from helpers import ref_lowpass_lat, sigmoid_lane_change
+    from lanekit.trajectory import _zero_phase
+    rng = np.random.default_rng(4)
+    for traj in (sigmoid_lane_change(rate=rate), lane_keeping(rate=rate, lane=1)):
+        rows = traj.lat + np.cumsum(rng.normal(0.0, 0.02, (6, len(traj.t))), axis=1)
+        rows[0] = traj.lat
+        got = _zero_phase(traj, rows, 1.3, LAYOUT, lateral=True)
+        for row, lat in zip(got, rows):
+            want = ref_lowpass_lat(traj.with_channels(lat=lat), 1.3, LAYOUT).lat
+            assert np.array_equal(row, want)
+            assert np.array_equal(lowpass(traj.with_channels(lat=lat), 1.3, LAYOUT).lat,
+                                  want)
+
+
+def test_lowpass_short_track_insufficient():
+    t = np.arange(9) * 0.2  # one sample short of the filter's minimum
+    with pytest.raises(InsufficientSamplesError, match="insufficient samples"):
+        lowpass(make_trajectory(t, np.zeros(9)), 1.3)
+    assert len(lowpass(make_trajectory(np.arange(10) * 0.2, np.zeros(10)), 1.3).t) == 10
+
+
 # ---------------------------------------------------------------------------
 # continuous lateral
 
