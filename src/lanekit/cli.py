@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from .synth import SyntheticCorpus, generate_corpus
 from .trajectory import (
     InsufficientSamplesError,
     LaneLayout,
+    LaneRangeError,
     Trajectory,
     continuous_lateral,
     lowpass,
@@ -107,10 +109,10 @@ def cmd_detect(args) -> int:
     for traj in trajectories:
         try:
             pre = _preprocess(traj, cfg, layout)
-        except InsufficientSamplesError as exc:
+            y = continuous_lateral(pre, layout)
+        except (InsufficientSamplesError, LaneRangeError) as exc:
             print(f"warning: vehicle {traj.vehicle_id} skipped: {exc}", file=sys.stderr)
             continue
-        y = continuous_lateral(pre, layout)
         if "gradient" in criteria and traj.has_markings:
             ev = detect_gradient(traj, layout, params)
             all_events.extend(classify_double(ev, layout))
@@ -248,14 +250,15 @@ def cmd_sample(args) -> int:
     spec, cc1_values = _scenario_from_file(args.scenario, cfg)
     result = sample_cc1(spec, cc1_values)
 
+    t_col = [lkio.fmt(tk) for tk in result.t.tolist()]
     with (out / "thw_traces.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "opponent_id", "thw", "cc1"])
         for sc in result.scenarios:
+            cc1 = repeat(lkio.fmt(sc.cc1))
             for opp_id, trace in sorted(sc.thw_traces.items()):
-                for tk, val in zip(result.t, trace):
-                    writer.writerow([lkio.fmt(tk), opp_id, lkio.fmt(val),
-                                     lkio.fmt(sc.cc1)])
+                thw = [lkio.fmt(val) for val in trace.tolist()]
+                writer.writerows(zip(t_col, repeat(opp_id), thw, cc1))
     for sc in result.scenarios:
         lkio.write_trajectories(out / f"simulated_cc1_{sc.cc1:g}.csv",
                                 [sc.trajectory])

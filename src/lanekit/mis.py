@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .trajectory import LaneLayout, VehicleShape
-from .wiedemann import CFState, W99Params, w99_accel
+from .wiedemann import CFState, W99Params, _clamp, w99_accel
 
 __all__ = [
     "MISConfig",
@@ -131,7 +131,7 @@ def plan_decel(ego: CFState, front: CFState, rear: CFState, cfg: MISConfig,
         return 0.0
     dv_front = ego.v - front.v
     a = (target * ego.v - g0 + dv_front * horizon) / (0.5 * horizon ** 2 + target * horizon)
-    return float(np.clip(a, 0.0, cfg.comfort_decel_cap))
+    return _clamp(a, 0.0, cfg.comfort_decel_cap)
 
 
 @dataclass(frozen=True)
@@ -312,7 +312,7 @@ def run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
                     phase = "done"
 
         # rear longitudinal command (applied with reaction delay)
-        rear_lane_now = int(np.rint(y_r[k] / w))
+        rear_lane_now = round(y_r[k] / w)
         leader_r: CFState | None = None
         if rear_lane_now == sc.lane:
             if rear.s < ego.s:
@@ -351,8 +351,8 @@ def run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
         elif state.mode is MISMode.COMPLETED or not mis_on or state.mode is MISMode.IDLE:
             gap = _net_gap(ego, front)
             g_des = cfg.cruise_thw * ego.v + cfg.standstill_gap
-            a_cmd = float(np.clip(0.25 * (gap - g_des) + 0.9 * (front.v - ego.v),
-                                  -cfg.hard_decel, cfg.accel_cap))
+            a_cmd = _clamp(0.25 * (gap - g_des) + 0.9 * (front.v - ego.v),
+                           -cfg.hard_decel, cfg.accel_cap)
 
         closing_front = ego.v - front.v
         if (thw_front[k] < cfg.emergency_thw

@@ -26,6 +26,7 @@ __all__ = [
     "Trajectory",
     "ContinuousLateral",
     "InsufficientSamplesError",
+    "LaneRangeError",
     "resample",
     "lowpass",
     "continuous_lateral",
@@ -35,6 +36,10 @@ __all__ = [
 
 class InsufficientSamplesError(ValueError):
     """Raised when an operation needs more samples than the input has."""
+
+
+class LaneRangeError(ValueError):
+    """Raised when a lane index lies outside the lane layout."""
 
 
 class VehicleClass(str, Enum):
@@ -366,7 +371,7 @@ def continuous_lateral(traj: Trajectory, layout: LaneLayout,
     ``lat`` replaces the trajectory's own lateral channel when given.
     """
     if np.any(traj.lane < 0) or np.any(traj.lane >= layout.lane_count):
-        raise ValueError("lane index out of range for layout")
+        raise LaneRangeError("lane index out of range for layout")
     y = traj.lane * layout.lane_width + (traj.lat if lat is None else lat)
     return ContinuousLateral(vehicle_id=traj.vehicle_id, t=traj.t, y=y,
                              rate=traj.rate, v=traj.v)

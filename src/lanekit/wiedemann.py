@@ -77,6 +77,16 @@ class CFState:
     length: float = 4.5
 
 
+def _clamp(x: float, lo: float, hi: float) -> float:
+    """``x`` limited to [lo, hi], as ``float(np.clip(x, lo, hi))``.
+
+    For bounds that are not NaN the argument order matches ``np.maximum``
+    and ``np.minimum``, so a NaN ``x`` and the sign of zero come out the
+    same; builtins are much faster than ``np.clip`` on scalars.
+    """
+    return float(min(max(x, lo), hi))
+
+
 def _free_accel(v: float, p: W99Params) -> float:
     """Acceleration potential, linear from cc8 at standstill to cc9 at 80 km/h."""
     a_max = p.cc8 + (p.cc9 - p.cc8) * min(v, V_CC9_REF) / V_CC9_REF
@@ -99,11 +109,11 @@ def w99_accel(follower: CFState, leader: CFState | None, p: W99Params) -> float:
         return min(_free_accel(v, p), err / 2.0) if err >= 0.0 else max(err / 2.0, -p.cc7)
 
     if leader is None:
-        return float(np.clip(toward_desired(), A_MIN, a_cap))
+        return _clamp(toward_desired(), A_MIN, a_cap)
 
     dx = leader.s - follower.s - 0.5 * (leader.length + follower.length)
     if dx > LOOK_AHEAD:
-        return float(np.clip(toward_desired(), A_MIN, a_cap))
+        return _clamp(toward_desired(), A_MIN, a_cap)
 
     vl = max(leader.v, 0.0)
     dv = vl - v  # positive when the gap is opening
@@ -138,13 +148,13 @@ def w99_accel(follower: CFState, leader: CFState | None, p: W99Params) -> float:
     elif dv < sdvo and dx < sdxo:
         # following: hold the gap near the middle of the oscillation band
         mid = sdxc + 0.5 * p.cc2
-        a = float(np.clip(0.15 * (dx - mid) + 0.8 * dv, -p.cc7, p.cc7))
+        a = _clamp(0.15 * (dx - mid) + 0.8 * dv, -p.cc7, p.cc7)
         a = min(a, toward_desired())
     else:
         # free driving (leader far or pulling away)
         a = toward_desired()
 
-    return float(np.clip(a, A_MIN, a_cap))
+    return _clamp(a, A_MIN, a_cap)
 
 
 @dataclass(frozen=True)
@@ -179,17 +189,29 @@ class ScenarioSpec:
                      if t.vehicle_id != self.substituted_id)
 
 
-def _step_hold_lane(traj: Trajectory, t: float) -> int:
-    i = int(np.searchsorted(traj.t, t + 1e-12, side="right") - 1)
-    return int(traj.lane[np.clip(i, 0, len(traj.lane) - 1)])
+def _held_lane(traj: Trajectory, t: np.ndarray) -> np.ndarray:
+    """Recorded lane of ``traj`` held from each sample to the next, at times ``t``."""
+    i = np.searchsorted(traj.t, t + 1e-12, side="right") - 1
+    return traj.lane[np.clip(i, 0, len(traj.lane) - 1)]
 
 
 def simulate(spec: ScenarioSpec) -> Trajectory:
     """Forward-Euler rollout of the substituted vehicle.
 
     At each step the leader is the nearest replayed vehicle ahead in the
-    substituted vehicle's recorded lane.  Speeds are clamped at zero; the
-    result is deterministic.
+    substituted vehicle's held recorded lane; of two replayed vehicles at
+    the same position, the one listed first in the scenario leads.  The
+    replayed traffic does not depend on the rollout, so it is tabulated on
+    the rollout grid once per call: the held lanes, and each opponent's
+    position where it is in view and in the substituted vehicle's lane
+    (``+inf`` elsewhere).  A step only picks its leader from that row and
+    interpolates the chosen leader's speed and acceleration.  Speeds are
+    clamped at zero; the result is deterministic.
+
+    ``lat`` is interpolated linearly between the recorded samples, also
+    across a lane switch, while ``lane`` is held; so ``lane * width + lat``
+    dips by up to one lane width for the steps between the two samples of
+    a switch.
     """
     rec = spec.substituted()
     others = spec.others()
@@ -197,6 +219,13 @@ def simulate(spec: ScenarioSpec) -> Trajectory:
     t_end = t0 + (spec.duration if spec.duration is not None else rec.duration)
     n = int(round((t_end - t0) / spec.dt)) + 1
     t_grid = t0 + np.arange(n) * spec.dt
+
+    lane = _held_lane(rec, t_grid)
+    opp_s = np.empty((n, len(others)))
+    for j, opp in enumerate(others):
+        shown = ((t_grid >= opp.t[0]) & (t_grid <= opp.t[-1])
+                 & (_held_lane(opp, t_grid) == lane))
+        opp_s[:, j] = np.where(shown, np.interp(t_grid, opp.t, opp.s), math.inf)
 
     s = np.empty(n)
     v = np.empty(n)
@@ -206,22 +235,17 @@ def simulate(spec: ScenarioSpec) -> Trajectory:
 
     prev_a = 0.0
     for k in range(n):
-        tk = float(t_grid[k])
-        lane_e = _step_hold_lane(rec, tk)
         follower = CFState(s=s[k], v=v[k], a=prev_a, length=rec.shape.length)
-
         leader: CFState | None = None
-        best_s = math.inf
-        for opp in others:
-            if tk < opp.t[0] or tk > opp.t[-1]:
-                continue
-            if _step_hold_lane(opp, tk) != lane_e:
-                continue
-            os = float(np.interp(tk, opp.t, opp.s))
-            if os > s[k] and os < best_s:
-                best_s = os
+        if others:
+            row = opp_s[k]
+            ahead = np.where(row > s[k], row, math.inf)
+            j = int(ahead.argmin())  # first of equal minima: earliest opponent
+            if ahead[j] < math.inf:
+                opp = others[j]
+                tk = float(t_grid[k])
                 leader = CFState(
-                    s=os,
+                    s=float(ahead[j]),
                     v=float(np.interp(tk, opp.t, opp.v)),
                     a=float(np.interp(tk, opp.t, opp.a_lon)),
                     length=opp.shape.length,
@@ -233,7 +257,6 @@ def simulate(spec: ScenarioSpec) -> Trajectory:
             s[k + 1] = s[k] + v[k] * spec.dt
             v[k + 1] = max(v[k] + a[k] * spec.dt, 0.0)
 
-    lane = np.array([_step_hold_lane(rec, tk) for tk in t_grid])
     lat = np.interp(t_grid, rec.t, rec.lat)
     a_lat = np.interp(t_grid, rec.t, rec.a_lat)
     return Trajectory(

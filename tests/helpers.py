@@ -311,3 +311,77 @@ def ref_detect_distance(y, layout, threshold=0.8, settle_rate=0.15, settle_dwell
         t_exceed = None
         cand_lane = None
     return events
+
+
+# ---------------------------------------------------------------------------
+# Reference rollout: the per-step loop that looked up held lanes, views and
+# opponent positions at every step, before simulate tabulated the replayed
+# traffic on the rollout grid.  Test-only; simulate must match it exactly.
+
+def _ref_step_hold_lane(traj, t):
+    i = int(np.searchsorted(traj.t, t + 1e-12, side="right") - 1)
+    return int(traj.lane[np.clip(i, 0, len(traj.lane) - 1)])
+
+
+def ref_simulate(spec):
+    from lanekit.trajectory import Trajectory
+    from lanekit.wiedemann import CFState, w99_accel
+    rec = spec.substituted()
+    others = spec.others()
+    t0 = float(rec.t[0])
+    t_end = t0 + (spec.duration if spec.duration is not None else rec.duration)
+    n = int(round((t_end - t0) / spec.dt)) + 1
+    t_grid = t0 + np.arange(n) * spec.dt
+
+    s = np.empty(n)
+    v = np.empty(n)
+    a = np.empty(n)
+    s[0] = float(rec.s[0])
+    v[0] = max(float(rec.v[0]), 0.0)
+
+    prev_a = 0.0
+    for k in range(n):
+        tk = float(t_grid[k])
+        lane_e = _ref_step_hold_lane(rec, tk)
+        follower = CFState(s=s[k], v=v[k], a=prev_a, length=rec.shape.length)
+
+        leader = None
+        best_s = math.inf
+        for opp in others:
+            if tk < opp.t[0] or tk > opp.t[-1]:
+                continue
+            if _ref_step_hold_lane(opp, tk) != lane_e:
+                continue
+            os = float(np.interp(tk, opp.t, opp.s))
+            if os > s[k] and os < best_s:
+                best_s = os
+                leader = CFState(
+                    s=os,
+                    v=float(np.interp(tk, opp.t, opp.v)),
+                    a=float(np.interp(tk, opp.t, opp.a_lon)),
+                    length=opp.shape.length,
+                )
+
+        a[k] = w99_accel(follower, leader, spec.model)
+        prev_a = a[k]
+        if k + 1 < n:
+            s[k + 1] = s[k] + v[k] * spec.dt
+            v[k + 1] = max(v[k] + a[k] * spec.dt, 0.0)
+
+    lane = np.array([_ref_step_hold_lane(rec, tk) for tk in t_grid])
+    lat = np.interp(t_grid, rec.t, rec.lat)
+    a_lat = np.interp(t_grid, rec.t, rec.a_lat)
+    return Trajectory(
+        vehicle_id=rec.vehicle_id, shape=rec.shape, t=t_grid, s=s, lane=lane,
+        lat=lat, v=v, a_lon=a, a_lat=a_lat, rate=1.0 / spec.dt)
+
+
+def assert_same_rollout(got, want) -> None:
+    """Every channel equal bitwise, sign of zero included, and same lane dtype."""
+    for name in ("t", "s", "lane", "lat", "v", "a_lon", "a_lat"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b, equal_nan=True), name
+        assert np.array_equal(np.signbit(a), np.signbit(b)), name
+    assert got.rate == want.rate
+    assert got.vehicle_id == want.vehicle_id and got.shape == want.shape

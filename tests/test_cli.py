@@ -67,6 +67,28 @@ def test_detect_skips_short_track(workdir, tmp_path, capsys):
     assert len(events.splitlines()) > 1
 
 
+def test_detect_skips_lane_out_of_range(workdir, tmp_path, capsys):
+    import numpy as np
+    from lanekit.io import ingest, write_trajectories
+    from helpers import make_trajectory
+
+    normal = ingest(workdir / "trajectories.csv").trajectories
+    t = np.arange(0.0, 20.0, 0.2)
+    wide = make_trajectory(t, np.zeros(len(t)), vehicle_id="wide")
+    wide = wide.with_channels(lane=np.where(t < 10.0, 2, 3))  # lane 3 of lanes 0-2
+    write_trajectories(tmp_path / "normal.csv", normal)
+    write_trajectories(tmp_path / "mixed.csv", [normal[0], wide, *normal[1:]])
+
+    assert run("detect", "--traj", tmp_path / "normal.csv", "--out", tmp_path / "a") == 0
+    capsys.readouterr()
+    assert run("detect", "--traj", tmp_path / "mixed.csv", "--out", tmp_path / "b") == 0
+    err = capsys.readouterr().err
+    assert "warning: vehicle wide skipped: lane index out of range for layout" in err
+    events = (tmp_path / "b" / "events.csv").read_text()
+    assert events == (tmp_path / "a" / "events.csv").read_text()
+    assert len(events.splitlines()) > 1
+
+
 def test_robustness(workdir, tmp_path):
     out = tmp_path / "rob"
     assert run("robustness", "--traj", workdir / "trajectories.csv",

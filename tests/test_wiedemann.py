@@ -1,20 +1,33 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lanekit.synth import overtake_scenario
+from lanekit.synth import generate_corpus, overtake_scenario
 from lanekit.wiedemann import (
+    A_MIN,
     CFState,
     ScenarioSpec,
     W99Params,
     sample_cc1,
+    _clamp,
     _thw_trace,
     simulate,
     w99_accel,
 )
 
-from helpers import LAYOUT, make_trajectory, ref_thw_trace
+from helpers import (
+    LAYOUT,
+    assert_same_rollout,
+    make_trajectory,
+    ref_simulate,
+    ref_thw_trace,
+    same_float,
+    sigmoid_profile,
+)
 
 
 def test_params_validation():
@@ -58,6 +71,38 @@ def test_acceleration_clamped():
     assert a_low >= -8.0
     a_high = w99_accel(CFState(0.0, 0.0), None, p)
     assert a_high <= p.cc8 + p.cc9
+
+
+# the bounds w99_accel, plan_decel and the MIS cruise command clamp to
+CLAMP_BOUNDS = [(A_MIN, 5.0), (-0.25, 0.25), (0.0, 1.5), (-6.0, 1.0),
+                (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)]
+SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324]
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.one_of(st.floats(), st.sampled_from(SPECIAL)),
+       bounds=st.one_of(
+           st.sampled_from(CLAMP_BOUNDS),
+           st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False))
+           .map(sorted)),
+       at_bound=st.sampled_from([None, 0, 1]))
+def test_clamp_equals_np_clip(x, bounds, at_bound):
+    lo, hi = bounds
+    if at_bound is not None:
+        x = bounds[at_bound]
+    for value in (x, np.float64(x)):
+        got = _clamp(value, lo, hi)
+        assert type(got) is float
+        assert same_float(got, float(np.clip(value, lo, hi))), (value, lo, hi, got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=st.one_of(st.floats(-20.0, 20.0),
+                   st.sampled_from([0.0, -0.0, 1.75, -1.75, 5.25, 8.75])),
+       w=st.sampled_from([3.5, 3.75]))
+def test_round_equals_rint(y, w):
+    # the MIS rear vehicle's lane: builtin round on np.float64 rounds half to even
+    assert round(np.float64(y) / w) == int(np.rint(np.float64(y) / w))
 
 
 def steady_gap(v_leader, cc1=0.9, seconds=300.0, dt=0.05):
@@ -214,3 +259,121 @@ def test_thw_trace_matches_per_sample_reference():
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
     assert np.isnan(_thw_trace(ego, cut, LAYOUT)).any()
+
+
+# ---------------------------------------------------------------------------
+# simulate against the per-step reference loop
+
+def _cut(traj, k, vehicle_id, t_shift=0.0):
+    """Samples ``k`` of ``traj`` under a new id, times shifted by ``t_shift``."""
+    return dataclasses.replace(
+        traj, vehicle_id=vehicle_id, t=traj.t[k] + t_shift, s=traj.s[k],
+        lane=traj.lane[k], lat=traj.lat[k], v=traj.v[k], a_lon=traj.a_lon[k],
+        a_lat=traj.a_lat[k], d_left=None, d_right=None)
+
+
+def _leader_matters(spec):
+    solo = dataclasses.replace(spec, trajectories=(spec.substituted(),))
+    return not np.array_equal(simulate(spec).a_lon, simulate(solo).a_lon)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return generate_corpus(n=24, seed=3)
+
+
+@pytest.mark.parametrize("vid", ["r03v0003", "r04v0004", "r07v0023"])
+def test_simulate_matches_reference_on_corpus(corpus, vid):
+    for cc1 in (0.9, 0.1):
+        spec = ScenarioSpec(trajectories=corpus.trajectories, substituted_id=vid,
+                            model=W99Params(cc1=cc1), layout=corpus.layout)
+        assert_same_rollout(simulate(spec), ref_simulate(spec))
+    assert _leader_matters(spec)
+
+
+def test_simulate_matches_reference_on_overtake_scene():
+    spec = overtake_scenario()
+    for cc1 in (0.9, 0.5, 0.1):
+        variant = dataclasses.replace(spec, model=W99Params(cc1=cc1))
+        assert_same_rollout(simulate(variant), ref_simulate(variant))
+
+
+def _lane_keeper(t, lane, s0, v, vehicle_id, length=4.8):
+    from lanekit.trajectory import VehicleShape
+    out = make_trajectory(t, np.full(len(t), lane * LAYOUT.lane_width), v=v,
+                          vehicle_id=vehicle_id, markings=False,
+                          shape=VehicleShape(length, 2.0))
+    return out.with_channels(s=s0 + v * (t - t[0]))
+
+
+def test_simulate_tie_goes_to_earlier_opponent():
+    t = np.arange(0.0, 30.0, 0.2)
+    ego = _lane_keeper(t, 1, 0.0, 30.0, "ego")
+    # level with the ego at the first step, then falling behind: never ahead
+    level = _lane_keeper(t, 1, 0.0, 20.0, "level")
+    # two opponents at the same s that differ in everything else
+    first = _lane_keeper(t, 1, 45.0, 24.0, "first").with_channels(
+        a_lon=np.full(len(t), -0.5))
+    second = _lane_keeper(t, 1, 45.0, 24.0, "second", length=12.0).with_channels(
+        v=np.full(len(t), 27.0), a_lon=np.full(len(t), 0.4))
+    assert np.array_equal(first.s, second.s)
+    outs = []
+    for order in ((level, first, second), (level, second, first)):
+        spec = ScenarioSpec(trajectories=(ego, *order), substituted_id="ego",
+                            model=W99Params(), layout=LAYOUT, dt=0.05)
+        outs.append(simulate(spec))
+        assert_same_rollout(outs[-1], ref_simulate(spec))
+    assert not np.array_equal(outs[0].a_lon, outs[1].a_lon)
+    alone = simulate(dataclasses.replace(spec, trajectories=(ego, first, second)))
+    assert np.array_equal(alone.a_lon, outs[0].a_lon)
+
+
+def test_simulate_opponent_enters_and_leaves_view():
+    t = np.arange(0.0, 40.0, 0.2)
+    ego = _lane_keeper(t, 0, 0.0, 30.0, "ego")
+    slow = _lane_keeper(t, 0, 150.0, 22.0, "slow")
+    # in view from 8.07 s to 28.07 s only, off the rollout grid at both ends
+    brief = _cut(slow, slice(40, 141), "brief", t_shift=0.07)
+    spec = ScenarioSpec(trajectories=(ego, brief), substituted_id="ego",
+                        model=W99Params(), layout=LAYOUT, dt=0.05)
+    assert _leader_matters(spec)
+    assert_same_rollout(simulate(spec), ref_simulate(spec))
+
+
+@pytest.mark.parametrize("duration", [120.0, 123.33])
+def test_simulate_duration_longer_than_record(corpus, duration):
+    spec = ScenarioSpec(trajectories=corpus.trajectories, substituted_id="r06v0022",
+                        model=W99Params(cc1=0.3), layout=corpus.layout, duration=duration)
+    out = simulate(spec)
+    assert out.t[-1] > max(t.t[-1] for t in corpus.trajectories)
+    assert_same_rollout(out, ref_simulate(spec))
+
+
+def test_simulate_substituted_vehicle_changes_lanes():
+    # sample times as a CSV holds them; some land an ulp above the rollout
+    # grid, where the held lane needs the 1e-12 slack of the lookup
+    t = np.array([float(f"{x:.9g}") for x in 2.3 + 0.2 * np.arange(200)])
+    grid = t[0] + np.arange(800) * 0.05
+    j = np.searchsorted(grid, t)
+    above = [i for i in range(20, len(t) - 20)
+             if grid[j[i] - 1] < t[i] and t[i] - grid[j[i] - 1] < 1e-9]
+    assert len(above) >= 2
+    change, cut_in = above[0], above[1]
+
+    # the ego moves from lane 0 to lane 1 between samples change-1 and change
+    y = sigmoid_profile(t, t_mid=0.5 * (t[change - 1] + t[change]), duration=4.0,
+                        amplitude=LAYOUT.lane_width)
+    ego = make_trajectory(t, y, v=30.0, vehicle_id="ego", markings=False)
+    assert ego.lane[change - 1] == 0 and ego.lane[change] == 1
+    ego = ego.with_channels(s=30.0 * (t - t[0]))
+    lane0 = _lane_keeper(t, 0, 40.0, 25.0, "lane0")
+    lane1 = _lane_keeper(t, 1, 70.0, 29.0, "lane1")
+    # cuts from lane 2 into lane 1 at sample cut_in, close ahead of the ego
+    merger = _lane_keeper(t, 2, 35.0, 30.0, "merger").with_channels(
+        lane=np.where(np.arange(len(t)) < cut_in, 2, 1))
+    spec = ScenarioSpec(trajectories=(ego, lane0, lane1, merger), substituted_id="ego",
+                        model=W99Params(cc1=0.5), layout=LAYOUT, dt=0.05)
+    out = simulate(spec)
+    assert_same_rollout(out, ref_simulate(spec))
+    assert set(out.lane) == {0, 1}
+    assert _leader_matters(spec)
