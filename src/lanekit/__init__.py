@@ -46,7 +46,6 @@ from .synth import SyntheticCorpus, generate_corpus
 from .trajectory import (
     ContinuousLateral,
     LaneLayout,
-    Sample,
     Trajectory,
     VehicleClass,
     VehicleShape,

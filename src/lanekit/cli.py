@@ -36,6 +36,7 @@ from .trajectory import (
     LaneLayout,
     LaneRangeError,
     Trajectory,
+    check_lane_range,
     continuous_lateral,
     lowpass,
     marking_residual,
@@ -153,7 +154,14 @@ def cmd_criticality(args) -> int:
     out = _outdir(args)
     layout = cfg.layout()
     thresholds = cfg.thresholds()
-    trajectories = _ingest_corpus(args, cfg)
+    trajectories = []
+    for traj in _ingest_corpus(args, cfg):
+        try:
+            check_lane_range(traj, layout)
+        except LaneRangeError as exc:  # dropped as ego and as opponent
+            print(f"warning: vehicle {traj.vehicle_id} skipped: {exc}", file=sys.stderr)
+            continue
+        trajectories.append(traj)
     by_id = {t.vehicle_id: t for t in trajectories}
     events = [e for e in lkio.read_events(args.events) if e.kind is EventKind.SINGLE]
 

@@ -7,8 +7,13 @@ Trajectory CSV schema (one row per sample, SI units, 9 significant digits):
 The marking-distance columns may be empty (aerial-style inputs).  Vehicle
 shapes are not part of the trajectory schema; they travel in a companion
 vehicles CSV (``vehicle_id,class,length,width``) or fall back to a
-configured default.  Configuration files are ``key = value`` lines with
-``#`` comments.  JSON reports carry a top-level ``"schema": 1``.
+configured default.  ``ingest`` parses a clean trajectory file
+column-wise with ``np.loadtxt`` in one streaming pass and any other file
+row by row with ``csv.reader``, the only reader that names a rejected row;
+both give the same report.
+
+Configuration files are ``key = value`` lines with ``#`` comments.  JSON
+reports carry a top-level ``"schema": 1``.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -79,6 +85,87 @@ def _parse_float(text: str) -> float:
     return float(text) if text != "" else math.nan
 
 
+_HEADER_LINE = ",".join(TRAJECTORY_HEADER)
+_BLOCK_CHARS = 1 << 14  # size hint of the line blocks the columnar parse reads
+# Characters with which csv.reader or float() may read a line otherwise
+# than np.loadtxt does: a quote (csv.reader unquotes), a NUL (csv.reader
+# refuses it before Python 3.11), and the separators U+001C..U+001F, which
+# loadtxt strips around a number and float() refuses.
+_UNSAFE = ('"', "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+class _Unclean(Exception):
+    """Data the columnar parse cannot read exactly as csv.reader does."""
+
+
+def _unmarked(text: str) -> int:
+    """Lines of ``text`` that end in two empty fields."""
+    return text.count(",,\n") + text.count(",,\r") + text.endswith(",,")
+
+
+def _scan_lines(fh, block: list[str], unmarked: bool,
+                runs: list[tuple[str, int]]) -> Iterator[list[str]]:
+    """Blocks of data lines of an open trajectory CSV, ``block`` first.
+
+    Lines come in blocks of about ``_BLOCK_CHARS`` characters, split where
+    ``csv.reader`` splits them (``\n``, ``\r\n`` or ``\r``).  The runs of
+    equal ``vehicle_id`` go to ``runs`` as ``(vehicle_id, first row)``.
+    Raises ``_Unclean`` on a blank line (np.loadtxt skips it), on a block
+    with a character of ``_UNSAFE`` or with other than nine commas per line
+    (loadtxt drops extra columns) and, with ``unmarked``, on a block with a
+    line whose two last fields are not both empty.  As loadtxt refuses a
+    line with fewer fields than it reads, every line it returns had ten.
+    """
+    row = 0
+    prefix = "\n,"  # starts no line: "\n" ends one
+    while block:
+        n = len(block)
+        text = "".join(block)
+        if (text.count(",") != 9 * n or any(c in text for c in _UNSAFE)
+                or unmarked and _unmarked(text) != n):
+            raise _Unclean
+        # the block continues the run if its first line and every line
+        # after a "\n" start with prefix ("\n" only ends a line)
+        if not (block[0].startswith(prefix) and text.count("\n" + prefix) == n - 1):
+            for i, line in enumerate(block):
+                if not line.startswith(prefix):
+                    end = line.find(",")
+                    if end < 0:  # a blank line, which loadtxt skips
+                        raise _Unclean
+                    prefix = line[:end + 1]
+                    runs.append((line[:end], row + i))
+        row += n
+        yield block
+        block = fh.readlines(_BLOCK_CHARS)
+
+
+def _parse_clean(fh) -> tuple[np.ndarray, list[tuple[str, int]]] | None:
+    """Columns t..d_right of a clean file (see ``ingest``) as one array,
+    plus its id runs; None for any other file.  When the first line has
+    empty markings the array holds columns t..a_lat only.
+    """
+    if fh.readline().rstrip("\r\n") != _HEADER_LINE:
+        return None
+    block = fh.readlines(_BLOCK_CHARS)
+    if not block:
+        return None
+    unmarked = _unmarked(block[0]) == 1
+    runs: list[tuple[str, int]] = []
+    lines = chain.from_iterable(_scan_lines(fh, block, unmarked, runs))
+    try:
+        if unmarked:
+            data = np.loadtxt(lines, delimiter=",", usecols=range(1, 8),
+                              comments=None, ndmin=2)
+        else:
+            data = np.loadtxt(lines, delimiter=",", usecols=range(1, 10), comments=None,
+                              converters={8: _parse_float, 9: _parse_float}, ndmin=2)
+    except (_Unclean, ValueError):
+        return None
+    if not (np.isfinite(data[:, :7]).all() and (np.floor(data[:, 2]) == data[:, 2]).all()):
+        return None
+    return data, runs
+
+
 def ingest(path: str | Path,
            shapes: Mapping[str, VehicleShape] | None = None,
            default_shape: VehicleShape | None = None) -> IngestReport:
@@ -88,9 +175,42 @@ def ingest(path: str | Path,
     counted; vehicles with non-monotone time or fewer than two valid
     samples are rejected with a diagnostic.  A malformed header is a hard
     error.
+
+    A clean file is parsed in one streaming pass by ``np.loadtxt`` and its
+    rows are then split by vehicle, a vehicle's rows in file order even
+    where other vehicles' rows interleave.  Clean means no row would be
+    rejected: the header is exact, no line is blank or holds a quote,
+    every line has ten fields, the columns ``t``..``a_lat`` are finite and
+    every lane is integral; when the first line's markings are empty, so
+    are every line's.  Any other file goes through the row-by-row ``csv.reader``
+    parser, the only one that names a rejected row's line and reason.
+    Both give the same report, bit for bit: loadtxt and ``float()`` both
+    round correctly.
     """
     path = Path(path)
     default_shape = default_shape or VehicleShape(4.8, 2.0)
+    try:
+        with path.open(newline="") as fh:
+            parsed = _parse_clean(fh)
+    except UnicodeDecodeError:  # the row parser raises it again
+        parsed = None
+    if parsed is None:
+        return _ingest_rows(path, shapes, default_shape)
+    data, runs = parsed
+    spans: dict[str, list[tuple[int, int]]] = {}
+    ends = [start for _, start in runs[1:]] + [len(data)]
+    for (vid, start), end in zip(runs, ends):
+        spans.setdefault(vid, []).append((start, end))
+    report = IngestReport()
+    for vid, parts in spans.items():
+        rows = np.concatenate([data[a:b] for a, b in parts])
+        _add_vehicle(report, vid, rows, shapes, default_shape)
+    return report
+
+
+def _ingest_rows(path: Path, shapes: Mapping[str, VehicleShape] | None,
+                 default_shape: VehicleShape) -> IngestReport:
+    """``ingest`` row by row with ``csv.reader``, naming every rejected row."""
     report = IngestReport()
     per_vehicle: dict[str, list[list[float]]] = {}
     order: list[str] = []
@@ -127,32 +247,44 @@ def ingest(path: str | Path,
         return report
 
     for vid in order:
-        rows = np.array(per_vehicle[vid], dtype=float)
-        t = rows[:, 0]
-        if np.any(np.diff(t) <= 0.0):
-            report.rejected_vehicles.append((vid, "non-monotone time"))
-            continue
-        if len(t) < 2:
-            report.rejected_vehicles.append((vid, "fewer than 2 samples"))
-            continue
-        shape = (shapes or {}).get(vid, default_shape)
-        has_marks = bool(np.all(np.isfinite(rows[:, 7])) and np.all(np.isfinite(rows[:, 8])))
-        dt = np.median(np.diff(t))
-        report.trajectories.append(Trajectory(
-            vehicle_id=vid,
-            shape=shape,
-            t=t,
-            s=rows[:, 1],
-            lane=rows[:, 2].astype(int),
-            lat=rows[:, 3],
-            v=rows[:, 4],
-            a_lon=rows[:, 5],
-            a_lat=rows[:, 6],
-            rate=1.0 / float(dt),
-            d_left=rows[:, 7] if has_marks else None,
-            d_right=rows[:, 8] if has_marks else None,
-        ))
+        _add_vehicle(report, vid, np.array(per_vehicle[vid], dtype=float),
+                     shapes, default_shape)
     return report
+
+
+def _add_vehicle(report: IngestReport, vid: str, rows: np.ndarray,
+                 shapes: Mapping[str, VehicleShape] | None,
+                 default_shape: VehicleShape) -> None:
+    """Append the vehicle of ``rows`` or its rejection.
+
+    ``rows`` holds columns t..d_right, or t..a_lat for a vehicle without
+    markings.
+    """
+    t = rows[:, 0]
+    if np.any(np.diff(t) <= 0.0):
+        report.rejected_vehicles.append((vid, "non-monotone time"))
+        return
+    if len(t) < 2:
+        report.rejected_vehicles.append((vid, "fewer than 2 samples"))
+        return
+    shape = (shapes or {}).get(vid, default_shape)
+    has_marks = rows.shape[1] == 9 and bool(np.all(np.isfinite(rows[:, 7]))
+                                             and np.all(np.isfinite(rows[:, 8])))
+    dt = np.median(np.diff(t))
+    report.trajectories.append(Trajectory(
+        vehicle_id=vid,
+        shape=shape,
+        t=t,
+        s=rows[:, 1],
+        lane=rows[:, 2].astype(int),
+        lat=rows[:, 3],
+        v=rows[:, 4],
+        a_lon=rows[:, 5],
+        a_lat=rows[:, 6],
+        rate=1.0 / float(dt),
+        d_left=rows[:, 7] if has_marks else None,
+        d_right=rows[:, 8] if has_marks else None,
+    ))
 
 
 def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> None:
@@ -160,16 +292,16 @@ def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> 
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_HEADER)
         for traj in trajectories:
-            dl = traj.d_left if traj.d_left is not None else [math.nan] * len(traj.t)
-            dr = traj.d_right if traj.d_right is not None else [math.nan] * len(traj.t)
-            for i in range(len(traj.t)):
-                writer.writerow([
-                    traj.vehicle_id,
-                    fmt(traj.t[i]), fmt(traj.s[i]), int(traj.lane[i]),
-                    fmt(traj.lat[i]), fmt(traj.v[i]),
-                    fmt(traj.a_lon[i]), fmt(traj.a_lat[i]),
-                    fmt(dl[i]), fmt(dr[i]),
-                ])
+            writer.writerows(zip(
+                repeat(traj.vehicle_id), _fmt_column(traj.t), _fmt_column(traj.s),
+                traj.lane.tolist(), _fmt_column(traj.lat), _fmt_column(traj.v),
+                _fmt_column(traj.a_lon), _fmt_column(traj.a_lat),
+                _fmt_column(traj.d_left), _fmt_column(traj.d_right)))
+
+
+def _fmt_column(values: np.ndarray | None) -> Iterable[str]:
+    """``fmt`` of every element; endless empty fields for a missing channel."""
+    return repeat("") if values is None else [fmt(x) for x in values.tolist()]
 
 
 def write_vehicles(path: str | Path, trajectories: Iterable[Trajectory]) -> None:

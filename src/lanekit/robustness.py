@@ -23,6 +23,7 @@ from .detection import (
 from .trajectory import (  # noqa: F401 - lowpass: perfbench/tracer.py wraps it here
     InsufficientSamplesError,
     LaneLayout,
+    LaneRangeError,
     Trajectory,
     _zero_phase,
     continuous_lateral,
@@ -140,8 +141,9 @@ def sweep(corpus: _CorpusLike, criterion: str | Sequence[str],
     evaluation order does not change results.  The points come back per
     criterion in the given order, each in grid order.  The peak criterion
     runs without the minimum lateral-extent filter by default, counting
-    raw detections.  A vehicle too short to filter is left out and listed
-    in ``skipped`` with the reason.
+    raw detections.  A vehicle too short to filter or with a lane index
+    outside ``layout`` is left out and listed in ``skipped`` with the
+    reason.
     """
     criteria = (criterion,) if isinstance(criterion, str) else tuple(criterion)
     for name in criteria:
@@ -158,14 +160,14 @@ def sweep(corpus: _CorpusLike, criterion: str | Sequence[str],
     for ti, traj in enumerate(corpus.trajectories):
         lat = np.stack([_perturbed_lat(traj, pert, seed, gi, ti)
                         for gi, pert in enumerate(grid)])
-        if refilter:
-            try:
+        try:
+            if refilter:
                 lat = _zero_phase(traj, lat, cutoff, layout, lateral=True)
-            except InsufficientSamplesError as exc:
-                skipped.append((traj.vehicle_id, str(exc)))
-                continue
-        for gi in range(len(grid)):
-            y = continuous_lateral(traj, layout, lat[gi])
+            ys = [continuous_lateral(traj, layout, row) for row in lat]
+        except (InsufficientSamplesError, LaneRangeError) as exc:
+            skipped.append((traj.vehicle_id, str(exc)))
+            continue
+        for gi, y in enumerate(ys):
             for name in criteria:
                 if name == "peak":
                     events = detect_peak(y, traj.shape, layout, params,

@@ -22,13 +22,13 @@ __all__ = [
     "VehicleClass",
     "LaneLayout",
     "VehicleShape",
-    "Sample",
     "Trajectory",
     "ContinuousLateral",
     "InsufficientSamplesError",
     "LaneRangeError",
     "resample",
     "lowpass",
+    "check_lane_range",
     "continuous_lateral",
     "derivative",
 ]
@@ -86,21 +86,6 @@ class VehicleShape:
     def __post_init__(self) -> None:
         if not (0.0 < self.width < self.length):
             raise ValueError("require 0 < width < length")
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One time step of a lane-referenced kinematic record (SI units)."""
-
-    t: float
-    s: float
-    lane: int
-    lat: float
-    v: float
-    a_lon: float = 0.0
-    a_lat: float = 0.0
-    d_left: float | None = None
-    d_right: float | None = None
 
 
 def _frozen(values: Iterable[float], dtype=float) -> np.ndarray:
@@ -169,43 +154,6 @@ class Trajectory:
     @property
     def has_markings(self) -> bool:
         return self.d_left is not None and self.d_right is not None
-
-    @property
-    def samples(self) -> tuple[Sample, ...]:
-        """Row view of the channel arrays."""
-        dl = self.d_left if self.d_left is not None else [None] * len(self.t)
-        dr = self.d_right if self.d_right is not None else [None] * len(self.t)
-        return tuple(
-            Sample(float(t), float(s), int(ln), float(la), float(v),
-                   float(al), float(aq),
-                   None if l is None else float(l),
-                   None if r is None else float(r))
-            for t, s, ln, la, v, al, aq, l, r in zip(
-                self.t, self.s, self.lane, self.lat, self.v,
-                self.a_lon, self.a_lat, dl, dr)
-        )
-
-    @classmethod
-    def from_samples(cls, vehicle_id: str, shape: VehicleShape,
-                     samples: Sequence[Sample], rate: float) -> "Trajectory":
-        if len(samples) < 2:
-            raise InsufficientSamplesError("insufficient samples")
-        has_marks = all(s.d_left is not None and s.d_right is not None
-                        for s in samples)
-        return cls(
-            vehicle_id=vehicle_id,
-            shape=shape,
-            t=[s.t for s in samples],
-            s=[s.s for s in samples],
-            lane=[s.lane for s in samples],
-            lat=[s.lat for s in samples],
-            v=[s.v for s in samples],
-            a_lon=[s.a_lon for s in samples],
-            a_lat=[s.a_lat for s in samples],
-            rate=rate,
-            d_left=[s.d_left for s in samples] if has_marks else None,
-            d_right=[s.d_right for s in samples] if has_marks else None,
-        )
 
     def with_channels(self, **channels) -> "Trajectory":
         """Copy with replaced channel arrays."""
@@ -364,14 +312,19 @@ def lowpass(traj: Trajectory, cutoff: float, layout: LaneLayout | None = None,
     return traj.with_channels(**updates)
 
 
+def check_lane_range(traj: Trajectory, layout: LaneLayout) -> None:
+    """Raise LaneRangeError if a lane index of ``traj`` lies outside ``layout``."""
+    if np.any(traj.lane < 0) or np.any(traj.lane >= layout.lane_count):
+        raise LaneRangeError("lane index out of range for layout")
+
+
 def continuous_lateral(traj: Trajectory, layout: LaneLayout,
                        lat: np.ndarray | None = None) -> ContinuousLateral:
     """Build the continuous global lateral channel y = lane*width + lat.
 
     ``lat`` replaces the trajectory's own lateral channel when given.
     """
-    if np.any(traj.lane < 0) or np.any(traj.lane >= layout.lane_count):
-        raise LaneRangeError("lane index out of range for layout")
+    check_lane_range(traj, layout)
     y = traj.lane * layout.lane_width + (traj.lat if lat is None else lat)
     return ContinuousLateral(vehicle_id=traj.vehicle_id, t=traj.t, y=y,
                              rate=traj.rate, v=traj.v)

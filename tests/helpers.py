@@ -385,3 +385,112 @@ def assert_same_rollout(got, want) -> None:
         assert np.array_equal(np.signbit(a), np.signbit(b)), name
     assert got.rate == want.rate
     assert got.vehicle_id == want.vehicle_id and got.shape == want.shape
+
+
+# ---------------------------------------------------------------------------
+# Reference trajectory I/O: the row-by-row csv.reader ingest the columnar
+# parse replaced, and the per-row writer.  Test-only; the library must
+# match them exactly.
+
+def ref_ingest(path, shapes=None, default_shape=None):
+    import csv
+    from pathlib import Path
+    from lanekit.io import TRAJECTORY_HEADER, IngestReport
+
+    def parse(text):
+        return float(text) if text != "" else math.nan
+
+    path = Path(path)
+    default_shape = default_shape or VehicleShape(4.8, 2.0)
+    report = IngestReport()
+    per_vehicle = {}
+    order = []
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != TRAJECTORY_HEADER:
+            raise ValueError(f"malformed header in {path}: {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(TRAJECTORY_HEADER):
+                report.rejected_rows.append((lineno, "wrong column count"))
+                continue
+            vid = row[0]
+            try:
+                values = [parse(c) for c in row[1:]]
+            except ValueError:
+                report.rejected_rows.append((lineno, "unparseable number"))
+                continue
+            if not all(math.isfinite(v) for v in values[:7]):
+                report.rejected_rows.append((lineno, "non-finite value"))
+                continue
+            if not values[2].is_integer():
+                report.rejected_rows.append((lineno, "non-integer lane"))
+                continue
+            if vid not in per_vehicle:
+                per_vehicle[vid] = []
+                order.append(vid)
+            per_vehicle[vid].append(values)
+
+    if not per_vehicle:
+        report.warnings.append(f"{path}: no data rows, empty corpus")
+        return report
+
+    for vid in order:
+        rows = np.array(per_vehicle[vid], dtype=float)
+        t = rows[:, 0]
+        if np.any(np.diff(t) <= 0.0):
+            report.rejected_vehicles.append((vid, "non-monotone time"))
+            continue
+        if len(t) < 2:
+            report.rejected_vehicles.append((vid, "fewer than 2 samples"))
+            continue
+        shape = (shapes or {}).get(vid, default_shape)
+        has_marks = bool(np.all(np.isfinite(rows[:, 7])) and np.all(np.isfinite(rows[:, 8])))
+        dt = np.median(np.diff(t))
+        report.trajectories.append(Trajectory(
+            vehicle_id=vid, shape=shape, t=t, s=rows[:, 1],
+            lane=rows[:, 2].astype(int), lat=rows[:, 3], v=rows[:, 4],
+            a_lon=rows[:, 5], a_lat=rows[:, 6], rate=1.0 / float(dt),
+            d_left=rows[:, 7] if has_marks else None,
+            d_right=rows[:, 8] if has_marks else None,
+        ))
+    return report
+
+
+def assert_same_ingest(got, want) -> None:
+    """Reports equal field by field; channels bitwise, signs and dtypes included."""
+    assert got.rejected_rows == want.rejected_rows
+    assert got.rejected_vehicles == want.rejected_vehicles
+    assert got.warnings == want.warnings
+    assert len(got.trajectories) == len(want.trajectories)
+    for a, b in zip(got.trajectories, want.trajectories):
+        assert a.vehicle_id == b.vehicle_id and a.shape == b.shape
+        assert a.rate == b.rate, (a.vehicle_id, a.rate, b.rate)
+        for name in ("t", "s", "lane", "lat", "v", "a_lon", "a_lat", "d_left", "d_right"):
+            x, y = getattr(a, name), getattr(b, name)
+            if y is None:
+                assert x is None, (a.vehicle_id, name)
+                continue
+            assert x.dtype == y.dtype, (a.vehicle_id, name)
+            assert np.array_equal(x, y, equal_nan=True), (a.vehicle_id, name)
+            assert np.array_equal(np.signbit(x), np.signbit(y)), (a.vehicle_id, name)
+
+
+def ref_write_trajectories(path, trajectories) -> None:
+    import csv
+    from pathlib import Path
+    from lanekit.io import TRAJECTORY_HEADER, fmt
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRAJECTORY_HEADER)
+        for traj in trajectories:
+            dl = traj.d_left if traj.d_left is not None else [math.nan] * len(traj.t)
+            dr = traj.d_right if traj.d_right is not None else [math.nan] * len(traj.t)
+            for i in range(len(traj.t)):
+                writer.writerow([
+                    traj.vehicle_id,
+                    fmt(traj.t[i]), fmt(traj.s[i]), int(traj.lane[i]),
+                    fmt(traj.lat[i]), fmt(traj.v[i]),
+                    fmt(traj.a_lon[i]), fmt(traj.a_lat[i]),
+                    fmt(dl[i]), fmt(dr[i]),
+                ])

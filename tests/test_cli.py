@@ -89,6 +89,61 @@ def test_detect_skips_lane_out_of_range(workdir, tmp_path, capsys):
     assert len(events.splitlines()) > 1
 
 
+def _with_wide_vehicle(workdir, tmp_path):
+    """normal.csv (the corpus) and mixed.csv (plus ``wide``, in lane 3 of 0-2).
+
+    ``wide`` comes last: the sweep keys its noise by trajectory index.
+    """
+    import numpy as np
+    from lanekit.io import ingest, write_trajectories
+    from helpers import make_trajectory
+
+    normal = ingest(workdir / "trajectories.csv").trajectories
+    t = np.arange(0.0, 20.0, 0.2)
+    wide = make_trajectory(t, np.zeros(len(t)), vehicle_id="wide")
+    wide = wide.with_channels(lane=np.where(t < 10.0, 2, 3),
+                              s=normal[0].s[0] + 30.0 * t)
+    write_trajectories(tmp_path / "normal.csv", normal)
+    write_trajectories(tmp_path / "mixed.csv", [*normal, wide])
+    return tmp_path / "normal.csv", tmp_path / "mixed.csv"
+
+
+def test_robustness_skips_lane_out_of_range(workdir, tmp_path, capsys):
+    normal, mixed = _with_wide_vehicle(workdir, tmp_path)
+    truth = workdir / "truth_events.csv"
+    assert run("robustness", "--traj", normal, "--truth", truth, "--out", tmp_path / "a") == 0
+    capsys.readouterr()
+    assert run("robustness", "--traj", mixed, "--truth", truth, "--out", tmp_path / "b") == 0
+    err = capsys.readouterr().err
+    assert "warning: vehicle wide skipped: lane index out of range for layout" in err
+    for name in ("robustness.csv", "robustness_plot.json"):
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+
+def test_criticality_skips_lane_out_of_range(workdir, tmp_path, capsys):
+    from lanekit.detection import Direction, EventKind, LaneChangeEvent
+    from lanekit.io import read_events, write_events
+
+    normal, mixed = _with_wide_vehicle(workdir, tmp_path)
+    assert run("detect", "--traj", normal, "--out", tmp_path / "det") == 0
+    events = read_events(tmp_path / "det" / "events.csv")
+    assert any(e.kind is EventKind.SINGLE for e in events)
+    # an event of the dropped vehicle itself, which must yield no record
+    events.append(LaneChangeEvent("wide", 8.0, 10.0, 12.0, 4.0, Direction.LEFT,
+                                  30.0, 3.5, EventKind.SINGLE, criterion="peak"))
+    write_events(tmp_path / "events.csv", events)
+
+    assert run("criticality", "--traj", normal, "--events", tmp_path / "events.csv",
+               "--out", tmp_path / "a") == 0
+    capsys.readouterr()
+    assert run("criticality", "--traj", mixed, "--events", tmp_path / "events.csv",
+               "--out", tmp_path / "b") == 0
+    err = capsys.readouterr().err
+    assert "warning: vehicle wide skipped: lane index out of range for layout" in err
+    for name in ("criticality_records.csv", "histograms.json", "direction_boxes.json"):
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+
 def test_robustness(workdir, tmp_path):
     out = tmp_path / "rob"
     assert run("robustness", "--traj", workdir / "trajectories.csv",

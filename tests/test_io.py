@@ -1,6 +1,15 @@
+import tempfile
+import warnings
+from itertools import groupby, zip_longest
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lanekit import io as lkio
 from lanekit.detection import Direction, EventKind, LaneChangeEvent
 from lanekit.io import (
     RunConfig,
@@ -14,6 +23,8 @@ from lanekit.io import (
     write_vehicles,
 )
 from lanekit.synth import generate_corpus
+
+from helpers import assert_same_ingest, ref_ingest, ref_write_trajectories
 
 
 def test_fmt_nine_digits():
@@ -37,6 +48,23 @@ def test_round_trip_bit_exact(tmp_path):
         for name in ("t", "s", "lat", "v", "a_lon", "a_lat", "d_left", "d_right"):
             assert np.array_equal(getattr(back, name), getattr(orig, name)), name
         assert np.array_equal(back.lane, orig.lane)
+
+
+@pytest.mark.parametrize("markings", [True, False])
+def test_writer_matches_row_writer(tmp_path, markings):
+    corpus = generate_corpus(n=8, seed=5)
+    trajs = [t if markings else t.with_channels(d_left=None, d_right=None)
+             for t in corpus.trajectories]
+    # nan and signed zeros format as the row writer formats them
+    first = trajs[0]
+    trajs[0] = first.with_channels(v=np.where(np.arange(len(first.t)) == 3, np.nan, first.v),
+                                   a_lat=np.where(np.arange(len(first.t)) == 4, -0.0,
+                                                  first.a_lat))
+    # one marking channel alone is written as it is
+    trajs[1] = trajs[1].with_channels(d_right=None)
+    write_trajectories(tmp_path / "new.csv", trajs)
+    ref_write_trajectories(tmp_path / "old.csv", trajs)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_emitted_files_byte_stable(tmp_path):
@@ -116,6 +144,173 @@ def test_ingest_without_markings(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     traj = ingest(path).trajectories[0]
     assert not traj.has_markings
+
+
+# ---------------------------------------------------------------------------
+# columnar ingest against the row-by-row reference
+
+HEADER = ",".join(lkio.TRAJECTORY_HEADER)
+IDS = ("a", "ab", "veh 1", "a01v0001", "\u00fc", "")
+# tokens float() and np.loadtxt read differently, or the checks reject
+ODD_TOKENS = ("nan", "NaN", "-nan", "inf", "-inf", "Infinity", "+Infinity",
+              "1_0", "\u0663", "\uff11", " 2 ", "\t1", "2 ", "\xa01", "\u20031",
+              "", " ", "1.5", "-0", "-0.0", "0x1", "1e0", "2.0", "1e400", "4e-320",
+              "\x1c1", "1\x1f", '"1"', "1,5")
+
+
+def _number(draw) -> str:
+    kind = draw(st.sampled_from(("repr", "digits", "short")))
+    if kind == "repr":
+        return repr(draw(st.floats(-1e6, 1e6, allow_nan=False)))
+    if kind == "digits":  # long mantissas exercise correct rounding
+        mantissa = draw(st.integers(-10 ** 20, 10 ** 20))
+        return f"{mantissa}e{draw(st.integers(-40, 10))}"
+    return f"{draw(st.floats(-100, 100, allow_nan=False)):.9g}"
+
+
+@st.composite
+def trajectory_files(draw) -> str:
+    """Text of a trajectory CSV, mostly clean, sometimes odd in one of many ways."""
+    kind = draw(st.sampled_from(("rows",) * 8 + ("header-only", "empty")))
+    if kind == "empty":
+        return ""
+    end = draw(st.sampled_from(("\n", "\r\n", "\r", "mixed")))
+    lines = [HEADER]
+    if kind == "rows":
+        ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=4, unique=True))
+        rows = []
+        for vid in ids:
+            n = draw(st.integers(1, 8))
+            dt = draw(st.sampled_from((0.04, 0.2, 0.1)))
+            start = draw(st.floats(0, 100, allow_nan=False))
+            marked = draw(st.booleans())
+            times = [repr(start + k * dt) for k in range(n)]
+            if n > 1 and draw(st.integers(0, 9)) == 0:  # non-monotone time
+                i = draw(st.integers(0, n - 2))
+                times[i], times[i + 1] = times[i + 1], times[i]
+            for tk in times:
+                lane = draw(st.sampled_from(("0", "1", "2", "1.0", "3")))
+                fields = [vid, tk, _number(draw), lane] + [_number(draw) for _ in range(4)]
+                fields += [_number(draw), _number(draw)] if marked else ["", ""]
+                rows.append((vid, fields))
+        if draw(st.booleans()):  # interleave the vehicles
+            rows = draw(st.permutations(rows))
+            # keep each vehicle's own row order
+            queues = {vid: [f for v, f in rows if v == vid] for vid in ids}
+            rows = [(vid, queues[vid].pop(0)) for vid, _ in rows]
+        body = [fields for _, fields in rows]
+        odd = draw(st.sampled_from((None, "token", "lane", "short", "long", "quote",
+                                    "blank", "spaces", "offset")))
+        for _ in range(draw(st.integers(1, 3)) if odd else 0):
+            i = draw(st.integers(0, len(body) - 1))
+            fields = list(body[i])
+            if len(fields) < 10:  # a blank line, or already short
+                continue
+            if odd == "token":
+                fields[draw(st.integers(1, 9))] = draw(st.sampled_from(ODD_TOKENS))
+            elif odd == "lane":
+                fields[3] = draw(st.sampled_from(("1.5", "2.7", "5e-1", "-0.25")))
+            elif odd == "short":
+                del fields[draw(st.integers(1, 9))]
+            elif odd == "long":
+                fields += ["0"] * draw(st.sampled_from((1, 2, 9)))
+            elif odd == "quote":
+                fields[0] = '"' + fields[0] + (",x" if draw(st.booleans()) else "") + '"'
+            elif odd in ("blank", "offset"):
+                if odd == "offset":  # nine extra commas to make up for the blank line
+                    body[i] = fields + ["0"] * 9
+                body.insert(draw(st.integers(0, len(body))), [])
+                continue
+            else:
+                body.insert(i, ["  "])
+                continue
+            body[i] = fields
+        lines += [",".join(fields) for fields in body]
+    if end == "mixed":
+        ends = [draw(st.sampled_from(("\n", "\r\n", "\r"))) for _ in lines]
+    else:
+        ends = [end] * len(lines)
+    if draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    return "".join(line + e for line, e in zip(lines, ends))
+
+
+def _ingest_quietly(fn, path):
+    """Report or (exception type, message); any warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fn(path)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=trajectory_files(), block=st.sampled_from((1, 120, 1 << 14)))
+def test_ingest_matches_row_reference(text, block):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traj.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(lkio, "_BLOCK_CHARS", block):
+            got = _ingest_quietly(ingest, path)
+        want = _ingest_quietly(ref_ingest, path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_ingest(got, want)
+
+
+@pytest.mark.parametrize("markings", [True, False])
+@pytest.mark.parametrize("interleave", [False, True])
+def test_ingest_clean_file_takes_columnar_parse(tmp_path, markings, interleave):
+    corpus = generate_corpus(n=6, seed=4)
+    trajs = [t if markings else t.with_channels(d_left=None, d_right=None)
+             for t in corpus.trajectories]
+    path = tmp_path / "clean.csv"
+    write_trajectories(path, trajs)
+    if interleave:  # the vehicles' rows in turn, each vehicle's in order
+        header, *body = path.read_text().splitlines(keepends=True)
+        runs = [list(rows) for _, rows in groupby(body, key=lambda r: r.split(",", 1)[0])]
+        path.write_text(header + "".join(r for turn in zip_longest(*runs) for r in turn if r))
+    with mock.patch.object(lkio, "_ingest_rows", side_effect=AssertionError("row parser")), \
+            mock.patch.object(lkio, "_BLOCK_CHARS", 4096):
+        got = ingest(path)
+    assert_same_ingest(got, ref_ingest(path))
+    assert [t.vehicle_id for t in got.trajectories] == [t.vehicle_id for t in trajs]
+    assert [t.has_markings for t in got.trajectories] == [markings] * len(trajs)
+
+
+@pytest.mark.parametrize("blank_at", [0, 1])
+def test_ingest_blank_line_offset_by_extra_columns(tmp_path, blank_at):
+    # nine extra commas on one line make up for a blank line's missing nine
+    path = tmp_path / "blank.csv"
+    rows = [f"a,{0.2 * i},0,0,0.1,30,0,0,0.5,0.5" for i in range(4)]
+    rows[2] += ",0" * 9
+    rows.insert(blank_at, "")
+    path.write_text("\n".join([HEADER, *rows]) + "\n")
+    got = ingest(path)
+    assert got.rejected_rows == [(2 + blank_at, "wrong column count"),
+                                 (5, "wrong column count")]
+    assert_same_ingest(got, ref_ingest(path))
+
+
+def test_ingest_header_only_emits_no_numpy_warning(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text(HEADER + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = ingest(path)
+    assert report.warnings == [f"{path}: no data rows, empty corpus"]
+
+
+def test_ingest_mixed_markings_after_unmarked_first_line(tmp_path):
+    path = tmp_path / "mixed.csv"
+    lines = [HEADER] + [f"a,{0.2 * i:.1f},{6 * i},0,0.1,30,0,0,," for i in range(3)]
+    lines += [f"b,{0.2 * i:.1f},{6 * i},1,0.1,30,0,0,0.5,0.5" for i in range(3)]
+    path.write_text("\n".join(lines) + "\n")
+    got = ingest(path)
+    assert [t.has_markings for t in got.trajectories] == [False, True]
+    assert_same_ingest(got, ref_ingest(path))
 
 
 # ---------------------------------------------------------------------------

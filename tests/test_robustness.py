@@ -194,3 +194,18 @@ def test_sweep_skips_short_track(corpus):
     assert want.skipped == ()
     assert tuple(p for p in got.points if p.kind == "bias") == want.points
     assert sweep(mixed, "peak", grid, corpus.layout, refilter=False).skipped == ()
+
+
+@pytest.mark.parametrize("refilter", [True, False])
+def test_sweep_skips_lane_out_of_range(corpus, refilter):
+    from helpers import make_trajectory
+    t = np.arange(0.0, 20.0, 0.2)
+    wide = make_trajectory(t, np.zeros(len(t)), vehicle_id="wide")
+    wide = wide.with_channels(lane=np.where(t < 10.0, 2, 3))  # lane 3 of lanes 0-2
+    mixed = SyntheticCorpus((corpus.trajectories[0], wide, *corpus.trajectories[1:]),
+                            corpus.truth_events, corpus.layout, corpus.seed)
+    grid = [Perturbation("bias", 0.0), Perturbation("bias", 0.5)]
+    got = sweep(mixed, ("peak", "distance"), grid, corpus.layout, refilter=refilter)
+    assert got.skipped == (("wide", "lane index out of range for layout"),)
+    assert got.points == sweep(corpus, ("peak", "distance"), grid, corpus.layout,
+                               refilter=refilter).points

@@ -54,11 +54,28 @@ def test_channels_are_immutable():
         traj.lat[0] = 99.0
 
 
-def test_samples_round_trip():
-    traj = lane_keeping(record_len=2.0)
-    back = Trajectory.from_samples(traj.vehicle_id, traj.shape, traj.samples, traj.rate)
-    assert np.array_equal(back.lat, traj.lat)
-    assert np.array_equal(back.d_left, traj.d_left)
+def test_csv_round_trip(tmp_path):
+    """Every channel, the rate and the markings flag survive the CSV round trip."""
+    from lanekit.io import ingest, write_trajectories
+    from lanekit.synth import generate_corpus
+
+    corpus = generate_corpus(n=6, seed=11)
+    trajs = list(corpus.trajectories)
+    trajs[1] = trajs[1].with_channels(d_left=None, d_right=None)
+    path = tmp_path / "traj.csv"
+    write_trajectories(path, trajs)
+    back = ingest(path, shapes={t.vehicle_id: t.shape for t in trajs}).trajectories
+    assert [t.vehicle_id for t in back] == [t.vehicle_id for t in trajs]
+    for orig, got in zip(trajs, back):
+        assert got.has_markings == orig.has_markings
+        assert got.rate == pytest.approx(orig.rate, rel=1e-9)
+        assert got.shape == orig.shape
+        for name in ("t", "s", "lane", "lat", "v", "a_lon", "a_lat", "d_left", "d_right"):
+            a, b = getattr(got, name), getattr(orig, name)
+            if b is None:
+                assert a is None, name
+            else:
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 # ---------------------------------------------------------------------------
