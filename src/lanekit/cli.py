@@ -170,8 +170,8 @@ def cmd_criticality(args) -> int:
         ego = by_id.get(ev.vehicle_id)
         if ego is None:
             continue
-        opponents = [t for t in trajectories if t.vehicle_id != ev.vehicle_id]
-        records.append(most_critical(ego, opponents, (ev.t_start, ev.t_end),
+        # most_critical skips the ego among the opponents
+        records.append(most_critical(ego, trajectories, (ev.t_start, ev.t_end),
                                      layout, thresholds, ev.direction.value))
     lkio.write_records(out / "criticality_records.csv", records)
 

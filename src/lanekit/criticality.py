@@ -12,8 +12,9 @@ accelerations).
 The four pairwise metrics come from one array kernel, ``encounter``: it
 takes the ego and opponent states as ``KinState`` objects whose channels
 (``s``, ``y``, ``vs``, ``vy``) are equal-length arrays or floats, and
-returns d, THW, TTCE and DCE elementwise.  ``most_critical`` calls it once
-per opponent on that opponent's whole time overlap with the event window;
+returns d, THW, TTCE and DCE elementwise.  ``most_critical`` calls its
+kernel once per event, on the concatenated time overlaps of all opponents
+with the event window, each sample with its own opponent's footprint;
 ``euclidean_distance``, ``thw`` and ``ttce_dce`` are scalar wrappers
 around it.
 """
@@ -91,7 +92,7 @@ class Encounter(NamedTuple):
 
 
 def _rect_gap(ds: float | np.ndarray, dy: float | np.ndarray,
-              half_len: float, half_wid: float):
+              half_len: float | np.ndarray, half_wid: float | np.ndarray):
     """Gap between two axis-oriented rectangular footprints, 0 on overlap."""
     gs = np.maximum(np.abs(ds) - half_len, 0.0)
     gy = np.maximum(np.abs(dy) - half_wid, 0.0)
@@ -111,8 +112,14 @@ def encounter(ego: KinState, opp: KinState, ego_shape: VehicleShape,
     fast vehicles give ttce = 0).  DCE is the footprint gap at that
     instant, never exceeding the current gap.
     """
-    half_len = 0.5 * (ego_shape.length + opp_shape.length)
-    half_wid = 0.5 * (ego_shape.width + opp_shape.width)
+    return _encounter(ego, opp, 0.5 * (ego_shape.length + opp_shape.length),
+                      0.5 * (ego_shape.width + opp_shape.width))
+
+
+def _encounter(ego: KinState, opp: KinState, half_len: float | np.ndarray,
+               half_wid: float | np.ndarray) -> Encounter:
+    """``encounter`` with the footprints given as the sums of the two
+    half-lengths and half-widths, floats or one value per sample."""
     ps = np.subtract(opp.s, ego.s)
     py = np.subtract(opp.y, ego.y)
     vs = np.subtract(opp.vs, ego.vs)
@@ -226,10 +233,42 @@ def _nanmin(x: np.ndarray) -> float:
     return float(np.fmin.reduce(x)) if len(x) else math.nan
 
 
-def _nmin(cur: float, new: float) -> float:
-    if math.isnan(new):
-        return cur
-    return new if math.isnan(cur) else min(cur, new)
+def _pairwise_minima(ego: Trajectory, opponents: Sequence[Trajectory],
+                     in_window: np.ndarray, layout: LaneLayout,
+                     ttce_gate: float) -> tuple[float, float, float, float]:
+    """Minimum d, THW, TTCE and gated DCE over the window samples
+    ``in_window`` of ``ego`` and every opponent covering them; nan if none."""
+    t = ego.t[in_window]
+    rivals = [opp for opp in opponents if opp.vehicle_id != ego.vehicle_id]
+    if not len(t) or not rivals:
+        return math.nan, math.nan, math.nan, math.nan
+    # rival i covers the window slice lo[i]:hi[i], as in ``time_overlap``
+    lo = np.searchsorted(t, [opp.t[0] for opp in rivals], side="left")
+    hi = np.searchsorted(t, [opp.t[-1] for opp in rivals], side="right")
+    overlapping = np.flatnonzero(hi > lo)
+    if not len(overlapping):
+        return math.nan, math.nan, math.nan, math.nan
+    parts, half_len, half_wid = [], [], []
+    for i, a, b in zip(overlapping.tolist(), lo[overlapping].tolist(),
+                       hi[overlapping].tolist()):
+        opp = rivals[i]
+        tk = t[a:b]
+        y, vy = _lateral(opp, layout)
+        parts.append((in_window[a:b], np.interp(tk, opp.t, opp.s), np.interp(tk, opp.t, y),
+                      np.interp(tk, opp.t, opp.v), np.interp(tk, opp.t, vy)))
+        half_len.append(0.5 * (ego.shape.length + opp.shape.length))
+        half_wid.append(0.5 * (ego.shape.width + opp.shape.width))
+    counts = (hi - lo)[overlapping]
+    ix, o_s, o_y, o_vs, o_vy = (np.concatenate(col) for col in zip(*parts))
+    e_y, e_vy = _lateral(ego, layout)
+    tt = ego.t[ix]
+    m = _encounter(KinState(tt, ego.s[ix], e_y[ix], ego.v[ix], e_vy[ix]),
+                   KinState(tt, o_s, o_y, o_vs, o_vy),
+                   np.repeat(half_len, counts), np.repeat(half_wid, counts))
+    # the kernel never yields -0.0, so one flat minimum equals the fold
+    # over opponents of each opponent's minimum
+    return (_nanmin(m.d), _nanmin(m.thw), _nanmin(m.ttce),
+            _nanmin(m.dce[m.ttce < ttce_gate]))
 
 
 def most_critical(ego: Trajectory, opponents: Sequence[Trajectory],
@@ -240,44 +279,26 @@ def most_critical(ego: Trajectory, opponents: Sequence[Trajectory],
 
     Pairwise metrics are evaluated on the ego samples in the window that
     each opponent's track covers, with the opponent interpolated onto the
-    ego grid.  Minima are taken over every such sample; DCE only over
-    samples whose TTCE is below the gate.  Ego-only fields (max speed, max
-    acceleration magnitudes) are produced even without opponents; pairwise
-    fields are then undefined (nan).
+    ego grid.  The overlaps of all opponents are concatenated into one
+    series, and the kernel of ``encounter`` evaluates it in one call per
+    event, each sample with its own opponent's footprint.  Minima are taken
+    over every such sample; DCE only over samples whose TTCE is below the
+    gate.  An opponent with the ego's vehicle id is skipped.  Ego-only
+    fields (max speed, max acceleration magnitudes) are produced even
+    without opponents; pairwise fields are then undefined (nan).
     """
     thresholds = thresholds or Thresholds()
     if speed_limit is None:
         speed_limit = layout.speed_limit
-    mask = _window_mask(ego.t, window)
-    max_v = float(np.max(ego.v[mask])) if np.any(mask) else math.nan
-    max_a_lon = float(np.max(np.abs(ego.a_lon[mask]))) if np.any(mask) else math.nan
-    max_a_lat = float(np.max(np.abs(ego.a_lat[mask]))) if np.any(mask) else math.nan
-
-    min_d = math.nan
-    min_thw = math.nan
-    min_dce = math.nan
-    min_ttce = math.nan
-
-    t = ego.t[mask]
-    rivals = [opp for opp in opponents if opp.vehicle_id != ego.vehicle_id]
-    if len(t) and rivals:
-        e_y, e_vy = _lateral(ego, layout)
-        e_s, e_y, e_vs, e_vy = ego.s[mask], e_y[mask], ego.v[mask], e_vy[mask]
-        for opp in rivals:
-            k = time_overlap(t, opp.t)
-            tt = t[k]
-            if len(tt) == 0:
-                continue
-            o_y, o_vy = _lateral(opp, layout)
-            m = encounter(
-                KinState(tt, e_s[k], e_y[k], e_vs[k], e_vy[k]),
-                KinState(tt, np.interp(tt, opp.t, opp.s), np.interp(tt, opp.t, o_y),
-                         np.interp(tt, opp.t, opp.v), np.interp(tt, opp.t, o_vy)),
-                ego.shape, opp.shape)
-            min_d = _nmin(min_d, _nanmin(m.d))
-            min_thw = _nmin(min_thw, _nanmin(m.thw))
-            min_ttce = _nmin(min_ttce, _nanmin(m.ttce))
-            min_dce = _nmin(min_dce, _nanmin(m.dce[m.ttce < thresholds.ttce_gate]))
+    in_window = np.flatnonzero(_window_mask(ego.t, window))
+    if len(in_window):
+        max_v = float(np.max(ego.v[in_window]))
+        max_a_lon = float(np.max(np.abs(ego.a_lon[in_window])))
+        max_a_lat = float(np.max(np.abs(ego.a_lat[in_window])))
+    else:
+        max_v = max_a_lon = max_a_lat = math.nan
+    min_d, min_thw, min_ttce, min_dce = _pairwise_minima(
+        ego, opponents, in_window, layout, thresholds.ttce_gate)
 
     values = {"d": min_d, "v": max_v, "a_lon": max_a_lon, "a_lat": max_a_lat,
               "thw": min_thw, "dce": min_dce, "ttce": min_ttce}

@@ -22,7 +22,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy import signal as _signal
 
 from .trajectory import (
     ContinuousLateral,
@@ -113,10 +112,12 @@ def find_peaks(series: np.ndarray, rate: float, params: PeakParams) -> list[Peak
 
     Peaks closer than ``min_peak_separation`` keep only the higher one.
     """
+    from scipy import signal  # deferred, as in trajectory._zero_phase
+
     series = np.asarray(series, dtype=float)
     distance = max(1, int(round(params.min_peak_separation * rate)))
-    idx, props = _signal.find_peaks(series, prominence=params.prominence_min,
-                                    distance=distance)
+    idx, props = signal.find_peaks(series, prominence=params.prominence_min,
+                                   distance=distance)
     return [PeakHit(int(i), float(series[i]), float(p))
             for i, p in zip(idx, props["prominences"])]
 

@@ -16,7 +16,6 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import signal as _signal
 
 __all__ = [
     "VehicleClass",
@@ -256,7 +255,9 @@ def resample(traj: Trajectory, target_rate: float) -> Trajectory:
 
 @functools.lru_cache(maxsize=32)
 def _butter_design(cutoff: float, rate: float) -> np.ndarray:
-    return _signal.butter(2, cutoff, btype="low", fs=rate, output="sos")
+    from scipy import signal  # deferred, as in _zero_phase
+
+    return signal.butter(2, cutoff, btype="low", fs=rate, output="sos")
 
 
 def _butter_sos(cutoff: float, rate: float) -> np.ndarray:
@@ -276,6 +277,10 @@ def _zero_phase(traj: Trajectory, rows: np.ndarray, cutoff: float,
     ``lateral`` they are ``lat`` rows, filtered in the composite form
     ``lane * lane_width + lat`` and returned as ``lat``.
     """
+    # scipy.signal is imported here, not at module level: it costs about a
+    # second per process, and commands that never filter should not pay it
+    from scipy import signal
+
     nyquist = traj.rate / 2.0
     if cutoff >= nyquist:
         raise ValueError(f"cutoff {cutoff} Hz must be below Nyquist {nyquist} Hz")
@@ -283,14 +288,14 @@ def _zero_phase(traj: Trajectory, rows: np.ndarray, cutoff: float,
     if len(traj.t) < 10:  # shorter than the forward-backward pad
         raise InsufficientSamplesError("insufficient samples")
     if not lateral:
-        return _signal.sosfiltfilt(sos, rows, axis=-1)
+        return signal.sosfiltfilt(sos, rows, axis=-1)
     if np.all(traj.lane == traj.lane[0]):
         offset = np.zeros(len(traj.t))
     else:
         if layout is None:
             raise ValueError("layout required to filter 'lat' across lane changes")
         offset = traj.lane * layout.lane_width
-    return _signal.sosfiltfilt(sos, rows + offset, axis=-1) - offset
+    return signal.sosfiltfilt(sos, rows + offset, axis=-1) - offset
 
 
 def lowpass(traj: Trajectory, cutoff: float, layout: LaneLayout | None = None,

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import lanekit
 
 from lanekit.cli import main
 
@@ -274,3 +280,21 @@ duration = 45
 def test_error_exit_code(tmp_path):
     assert run("detect", "--traj", tmp_path / "missing.csv",
                "--out", tmp_path) == 1
+
+
+def test_stats_leaves_scipy_signal_unimported(workdir, tmp_path):
+    # a fresh process: this one has long imported scipy.signal
+    script = (
+        "import sys\n"
+        "import lanekit.cli\n"
+        "rc = lanekit.cli.main(['stats', '--events', sys.argv[1], '--vehicles',"
+        " sys.argv[2], '--out', sys.argv[3]])\n"
+        "print(rc, 'scipy.signal' in sys.modules)\n"
+    )
+    src = str(Path(lanekit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(workdir / "truth_events.csv"),
+         str(workdir / "vehicles.csv"), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 False", done.stderr
+    assert (tmp_path / "stats.json").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from lanekit.criticality import (
     KinState,
     Thresholds,
+    _encounter,
     classify,
     direction_stats,
     encounter,
@@ -299,10 +301,10 @@ def test_most_critical_matches_reference_on_corpus():
             ref_most_critical(ego, corpus.trajectories, window, LAYOUT))
 
 
-def edge_track(vid, s, y, v, t):
+def edge_track(vid, s, y, v, t, shape=CAR):
     n = len(t)
     lane = np.full(n, int(round(y / LAYOUT.lane_width)))
-    return Trajectory(vid, CAR, t, s, lane, np.full(n, y - lane[0] * LAYOUT.lane_width),
+    return Trajectory(vid, shape, t, s, lane, np.full(n, y - lane[0] * LAYOUT.lane_width),
                       np.full(n, v), np.zeros(n), np.zeros(n), 1.0 / (t[1] - t[0]))
 
 
@@ -343,6 +345,111 @@ def test_most_critical_matches_reference_on_edge_cases(case):
         assert got.min_ttce == Thresholds().ttce_gate and math.isnan(got.min_dce)
     if case == "ego too slow":
         assert math.isnan(got.min_thw) and not math.isnan(got.min_d)
+
+
+# ---------------------------------------------------------------------------
+# one kernel call per event over the concatenated overlaps of all opponents
+
+def same_array(a, b) -> bool:
+    """Equal elementwise, including nan positions and the sign of zero."""
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def test_kernel_with_per_sample_sizes_matches_per_opponent_calls():
+    rng = np.random.default_rng(11)
+    shapes = [CAR, TRUCK, POINT, VehicleShape(4.2, 1.8)]
+    owner = rng.integers(0, len(shapes), 400)
+    ego = KinState(0.0, rng.uniform(-50, 50, 400), rng.uniform(-8, 8, 400),
+                   rng.uniform(-1, 40, 400), rng.uniform(-2, 2, 400))
+    opp = KinState(0.0, rng.uniform(-50, 50, 400), rng.uniform(-8, 8, 400),
+                   rng.uniform(-1, 40, 400), rng.uniform(-2, 2, 400))
+    opp.s[:40] = ego.s[:40]   # alongside: ps = 0
+    opp.vs[40:80] = ego.vs[40:80]
+    opp.vy[40:80] = ego.vy[40:80]  # equal velocity: v2 = 0
+    half_len = np.array([0.5 * (CAR.length + shapes[k].length) for k in owner])
+    half_wid = np.array([0.5 * (CAR.width + shapes[k].width) for k in owner])
+    got = _encounter(ego, opp, half_len, half_wid)
+    for k, shape in enumerate(shapes):
+        sel = owner == k
+        want = encounter(KinState(0.0, ego.s[sel], ego.y[sel], ego.vs[sel], ego.vy[sel]),
+                         KinState(0.0, opp.s[sel], opp.y[sel], opp.vs[sel], opp.vy[sel]),
+                         CAR, shape)
+        for name in ("d", "thw", "ttce", "dce"):
+            assert same_array(getattr(got, name)[sel], getattr(want, name)), (shape, name)
+
+
+def span_track(vid, t, s0, v, y=0.0, shape=CAR):
+    return edge_track(vid, s0 + v * t, y, v, t, shape)
+
+
+T_START = np.arange(0.0, 3.01, 0.2)    # covers the start of a 1-9 s window
+T_END = np.arange(7.0, 14.01, 0.2)     # covers its end
+T_NONE = np.arange(20.0, 30.0, 0.2)    # covers none of it
+
+# In "partial overlaps" every opponent closes in on the ego, so each sample
+# has ttce > 0; a sample without an opponent would read as ttce = 0.
+STACKED_CASES = {
+    # the car ahead sets min_thw and the truck alongside min_d
+    "car and truck": (EGO, [span_track("car", T5, 60.0, 27.0),
+                            span_track("truck", T5, 12.0, 27.0, 3.5, TRUCK),
+                            span_track("behind", T5, -40.0, 36.0, 7.0, TRUCK)],
+                      (0.0, 9.8)),
+    "partial overlaps": (EGO, [span_track("full1", T5, 60.0, 26.0),
+                               span_track("start", T_START, 35.0, 20.0),
+                               span_track("full2", T5, -50.0, 35.0, 3.5),
+                               span_track("end", T_END, -60.0, 35.0),
+                               span_track("none", T_NONE, 0.0, 20.0),
+                               span_track("full3", T5, 80.0, 25.0, 3.5, TRUCK)],
+                         (1.0, 9.0)),
+    "mixed rates": (EGO, [span_track("a", T5, 50.0, 25.0),
+                          span_track("fast", 2.02 + T25, 40.0, 22.0, 1.0),
+                          span_track("b", T5, -30.0, 33.0, 3.5, TRUCK)],
+                    (0.0, 9.8)),
+    "no opponent overlaps": (EGO, [span_track("before", np.arange(0.0, 2.0, 0.2), 20.0, 25.0),
+                                   span_track("after", np.arange(7.0, 12.0, 0.2), 20.0, 25.0),
+                                   span_track("far", T_NONE, 0.0, 20.0)],
+                             (3.0, 6.0)),
+    "ego among opponents": (EGO, [span_track("a", T5, 50.0, 25.0), EGO,
+                                  span_track("b", T5, -30.0, 33.0, 3.5, TRUCK)],
+                            (0.0, 9.8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_CASES))
+def test_most_critical_stacks_opponents_like_the_reference(case):
+    ego, opponents, window = STACKED_CASES[case]
+    got = most_critical(ego, opponents, window, LAYOUT)
+    assert_same_record(got, ref_most_critical(ego, opponents, window, LAYOUT))
+    pairwise = (got.min_d, got.min_thw, got.min_ttce, got.min_dce)
+    if case == "no opponent overlaps":
+        assert all(math.isnan(x) for x in pairwise) and not math.isnan(got.max_v)
+    else:
+        assert not any(math.isnan(x) for x in pairwise[:3])
+    if case == "car and truck":
+        assert got.min_d == 3.5 - 0.5 * (CAR.width + TRUCK.width)
+        assert got.min_thw == pytest.approx((60.0 - 3.0 * 9.8 - CAR.length) / 30.0)
+    if case == "partial overlaps":
+        assert got.min_ttce > 0.0
+    if case == "ego among opponents":
+        alone = [o for o in opponents if o is not ego]
+        assert_same_record(got, most_critical(ego, alone, window, LAYOUT))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(2, 7), ego_at=st.integers(0, 6),
+       start=st.floats(-5.0, 70.0), length=st.floats(0.0, 25.0),
+       shifts=st.lists(st.floats(-40.0, 40.0), min_size=7, max_size=7))
+def test_most_critical_matches_reference_on_random_corpus(seed, n, ego_at, start,
+                                                          length, shifts):
+    # shifted opponents start and end at other times than the ego
+    corpus = generate_corpus(n=n, seed=seed, truck_fraction=0.5)
+    ego = corpus.trajectories[ego_at % n]
+    opponents = [traj if traj is ego else dataclasses.replace(traj, t=traj.t + dt)
+                 for traj, dt in zip(corpus.trajectories, shifts)]
+    window = (start, start + length)
+    assert_same_record(most_critical(ego, opponents, window, LAYOUT),
+                       ref_most_critical(ego, opponents, window, LAYOUT))
 
 
 # ---------------------------------------------------------------------------
