@@ -27,7 +27,7 @@ from .detection import (
     detect_gradient,
     detect_peak,
 )
-from .mis import FrontBrakeInjection, MISConfig, MISScenario, run_closed_loop
+from .mis import FrontBrakeInjection, MISScenario, run_closed_loop
 from .robustness import Perturbation, sweep
 from .stats import event_stats
 from .synth import SyntheticCorpus, generate_corpus
@@ -42,7 +42,7 @@ from .trajectory import (
     marking_residual,
     resample,
 )
-from .wiedemann import ScenarioSpec, W99Params, sample_cc1
+from .wiedemann import ScenarioSpec, sample_cc1
 
 
 def _load_config(args) -> lkio.RunConfig:
@@ -60,7 +60,7 @@ def _outdir(args) -> Path:
 
 def _ingest_corpus(args, cfg) -> list[Trajectory]:
     shapes = lkio.read_vehicles(args.vehicles) if getattr(args, "vehicles", None) else None
-    report = lkio.ingest(args.traj, shapes=shapes, default_shape=cfg.default_shape())
+    report = lkio.ingest(args.traj, shapes=shapes, default_shape=cfg.default_shape)
     for msg in report.warnings:
         print(f"warning: {msg}", file=sys.stderr)
     for vid, reason in report.rejected_vehicles:
@@ -69,7 +69,7 @@ def _ingest_corpus(args, cfg) -> list[Trajectory]:
         print(f"warning: {len(report.rejected_rows)} rows rejected", file=sys.stderr)
     for traj in report.trajectories:
         if traj.has_markings:
-            residual = marking_residual(traj, cfg.layout())
+            residual = marking_residual(traj, cfg.layout)
             if residual > cfg.marking_tolerance:
                 print(f"warning: vehicle {traj.vehicle_id}: marking distances "
                       f"inconsistent by {residual:.3f} m", file=sys.stderr)
@@ -88,7 +88,7 @@ def cmd_synth(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
     n = args.n if args.n is not None else cfg.synth_n
-    corpus = generate_corpus(n=n, seed=cfg.seed, layout=cfg.layout(),
+    corpus = generate_corpus(n=n, seed=cfg.seed, layout=cfg.layout,
                              truck_fraction=cfg.truck_fraction)
     lkio.write_trajectories(out / "trajectories.csv", corpus.trajectories)
     lkio.write_vehicles(out / "vehicles.csv", corpus.trajectories)
@@ -101,8 +101,7 @@ def cmd_synth(args) -> int:
 def cmd_detect(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    layout = cfg.layout()
-    params = cfg.peak_params()
+    layout = cfg.layout
     trajectories = _ingest_corpus(args, cfg)
     criteria = args.criteria.split(",") if args.criteria else ["gradient", "peak", "distance"]
 
@@ -115,10 +114,10 @@ def cmd_detect(args) -> int:
             print(f"warning: vehicle {traj.vehicle_id} skipped: {exc}", file=sys.stderr)
             continue
         if "gradient" in criteria and traj.has_markings:
-            ev = detect_gradient(traj, layout, params)
+            ev = detect_gradient(traj, layout, cfg.peak)
             all_events.extend(classify_double(ev, layout))
         if "peak" in criteria:
-            ev = detect_peak(y, traj.shape, layout, params,
+            ev = detect_peak(y, traj.shape, layout, cfg.peak,
                              min_extent=cfg.min_lateral_extent)
             all_events.extend(classify_double(ev, layout))
         if "distance" in criteria:
@@ -132,14 +131,14 @@ def cmd_detect(args) -> int:
 def cmd_robustness(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    layout = cfg.layout()
+    layout = cfg.layout
     trajectories = _ingest_corpus(args, cfg)
     truth = lkio.read_events(args.truth)
     corpus = SyntheticCorpus(tuple(trajectories), tuple(truth), layout, cfg.seed)
 
     grid = ([Perturbation("bias", b) for b in cfg.bias_grid]
             + [Perturbation("brownian", s) for s in cfg.brownian_grid])
-    report = sweep(corpus, ("peak", "distance"), grid, layout, cfg.peak_params(),
+    report = sweep(corpus, ("peak", "distance"), grid, layout, cfg.peak,
                    distance_threshold=cfg.distance_threshold, seed=cfg.seed,
                    refilter=cfg.sweep_refilter, cutoff=cfg.lowpass_cutoff)
     for vid, reason in report.skipped:
@@ -152,8 +151,8 @@ def cmd_robustness(args) -> int:
 def cmd_criticality(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    layout = cfg.layout()
-    thresholds = cfg.thresholds()
+    layout = cfg.layout
+    thresholds = cfg.thresholds
     trajectories = []
     for traj in _ingest_corpus(args, cfg):
         try:
@@ -223,33 +222,37 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _scenario_trajectories(raw: dict[str, str], path: str,
+                           cfg: lkio.RunConfig) -> list[Trajectory] | None:
+    """The trajectories a scenario file references, None if it names none;
+    takes the ``trajectories`` and ``vehicles`` keys out of ``raw``."""
+    base = Path(path).parent
+    vehicles = raw.pop("vehicles", None)
+    if "trajectories" not in raw:
+        return None
+    shapes = lkio.read_vehicles(base / vehicles) if vehicles is not None else None
+    return lkio.ingest(base / raw.pop("trajectories"), shapes=shapes,
+                       default_shape=cfg.default_shape).trajectories
+
+
 def _scenario_from_file(path: str, cfg: lkio.RunConfig) -> tuple[ScenarioSpec, list[float]]:
     raw = lkio.parse_keyvalues(path)
-    base = Path(path).parent
-    shapes = None
-    if "vehicles" in raw:
-        shapes = lkio.read_vehicles(base / raw["vehicles"])
-    report = lkio.ingest(base / raw["trajectories"], shapes=shapes,
-                         default_shape=cfg.default_shape())
-    model_kwargs = {}
-    for name in ("cc0", "cc1", "cc2", "cc3", "cc4", "cc5", "cc6", "cc7",
-                 "cc8", "cc9", "v_desired"):
-        if name in raw:
-            model_kwargs[name] = float(raw[name])
-        else:
-            model_kwargs[name] = getattr(cfg, name)
+    trajectories = _scenario_trajectories(raw, path, cfg)
+    if trajectories is None or "substituted_id" not in raw:
+        raise ValueError(f"{path}: a sample scenario needs 'trajectories' and 'substituted_id'")
+    w99 = lkio.field_types(cfg.w99)
+    values = lkio.parse_fields(raw, {**w99, "substituted_id": str, "dt": float,
+                                     "duration": float, "cc1_values": tuple},
+                               "scenario key", path)
     spec = ScenarioSpec(
-        trajectories=tuple(report.trajectories),
-        substituted_id=raw["substituted_id"],
-        model=W99Params(**model_kwargs),
-        layout=cfg.layout(),
-        dt=float(raw.get("dt", cfg.sim_dt)),
-        duration=float(raw["duration"]) if "duration" in raw else None,
+        trajectories=tuple(trajectories),
+        substituted_id=values["substituted_id"],
+        model=dataclasses.replace(cfg.w99, **{k: values[k] for k in w99 if k in values}),
+        layout=cfg.layout,
+        dt=values.get("dt", cfg.sim_dt),
+        duration=values.get("duration"),
     )
-    cc1_values = [float(x) for x in raw.get("cc1_values", "").split(",") if x.strip()]
-    if not cc1_values:
-        cc1_values = [spec.model.cc1]
-    return spec, cc1_values
+    return spec, list(values.get("cc1_values", ())) or [spec.model.cc1]
 
 
 def cmd_sample(args) -> int:
@@ -274,21 +277,24 @@ def cmd_sample(args) -> int:
     return 0
 
 
+# mis-eval scenario keys that are not MISScenario fields, besides
+# trajectories, vehicles and role.<vehicle_id>
+_MIS_RUN_KEYS = {"mis_on": bool, "inject_front_brake": float, "inject_t": float,
+                 "rear_cc1": float, "rear_v_desired": float}
+
+
 def _mis_scenario_from_file(path: str, cfg: lkio.RunConfig):
     raw = lkio.parse_keyvalues(path)
-    base = Path(path).parent
-    kwargs: dict = {"layout": cfg.layout()}
-    if "trajectories" in raw:
-        shapes = None
-        if "vehicles" in raw:
-            shapes = lkio.read_vehicles(base / raw["vehicles"])
-        report = lkio.ingest(base / raw["trajectories"], shapes=shapes,
-                             default_shape=cfg.default_shape())
-        roles = {raw[k]: vid for k in raw if k.startswith("role.")
-                 for vid in [k.split(".", 1)[1]] if raw[k] in ("ego", "front", "rear")}
-        by_id = {t.vehicle_id: t for t in report.trajectories}
+    roles = {raw.pop(k): k.split(".", 1)[1] for k in list(raw) if k.startswith("role.")}
+    trajectories = _scenario_trajectories(raw, path, cfg)
+    scenario = MISScenario(layout=cfg.layout)
+    values = lkio.parse_fields(raw, {**lkio.field_types(scenario), **_MIS_RUN_KEYS},
+                               "scenario key", path)
+    run = {k: values.pop(k) for k in _MIS_RUN_KEYS if k in values}
+    if trajectories is not None:
+        by_id = {t.vehicle_id: t for t in trajectories}
         ego, front, rear = by_id[roles["ego"]], by_id[roles["front"]], by_id[roles["rear"]]
-        kwargs.update(
+        values = dict(
             ego_shape=ego.shape, front_shape=front.shape, rear_shape=rear.shape,
             ego_v0=float(ego.v[0]), front_v0=float(front.v[0]), rear_v0=float(rear.v[0]),
             front_gap0=float(front.s[0] - ego.s[0]
@@ -296,42 +302,22 @@ def _mis_scenario_from_file(path: str, cfg: lkio.RunConfig):
             rear_gap0=float(ego.s[0] - rear.s[0]
                             - 0.5 * (ego.shape.length + rear.shape.length)),
             lane=int(ego.lane[0]),
-        )
-    for name in ("dt", "duration", "ego_v0", "front_v0", "rear_v0",
-                 "front_gap0", "rear_gap0", "rear_reaction_delay",
-                 "overtake_trigger_thw", "lc_duration", "cut_in_lead"):
-        if name in raw:
-            kwargs[name] = float(raw[name])
-    if "lane" in raw:
-        kwargs["lane"] = int(raw["lane"])
-    if "left_lane_blocked" in raw:
-        kwargs["left_lane_blocked"] = raw["left_lane_blocked"].lower() == "true"
-    if "rear_cc1" in raw or "rear_v_desired" in raw:
-        kwargs["rear_model"] = W99Params(
-            cc1=float(raw.get("rear_cc1", 0.2)),
-            v_desired=float(raw.get("rear_v_desired", kwargs.get("rear_v0", 42.0))))
-    scenario = MISScenario(**kwargs)
-
-    mis_cfg = MISConfig(
-        rear_detect_range=cfg.mis_rear_detect_range,
-        delta_v_min=cfg.mis_delta_v_min,
-        thw_increase=cfg.mis_thw_increase,
-        comfort_decel_cap=cfg.mis_comfort_decel_cap,
-    )
-    injection = None
-    if "inject_front_brake" in raw:
-        injection = FrontBrakeInjection(
-            decel=float(raw["inject_front_brake"]),
-            t=float(raw["inject_t"]) if "inject_t" in raw else None)
-    mis_on = raw.get("mis_on", "true").lower() != "false"
-    return scenario, mis_cfg, injection, mis_on
+        ) | values
+    if "rear_cc1" in run or "rear_v_desired" in run:
+        model = scenario.rear_model
+        values["rear_model"] = dataclasses.replace(
+            model, cc1=run.get("rear_cc1", model.cc1),
+            v_desired=run.get("rear_v_desired", values.get("rear_v0", model.v_desired)))
+    injection = (FrontBrakeInjection(decel=run["inject_front_brake"], t=run.get("inject_t"))
+                 if "inject_front_brake" in run else None)
+    return dataclasses.replace(scenario, **values), injection, run.get("mis_on", True)
 
 
 def cmd_mis_eval(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    scenario, mis_cfg, injection, mis_on = _mis_scenario_from_file(args.scenario, cfg)
-    report = run_closed_loop(scenario, mis_cfg, injection, mis_on)
+    scenario, injection, mis_on = _mis_scenario_from_file(args.scenario, cfg)
+    report = run_closed_loop(scenario, cfg.mis, injection, mis_on)
     lkio.write_json(out / "mis_report.json", report.as_dict())
     print(f"engaged={report.engaged} planned_decel={report.planned_decel:.3f} "
           f"min_rear_gap={report.min_rear_gap:.2f} collision={report.collision}")

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_MIN_EXTENT = 2.5  # [m] minimum lateral extent of a reportable event
+DEFAULT_DISTANCE_THRESHOLD = 0.8  # [m] distance criterion's lateral threshold
 
 
 class Direction(str, Enum):
@@ -282,7 +283,7 @@ def exceedance_predicate(y: np.ndarray, center: float, threshold: float) -> np.n
 
 
 def detect_distance(y: ContinuousLateral, layout: LaneLayout,
-                    threshold: float = 0.8, settle_rate: float = 0.15,
+                    threshold: float = DEFAULT_DISTANCE_THRESHOLD, settle_rate: float = 0.15,
                     settle_dwell: float = 2.0) -> list[LaneChangeEvent]:
     """Distance criterion: displacement from lane center beyond ``threshold``.
 

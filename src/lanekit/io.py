@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -29,9 +29,12 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .criticality import CriticalityRecord, Thresholds
-from .detection import Direction, EventKind, LaneChangeEvent, PeakParams
+from .detection import (DEFAULT_DISTANCE_THRESHOLD, DEFAULT_MIN_EXTENT, Direction,
+                        EventKind, LaneChangeEvent, PeakParams)
+from .mis import MISConfig
 from .robustness import RobustnessReport
-from .trajectory import LaneLayout, Trajectory, VehicleClass, VehicleShape
+from .trajectory import DEFAULT_CUTOFF, LaneLayout, Trajectory, VehicleClass, VehicleShape
+from .wiedemann import ScenarioSpec, W99Params
 
 __all__ = [
     "TRAJECTORY_HEADER",
@@ -49,6 +52,8 @@ __all__ = [
     "write_records",
     "write_json",
     "parse_keyvalues",
+    "field_types",
+    "parse_fields",
 ]
 
 TRAJECTORY_HEADER = ["vehicle_id", "t", "s", "lane", "lat", "v",
@@ -188,7 +193,7 @@ def ingest(path: str | Path,
     round correctly.
     """
     path = Path(path)
-    default_shape = default_shape or VehicleShape(4.8, 2.0)
+    default_shape = default_shape or VehicleShape()
     try:
         with path.open(newline="") as fh:
             parsed = _parse_clean(fh)
@@ -437,58 +442,78 @@ def parse_keyvalues(path: str | Path) -> dict[str, str]:
     return out
 
 
+def field_types(obj) -> dict[str, type]:
+    """The type of each field of dataclass ``obj`` that holds a bool, int,
+    float or tuple in ``obj``: the fields a key-value file can set."""
+    kinds = {f.name: type(getattr(obj, f.name)) for f in fields(obj)}
+    return {name: kind for name, kind in kinds.items() if kind in (bool, int, float, tuple)}
+
+
+def parse_fields(raw: Mapping[str, str], types: Mapping[str, type], what: str,
+                 source: str | Path | None = None) -> dict:
+    """``raw`` with each value parsed as the type ``types`` gives its key; a
+    ValueError names an unknown key or a bad value as ``what`` in ``source``."""
+    where = f"{source}: " if source is not None else ""
+    out = {}
+    for key, text in raw.items():
+        if key not in types:
+            raise ValueError(f"{where}unknown {what} {key!r}")
+        out[key] = _coerce(text, types[key], f"{where}{what} {key!r}")
+    return out
+
+
+_BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+             **dict.fromkeys(("false", "0", "no", "off"), False)}
+
+
+def _coerce(text: str, kind: type, name: str):
+    """``text`` as a ``kind``: a bool is spelt as in ``_BOOLEANS``, in any
+    case, and a tuple is a comma list of floats."""
+    try:
+        if kind is bool:
+            return _BOOLEANS[text.lower()]
+        if kind is tuple:
+            return tuple(float(part) for part in text.split(",") if part.strip() != "")
+        return kind(text)
+    except (KeyError, ValueError):
+        expected = {bool: "boolean", tuple: "comma list of floats"}.get(kind, kind.__name__)
+        raise ValueError(f"{name}: expected {expected}, got {text!r}") from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """All tunables of the pipeline, SI units throughout."""
+    """All tunables of the pipeline, SI units throughout.
 
-    # lane layout
-    lane_count: int = 3
-    lane_width: float = 3.5  # [m]
-    speed_limit: float = 120.0 / 3.6  # [m/s]
+    The sections ``layout``, ``peak``, ``thresholds``, ``w99`` (the model
+    of ``sample``), ``mis`` and ``default_shape`` (the shape of a vehicle no
+    vehicles file names) are the library's parameter dataclasses with their
+    own defaults; the other fields are the pipeline's settings.  A config
+    key is a field's name; ``_SECTIONS`` gives the section fields a key can
+    set and the prefix of their keys.
+    """
+
+    layout: LaneLayout = field(default_factory=LaneLayout)
+    peak: PeakParams = field(default_factory=PeakParams)
+    thresholds: Thresholds = field(default_factory=Thresholds)
+    w99: W99Params = field(default_factory=W99Params)
+    mis: MISConfig = field(default_factory=MISConfig)
+    default_shape: VehicleShape = field(default_factory=VehicleShape)
     # preprocessing
     resample_rate: float = 5.0  # [Hz]
-    lowpass_cutoff: float = 1.3  # [Hz]
+    lowpass_cutoff: float = DEFAULT_CUTOFF  # [Hz]
     lowpass_aerial: bool = True  # also filter marking-free (aerial) inputs
     # detection
-    distance_threshold: float = 0.8  # [m]
-    prominence_min: float = 0.15  # [m/s]
-    min_peak_separation: float = 4.0  # [s]
-    min_lateral_extent: float = 2.5  # [m]
-    # criticality thresholds
-    d_crit: float = 1.0  # [m]
-    v_factor: float = 1.3
-    a_lon_crit: float = 8.0  # [m/s^2]
-    a_lat_crit: float = 8.0  # [m/s^2]
-    thw_crit: float = 0.9  # [s]
-    dce_crit: float = 1.0  # [m]
-    ttce_gate: float = 2.6  # [s]
+    distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD  # [m]
+    min_lateral_extent: float = DEFAULT_MIN_EXTENT  # [m]
     # robustness sweep
     bias_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)  # [m]
     brownian_grid: tuple[float, ...] = (0.0, 0.005, 0.01, 0.02, 0.05)  # [m/sqrt(step)]
     sweep_refilter: bool = True
     # car following
-    cc0: float = 1.5
-    cc1: float = 0.9
-    cc2: float = 4.0
-    cc3: float = -8.0
-    cc4: float = -0.35
-    cc5: float = 0.35
-    cc6: float = 11.44
-    cc7: float = 0.25
-    cc8: float = 3.5
-    cc9: float = 1.5
-    v_desired: float = 33.33  # [m/s]
-    sim_dt: float = 0.05  # [s]
-    # margin increase system
-    mis_rear_detect_range: float = 100.0  # [m]
-    mis_delta_v_min: float = 10.0 / 3.6  # [m/s]
-    mis_thw_increase: float = 2.0  # [s]
-    mis_comfort_decel_cap: float = 1.5  # [m/s^2]
+    sim_dt: float = ScenarioSpec.dt  # [s]
     # synthetic corpus / misc
     synth_n: int = 200
     truck_fraction: float = 0.2
-    vehicle_length: float = 4.8  # [m] ingest default shape
-    vehicle_width: float = 2.0  # [m]
     marking_tolerance: float = 0.05  # [m] d_left + d_right consistency check
     seed: int = 0
 
@@ -498,42 +523,22 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, str]) -> "RunConfig":
-        kwargs = {}
-        known = {f.name: f for f in fields(cls)}
-        for key, value in raw.items():
-            if key not in known:
-                raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _coerce(value, known[key].type, cls, key)
-        return cls(**kwargs)
-
-    def layout(self) -> LaneLayout:
-        return LaneLayout(self.lane_count, self.lane_width, self.speed_limit)
-
-    def peak_params(self) -> PeakParams:
-        return PeakParams(self.prominence_min, self.min_peak_separation)
-
-    def thresholds(self) -> Thresholds:
-        return Thresholds(self.d_crit, self.v_factor, self.a_lon_crit,
-                          self.a_lat_crit, self.thw_crit, self.dce_crit,
-                          self.ttce_gate)
-
-    def default_shape(self) -> VehicleShape:
-        return VehicleShape(self.vehicle_length, self.vehicle_width)
+        """The config ``raw`` sets; each section's own checks run on it."""
+        cfg, raw, sections = cls(), dict(raw), {}
+        for section, (prefix, names) in _SECTIONS.items():
+            default = getattr(cfg, section)
+            kinds = {prefix + name: kind for name, kind in field_types(default).items()
+                     if names is None or name in names}
+            values = parse_fields({k: raw.pop(k) for k in kinds if k in raw}, kinds, "config key")
+            if values:
+                sections[section] = replace(
+                    default, **{k[len(prefix):]: value for k, value in values.items()})
+        return replace(cfg, **parse_fields(raw, field_types(cfg), "config key"), **sections)
 
 
-def _coerce(text: str, annotation, cls, key: str):
-    default = getattr(cls, key)
-    if isinstance(default, bool):
-        lowered = text.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"config key {key!r}: expected boolean, got {text!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
-    if isinstance(default, tuple):
-        return tuple(float(part) for part in text.split(",") if part.strip() != "")
-    return text
+# RunConfig section -> (prefix of its config keys, the fields they set; None: all)
+_SECTIONS = {"layout": ("", None), "thresholds": ("", None), "w99": ("", None),
+             "peak": ("", ("prominence_min", "min_peak_separation")),
+             "mis": ("mis_", ("rear_detect_range", "delta_v_min", "thw_increase",
+                              "comfort_decel_cap")),
+             "default_shape": ("vehicle_", ("length", "width"))}

@@ -154,9 +154,9 @@ class MISScenario:
     dt: float = 0.05
     duration: float = 45.0
     lane: int = 0
-    ego_shape: VehicleShape = field(default_factory=lambda: VehicleShape(4.8, 2.0))
-    front_shape: VehicleShape = field(default_factory=lambda: VehicleShape(4.8, 2.0))
-    rear_shape: VehicleShape = field(default_factory=lambda: VehicleShape(4.8, 2.0))
+    ego_shape: VehicleShape = field(default_factory=VehicleShape)
+    front_shape: VehicleShape = field(default_factory=VehicleShape)
+    rear_shape: VehicleShape = field(default_factory=VehicleShape)
     ego_v0: float = 30.0
     front_v0: float = 30.0
     rear_v0: float = 42.0

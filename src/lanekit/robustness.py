@@ -15,12 +15,14 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .detection import (
+    DEFAULT_DISTANCE_THRESHOLD,
     LaneChangeEvent,
     PeakParams,
     detect_distance,
     detect_peak,
 )
 from .trajectory import (  # noqa: F401 - lowpass: perfbench/tracer.py wraps it here
+    DEFAULT_CUTOFF,
     InsufficientSamplesError,
     LaneLayout,
     LaneRangeError,
@@ -127,8 +129,8 @@ def _perturbed_lat(traj: Trajectory, pert: Perturbation, seed: int, gi: int,
 
 def sweep(corpus: _CorpusLike, criterion: str | Sequence[str],
           grid: Sequence[Perturbation], layout: LaneLayout,
-          params: PeakParams | None = None, distance_threshold: float = 0.8,
-          seed: int = 0, refilter: bool = True, cutoff: float = 1.3,
+          params: PeakParams | None = None, distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD,
+          seed: int = 0, refilter: bool = True, cutoff: float = DEFAULT_CUTOFF,
           min_extent: float | None = None) -> RobustnessReport:
     """Detection counts of one or more criteria over a perturbation grid.
 

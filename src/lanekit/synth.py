@@ -216,7 +216,7 @@ def overtake_scenario(layout: LaneLayout | None = None,
     model = model or W99Params(v_desired=33.0)
     w = layout.lane_width
     t = np.arange(0.0, 60.0 + 1e-9, 0.2)
-    car = VehicleShape(4.8, 2.0)
+    car = VehicleShape()
 
     t_change, t_lc = 45.0, 4.0
     y_ego = w * logistic_transition(t, t_change, t_lc, 1.0)
@@ -234,4 +234,4 @@ def overtake_scenario(layout: LaneLayout | None = None,
     opp2 = _plain_trajectory("opp2", car, t, -150.0, 40.0,
                              np.ones(n, int), np.zeros(n), layout)
     return ScenarioSpec(trajectories=(ego, opp1, opp2), substituted_id="ego",
-                        model=model, layout=layout, dt=0.05, duration=60.0)
+                        model=model, layout=layout, duration=60.0)

@@ -78,8 +78,9 @@ class LaneLayout:
 
 @dataclass(frozen=True)
 class VehicleShape:
-    length: float  # [m]
-    width: float  # [m]
+    # the defaults are the car assumed where no vehicles file gives a shape
+    length: float = 4.8  # [m]
+    width: float = 2.0  # [m]
     vclass: VehicleClass = VehicleClass.CAR
 
     def __post_init__(self) -> None:
@@ -296,6 +297,9 @@ def _zero_phase(traj: Trajectory, rows: np.ndarray, cutoff: float,
             raise ValueError("layout required to filter 'lat' across lane changes")
         offset = traj.lane * layout.lane_width
     return signal.sosfiltfilt(sos, rows + offset, axis=-1) - offset
+
+
+DEFAULT_CUTOFF = 1.3  # [Hz] low-pass cutoff of the preprocessing
 
 
 def lowpass(traj: Trajectory, cutoff: float, layout: LaneLayout | None = None,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -275,6 +276,107 @@ duration = 45
     assert run("mis-eval", "--scenario", scenario, "--out", out) == 0
     report = json.loads((out / "mis_report.json").read_text())
     assert report["engaged"] is True
+
+
+MIS_FIXTURE = "ego_v0 = 30\nfront_v0 = 30\nrear_v0 = 42\nfront_gap0 = 29\nrear_gap0 = 110\n"
+
+
+def _mis_eval(tmp_path, name, text):
+    scenario = tmp_path / f"{name}.cfg"
+    scenario.write_text(MIS_FIXTURE + text)
+    out = tmp_path / name
+    return run("mis-eval", "--scenario", scenario, "--out", out), out / "mis_report.json"
+
+
+def test_mis_eval_boolean_spellings(tmp_path, capsys):
+    rc_false, report_false = _mis_eval(tmp_path, "false", "mis_on = false\n")
+    rc_off, report_off = _mis_eval(tmp_path, "off", "mis_on = off\n")
+    assert rc_false == rc_off == 0
+    assert json.loads(report_off.read_text())["engaged"] is False
+    assert report_off.read_bytes() == report_false.read_bytes()
+
+    rc, report = _mis_eval(tmp_path, "blocked", "left_lane_blocked = yes\nduration = 15\n")
+    assert rc == 0
+    assert json.loads(report.read_text())["engaged"] is False
+
+    capsys.readouterr()
+    assert _mis_eval(tmp_path, "maybe", "mis_on = maybe\n")[0] == 1
+    assert "scenario key 'mis_on': expected boolean, got 'maybe'" in capsys.readouterr().err
+
+
+def test_unknown_scenario_key(tmp_path, capsys):
+    assert _mis_eval(tmp_path, "typo", "inject_front_brak = 4\n")[0] == 1
+    err = capsys.readouterr().err
+    assert "typo.cfg: unknown scenario key 'inject_front_brak'" in err
+
+    from lanekit.io import write_trajectories
+    from lanekit.synth import overtake_scenario
+
+    write_trajectories(tmp_path / "scenario_traj.csv", overtake_scenario().trajectories)
+    scenario = tmp_path / "sample_typo.cfg"
+    scenario.write_text("trajectories = scenario_traj.csv\nsubstituted_id = ego\n"
+                        "cc1_value = 0.5\n")
+    assert run("sample", "--scenario", scenario, "--out", tmp_path / "sample") == 1
+    assert "sample_typo.cfg: unknown scenario key 'cc1_value'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["substituted_id = ego\n",
+                                  "trajectories = scenario_traj.csv\nduration = 5\n"])
+def test_sample_scenario_needs_trajectories_and_substituted_id(tmp_path, capsys, text):
+    from lanekit.io import write_trajectories
+    from lanekit.synth import overtake_scenario
+
+    write_trajectories(tmp_path / "scenario_traj.csv", overtake_scenario().trajectories)
+    scenario = tmp_path / "short.cfg"
+    scenario.write_text(text)
+    assert run("sample", "--scenario", scenario, "--out", tmp_path / "sample") == 1
+    assert "needs 'trajectories' and 'substituted_id'" in capsys.readouterr().err
+
+
+def test_scenario_coercion_error_names_the_key(tmp_path, capsys):
+    assert _mis_eval(tmp_path, "lane", "lane = 0.5\n")[0] == 1
+    assert "lane.cfg: scenario key 'lane': expected int, got '0.5'" in capsys.readouterr().err
+
+
+def test_config_error_names_the_key(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("lane_count = 3.0\n")
+    assert run("synth", "--config", config, "--out", tmp_path / "s", "--n", "2") == 1
+    assert "error: config key 'lane_count': expected int, got '3.0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,message", [("thw_crit = -1", "thw_crit must be positive"),
+                                          ("lane_count = 0", "lane_count must be >= 1")])
+def test_out_of_range_config_fails_for_any_subcommand(workdir, tmp_path, capsys, line, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    # stats reads neither the thresholds nor the layout
+    assert run("stats", "--config", config, "--events", workdir / "truth_events.csv",
+               "--out", tmp_path / "st") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "st").exists()
+
+
+def test_readme_ini_blocks_parse(tmp_path):
+    """Each ini block of README.md parses with the parser its first line names."""
+    from lanekit.cli import _mis_scenario_from_file, _scenario_from_file
+    from lanekit.io import RunConfig, write_trajectories, write_vehicles
+    from lanekit.synth import overtake_scenario
+
+    spec = overtake_scenario()
+    (tmp_path / "data").mkdir()
+    write_trajectories(tmp_path / "data/trajectories.csv", spec.trajectories)
+    write_vehicles(tmp_path / "data/vehicles.csv", spec.trajectories)
+    parsers = {"# config": RunConfig.from_file,
+               "# sample scenario": lambda p: _scenario_from_file(p, RunConfig()),
+               "# mis-eval scenario": lambda p: _mis_scenario_from_file(p, RunConfig())}
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S)
+    assert sorted(block.splitlines()[0] for block in blocks) == sorted(parsers)
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"block{i}.cfg"
+        path.write_text(block)
+        parsers[block.splitlines()[0]](str(path))
 
 
 def test_error_exit_code(tmp_path):

@@ -1,5 +1,6 @@
 import tempfile
 import warnings
+from dataclasses import fields, replace
 from itertools import groupby, zip_longest
 from pathlib import Path
 from unittest import mock
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanekit import io as lkio
-from lanekit.detection import Direction, EventKind, LaneChangeEvent
+from lanekit.criticality import Thresholds
+from lanekit.detection import Direction, EventKind, LaneChangeEvent, PeakParams
 from lanekit.io import (
     RunConfig,
     fmt,
@@ -22,7 +24,10 @@ from lanekit.io import (
     write_trajectories,
     write_vehicles,
 )
+from lanekit.mis import MISConfig
 from lanekit.synth import generate_corpus
+from lanekit.trajectory import LaneLayout, VehicleShape
+from lanekit.wiedemann import W99Params
 
 from helpers import assert_same_ingest, ref_ingest, ref_write_trajectories
 
@@ -351,13 +356,13 @@ sweep_refilter = false
 bias_grid = 0, 0.5, 1.0
 """)
     cfg = RunConfig.from_file(path)
-    assert cfg.lane_width == 3.75
-    assert cfg.lane_count == 4
+    assert cfg.layout.lane_width == 3.75
+    assert cfg.layout.lane_count == 4
     assert cfg.sweep_refilter is False
     assert cfg.bias_grid == (0.0, 0.5, 1.0)
     # untouched defaults
-    assert cfg.thw_crit == 0.9
-    assert cfg.ttce_gate == 2.6
+    assert cfg.thresholds.thw_crit == 0.9
+    assert cfg.thresholds.ttce_gate == 2.6
 
 
 def test_unknown_config_key(tmp_path):
@@ -376,8 +381,134 @@ def test_malformed_config_line(tmp_path):
 
 def test_config_helpers():
     cfg = RunConfig()
-    assert cfg.layout().lane_width == 3.5
-    assert cfg.thresholds().thw_crit == 0.9
-    assert cfg.peak_params().prominence_min == 0.15
-    assert cfg.default_shape().width == 2.0
-    assert cfg.speed_limit == pytest.approx(120.0 / 3.6)
+    assert cfg.layout.lane_width == 3.5
+    assert cfg.thresholds.thw_crit == 0.9
+    assert cfg.peak.prominence_min == 0.15
+    assert cfg.default_shape.width == 2.0
+    assert cfg.layout.speed_limit == pytest.approx(120.0 / 3.6)
+
+
+def test_config_sections_are_the_library_defaults():
+    cfg = RunConfig()
+    assert cfg.layout == LaneLayout()
+    assert cfg.peak == PeakParams()
+    assert cfg.thresholds == Thresholds()
+    assert cfg.w99 == W99Params()
+    assert cfg.mis == MISConfig()
+    assert cfg.default_shape == VehicleShape()
+
+
+# every config key: (key, text, the RunConfig attribute it sets, parsed value)
+CONFIG_KEYS = [
+    ("lane_count", "4", "layout.lane_count", 4),
+    ("lane_width", "3.75", "layout.lane_width", 3.75),
+    ("speed_limit", "30", "layout.speed_limit", 30.0),
+    ("resample_rate", "10", "resample_rate", 10.0),
+    ("lowpass_cutoff", "1.1", "lowpass_cutoff", 1.1),
+    ("lowpass_aerial", "no", "lowpass_aerial", False),
+    ("distance_threshold", "0.7", "distance_threshold", 0.7),
+    ("prominence_min", "0.2", "peak.prominence_min", 0.2),
+    ("min_peak_separation", "3", "peak.min_peak_separation", 3.0),
+    ("min_lateral_extent", "2", "min_lateral_extent", 2.0),
+    ("d_crit", "1.5", "thresholds.d_crit", 1.5),
+    ("v_factor", "1.2", "thresholds.v_factor", 1.2),
+    ("a_lon_crit", "7", "thresholds.a_lon_crit", 7.0),
+    ("a_lat_crit", "6", "thresholds.a_lat_crit", 6.0),
+    ("thw_crit", "0.8", "thresholds.thw_crit", 0.8),
+    ("dce_crit", "1.1", "thresholds.dce_crit", 1.1),
+    ("ttce_gate", "3", "thresholds.ttce_gate", 3.0),
+    ("bias_grid", "0, 0.5", "bias_grid", (0.0, 0.5)),
+    ("brownian_grid", "0.01", "brownian_grid", (0.01,)),
+    ("sweep_refilter", "Off", "sweep_refilter", False),
+    ("cc0", "2", "w99.cc0", 2.0),
+    ("cc1", "0.5", "w99.cc1", 0.5),
+    ("cc2", "5", "w99.cc2", 5.0),
+    ("cc3", "-7", "w99.cc3", -7.0),
+    ("cc4", "-0.3", "w99.cc4", -0.3),
+    ("cc5", "0.3", "w99.cc5", 0.3),
+    ("cc6", "10", "w99.cc6", 10.0),
+    ("cc7", "0.3", "w99.cc7", 0.3),
+    ("cc8", "3", "w99.cc8", 3.0),
+    ("cc9", "1", "w99.cc9", 1.0),
+    ("v_desired", "30", "w99.v_desired", 30.0),
+    ("sim_dt", "0.1", "sim_dt", 0.1),
+    ("mis_rear_detect_range", "80", "mis.rear_detect_range", 80.0),
+    ("mis_delta_v_min", "3", "mis.delta_v_min", 3.0),
+    ("mis_thw_increase", "1.5", "mis.thw_increase", 1.5),
+    ("mis_comfort_decel_cap", "2", "mis.comfort_decel_cap", 2.0),
+    ("synth_n", "12", "synth_n", 12),
+    ("truck_fraction", "0.5", "truck_fraction", 0.5),
+    ("vehicle_length", "5", "default_shape.length", 5.0),
+    ("vehicle_width", "1.8", "default_shape.width", 1.8),
+    ("marking_tolerance", "0.1", "marking_tolerance", 0.1),
+    ("seed", "9", "seed", 9),
+]
+
+
+def test_config_key_set():
+    # every field name of RunConfig and of its sections, bare and prefixed
+    cfg = RunConfig()
+    candidates = {f.name for f in fields(cfg)}
+    for section, prefix in (("layout", ""), ("peak", ""), ("thresholds", ""), ("w99", ""),
+                            ("mis", "mis_"), ("default_shape", "vehicle_")):
+        candidates |= {name + f.name for f in fields(getattr(cfg, section))
+                       for name in ("", prefix)}
+    known = {key for key, *_ in CONFIG_KEYS}
+    assert len(known) == 42 and known < candidates
+    for key in candidates - known:
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            RunConfig.from_dict({key: "1"})
+
+
+@pytest.mark.parametrize("key,text,attr,value", CONFIG_KEYS, ids=[k[0] for k in CONFIG_KEYS])
+def test_config_key_lands_on_its_field(key, text, attr, value):
+    cfg, default = RunConfig.from_dict({key: text}), RunConfig()
+    if "." in attr:
+        section, name = attr.split(".")
+        got = getattr(getattr(cfg, section), name)
+        expected = replace(default, **{section: replace(getattr(default, section),
+                                                        **{name: value})})
+    else:
+        got = getattr(cfg, attr)
+        expected = replace(default, **{attr: value})
+    assert type(got) is type(value)
+    assert cfg == expected
+
+
+@pytest.mark.parametrize("key", ["rel_height", "cruise_thw", "mis_cruise_thw", "vclass",
+                                 "vehicle_vclass", "layout"])
+def test_unexposed_fields_are_unknown_keys(key):
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        RunConfig.from_dict({key: "0.5"})
+
+
+@pytest.mark.parametrize("key,text,expected", [
+    ("lane_count", "3.0", "config key 'lane_count': expected int, got '3.0'"),
+    ("thw_crit", "fast", "config key 'thw_crit': expected float, got 'fast'"),
+    ("bias_grid", "0, x", "config key 'bias_grid': expected comma list of floats, got '0, x'"),
+    ("sweep_refilter", "maybe", "config key 'sweep_refilter': expected boolean, got 'maybe'"),
+])
+def test_config_coercion_error_names_the_key(key, text, expected):
+    with pytest.raises(ValueError) as err:
+        RunConfig.from_dict({key: text})
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("text,value", [("true", True), ("1", True), ("YES", True), ("On", True),
+                                        ("false", False), ("0", False), ("No", False),
+                                        ("OFF", False)])
+def test_boolean_spellings(text, value):
+    assert lkio.parse_fields({"flag": text}, {"flag": bool}, "config key") == {"flag": value}
+
+
+@pytest.mark.parametrize("key,text,message", [
+    ("thw_crit", "-1", "thw_crit must be positive"),
+    ("lane_count", "0", "lane_count must be >= 1"),
+    ("cc4", "0.1", "require cc4 < 0 < cc5"),
+    ("mis_thw_increase", "0", "thw_increase must be positive"),
+    ("vehicle_width", "5", "require 0 < width < length"),
+    ("prominence_min", "0", "prominence_min must be positive"),
+])
+def test_out_of_range_section_value_fails_on_load(key, text, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig.from_dict({key: text})
