@@ -283,17 +283,49 @@ _MIS_RUN_KEYS = {"mis_on": bool, "inject_front_brake": float, "inject_t": float,
                  "rear_cc1": float, "rear_v_desired": float}
 
 
+_MIS_ROLES = ("ego", "front", "rear")
+
+
+def _mis_roles(raw: dict[str, str], path: str,
+               trajectories: list[Trajectory] | None) -> dict[str, Trajectory] | None:
+    """Role -> tagged trajectory from the ``role.<vehicle_id> = <role>`` keys,
+    which it takes out of ``raw``; None without ``trajectories``.  Each role
+    is tagged exactly once, on a vehicle of the trajectories file."""
+    keys = [k for k in raw if k.startswith("role.")]
+    if trajectories is None:
+        if keys:
+            raise ValueError(f"{path}: scenario key {keys[0]!r} needs a 'trajectories' key")
+        return None
+    by_id = {t.vehicle_id: t for t in trajectories}
+    roles: dict[str, Trajectory] = {}
+    tagged_by: dict[str, str] = {}
+    for key in keys:
+        role, vid = raw.pop(key), key.split(".", 1)[1]
+        if role not in _MIS_ROLES:
+            raise ValueError(f"{path}: scenario key {key!r}: expected ego, front or rear, "
+                             f"got {role!r}")
+        if role in roles:
+            raise ValueError(f"{path}: scenario key {key!r}: role {role!r} already "
+                             f"given by {tagged_by[role]!r}")
+        if vid not in by_id:
+            raise ValueError(f"{path}: scenario key {key!r}: no vehicle {vid!r} "
+                             f"in the trajectories file")
+        roles[role], tagged_by[role] = by_id[vid], key
+    for role in _MIS_ROLES:
+        if role not in roles:
+            raise ValueError(f"{path}: no scenario key 'role.<vehicle_id> = {role}'")
+    return roles
+
+
 def _mis_scenario_from_file(path: str, cfg: lkio.RunConfig):
     raw = lkio.parse_keyvalues(path)
-    roles = {raw.pop(k): k.split(".", 1)[1] for k in list(raw) if k.startswith("role.")}
-    trajectories = _scenario_trajectories(raw, path, cfg)
+    roles = _mis_roles(raw, path, _scenario_trajectories(raw, path, cfg))
     scenario = MISScenario(layout=cfg.layout)
     values = lkio.parse_fields(raw, {**lkio.field_types(scenario), **_MIS_RUN_KEYS},
                                "scenario key", path)
     run = {k: values.pop(k) for k in _MIS_RUN_KEYS if k in values}
-    if trajectories is not None:
-        by_id = {t.vehicle_id: t for t in trajectories}
-        ego, front, rear = by_id[roles["ego"]], by_id[roles["front"]], by_id[roles["rear"]]
+    if roles is not None:
+        ego, front, rear = roles["ego"], roles["front"], roles["rear"]
         values = dict(
             ego_shape=ego.shape, front_shape=front.shape, rear_shape=rear.shape,
             ego_v0=float(ego.v[0]), front_v0=float(front.v[0]), rear_v0=float(rear.v[0]),

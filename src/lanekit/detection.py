@@ -44,12 +44,19 @@ __all__ = [
     "detect_peak",
     "detect_distance",
     "detect_gradient",
+    "displacement",
+    "peak_rel_height",
+    "peak_events",
+    "settle_mask",
+    "distance_events",
     "classify_double",
     "exceedance_predicate",
 ]
 
 DEFAULT_MIN_EXTENT = 2.5  # [m] minimum lateral extent of a reportable event
 DEFAULT_DISTANCE_THRESHOLD = 0.8  # [m] distance criterion's lateral threshold
+DEFAULT_SETTLE_RATE = 0.15  # [m/s] distance criterion: at rest below this |dy/dt|
+DEFAULT_SETTLE_DWELL = 2.0  # [s] distance criterion: rest that confirms a settle
 
 
 class Direction(str, Enum):
@@ -112,10 +119,17 @@ def find_peaks(series: np.ndarray, rate: float, params: PeakParams) -> list[Peak
     """Strict local maxima with topographic prominence >= prominence_min.
 
     Peaks closer than ``min_peak_separation`` keep only the higher one.
+    A series whose range ``max - min`` is below ``prominence_min`` has no
+    peak and returns ``[]`` without calling scipy.  The pre-check is exact:
+    a peak's prominence is its height minus a sample of the series, at most
+    the range, and floating-point subtraction is monotone.  A NaN makes the
+    range NaN, so such a series still goes to scipy.
     """
+    series = np.asarray(series, dtype=float)
+    if series.size and np.ptp(series) < params.prominence_min:
+        return []
     from scipy import signal  # deferred, as in trajectory._zero_phase
 
-    series = np.asarray(series, dtype=float)
     distance = max(1, int(round(params.min_peak_separation * rate)))
     idx, props = signal.find_peaks(series, prominence=params.prominence_min,
                                    distance=distance)
@@ -179,6 +193,23 @@ class _Candidate:
     peak_height: float
 
 
+def displacement(dy: np.ndarray, dt: float) -> np.ndarray:
+    """Cumulative trapezoid integral of ``dy`` along its last axis, 0 first.
+
+    The lateral displacement since the first sample, linearly interpolable
+    between samples.
+    """
+    steps = np.cumsum(0.5 * (dy[..., 1:] + dy[..., :-1]) * dt, axis=-1)
+    return np.concatenate([np.zeros(steps.shape[:-1] + (1,)), steps], axis=-1)
+
+
+def peak_rel_height(params: PeakParams, shape: VehicleShape, layout: LaneLayout) -> float:
+    """The configured relative height, else the one derived from the widths."""
+    if params.rel_height is not None:
+        return params.rel_height
+    return rel_height_from_widths(shape.width, layout.lane_width)
+
+
 def detect_peak(y: ContinuousLateral, shape: VehicleShape, layout: LaneLayout,
                 params: PeakParams | None = None,
                 min_extent: float | None = DEFAULT_MIN_EXTENT) -> list[LaneChangeEvent]:
@@ -193,33 +224,34 @@ def detect_peak(y: ContinuousLateral, shape: VehicleShape, layout: LaneLayout,
     are resolved by keeping the dominant peak.
     """
     params = params or PeakParams()
-    rel_h = params.rel_height
-    if rel_h is None:
-        rel_h = rel_height_from_widths(shape.width, layout.lane_width)
-
     dy = derivative(y.y, y.dt)
-    # cumulative displacement, linearly interpolable between samples
-    disp = np.concatenate([[0.0], np.cumsum(0.5 * (dy[1:] + dy[:-1]) * y.dt)])
+    return peak_events(y.vehicle_id, y.t, dy, displacement(dy, y.dt), y.v, y.rate,
+                       peak_rel_height(params, shape, layout), params, min_extent)
 
+
+def peak_events(vehicle_id: str, t: np.ndarray, dy: np.ndarray, disp: np.ndarray,
+                v: np.ndarray | None, rate: float, rel_h: float, params: PeakParams,
+                min_extent: float | None) -> list[LaneChangeEvent]:
+    """The peak criterion on arrays: ``dy`` the lateral derivative on the
+    sample times ``t`` and ``disp`` its ``displacement``; see detect_peak."""
     candidates: list[_Candidate] = []
     for sign, direction in ((1.0, Direction.LEFT), (-1.0, Direction.RIGHT)):
         # positive part only: excursions of the opposite sign belong to the
         # other direction and must not inflate prominences here
         series = np.maximum(sign * dy, 0.0)
-        for hit in find_peaks(series, y.rate, params):
-            w = peak_width(series, y.t, hit, rel_h)
-            d0 = _interp_at(y.t, disp, w.t_start)
-            d1 = _interp_at(y.t, disp, w.t_end)
+        for hit in find_peaks(series, rate, params):
+            w = peak_width(series, t, hit, rel_h)
+            d0 = _interp_at(t, disp, w.t_start)
+            d1 = _interp_at(t, disp, w.t_end)
             extent = abs(d1 - d0)
             if min_extent is not None and extent <= min_extent:
                 continue
-            t_mid = _half_displacement_time(y.t, disp, w.t_start, w.t_end,
-                                            d0, d1, fallback=float(y.t[hit.index]))
-            v_mid = (_interp_at(y.t, y.v, float(y.t[hit.index]))
-                     if y.v is not None else math.nan)
+            t_mid = _half_displacement_time(t, disp, w.t_start, w.t_end,
+                                            d0, d1, fallback=float(t[hit.index]))
+            v_mid = _interp_at(t, v, float(t[hit.index])) if v is not None else math.nan
             candidates.append(_Candidate(
                 LaneChangeEvent(
-                    vehicle_id=y.vehicle_id,
+                    vehicle_id=vehicle_id,
                     t_start=w.t_start,
                     t_mid=t_mid,
                     t_end=w.t_end,
@@ -283,8 +315,9 @@ def exceedance_predicate(y: np.ndarray, center: float, threshold: float) -> np.n
 
 
 def detect_distance(y: ContinuousLateral, layout: LaneLayout,
-                    threshold: float = DEFAULT_DISTANCE_THRESHOLD, settle_rate: float = 0.15,
-                    settle_dwell: float = 2.0) -> list[LaneChangeEvent]:
+                    threshold: float = DEFAULT_DISTANCE_THRESHOLD,
+                    settle_rate: float = DEFAULT_SETTLE_RATE,
+                    settle_dwell: float = DEFAULT_SETTLE_DWELL) -> list[LaneChangeEvent]:
     """Distance criterion: displacement from lane center beyond ``threshold``.
 
     An event opens at the first exceedance against the currently settled
@@ -298,70 +331,112 @@ def detect_distance(y: ContinuousLateral, layout: LaneLayout,
     geometry, so a constant lateral bias displaces both the exceedance
     predicate and the settle band.
     """
+    nearest, rests = settle_mask(y.y, derivative(y.y, y.dt), layout, threshold, settle_rate)
+    return distance_events(y.vehicle_id, y.t, y.y, y.v, nearest, rests, layout,
+                           threshold, settle_dwell)
+
+
+def settle_mask(y: np.ndarray, dy: np.ndarray, layout: LaneLayout, threshold: float,
+                settle_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest lane of each sample, and whether the vehicle rests there:
+    within ``threshold`` of its center with ``|dy| <= settle_rate``.
+
+    Elementwise, so ``y`` and ``dy`` may hold one row per signal.
+    """
     if not (0.0 < threshold < layout.lane_width / 2.0):
         raise ValueError("threshold must be in (0, lane_width/2)")
-    t = y.t
-    yy = y.y
-    rate = np.abs(derivative(yy, y.dt))
-    w = layout.lane_width
-    nearest = layout.nearest_lane(yy)
-    # settle test against the nearest lane; the loop adds "not the settled lane"
-    rests = ((np.abs(yy - nearest * w) <= threshold)
-             & (rate <= settle_rate)).tolist()
-    ts, ys, lanes = t.tolist(), yy.tolist(), nearest.tolist()
-    n = len(ts)
+    nearest = layout.nearest_lane(y)
+    rests = ((np.abs(y - nearest * layout.lane_width) <= threshold)
+             & (np.abs(dy) <= settle_rate))
+    return nearest, rests
 
+
+def _next_index(idx: np.ndarray, start: int, n: int) -> int:
+    """First entry of the sorted indices ``idx`` at or after ``start``, else n."""
+    k = int(idx.searchsorted(start))
+    return int(idx[k]) if k < len(idx) else n
+
+
+def _first_settle(t: np.ndarray, nearest: np.ndarray, away: np.ndarray, lo: int,
+                  hi: int, settle_dwell: float) -> tuple[int, int] | None:
+    """(run start, confirming index) of the first run that confirms a settle.
+
+    A run is a stretch of ``away`` samples (at rest in a lane other than the
+    settled one) in one lane; it may start no earlier than ``lo`` and
+    confirms at its first sample ``settle_dwell`` after its start, before
+    ``hi``.  None when no run inside [lo, hi) confirms.
+    """
+    ok = away[lo:hi]
+    lanes = nearest[lo:hi]
+    starts = ok.copy()
+    starts[1:] &= ~(ok[:-1] & (lanes[1:] == lanes[:-1]))
+    run_start = np.maximum.accumulate(np.where(starts, np.arange(len(ok)), 0))
+    tt = t[lo:hi]
+    done = np.flatnonzero(ok & (tt - tt[run_start] >= settle_dwell))
+    if len(done) == 0:
+        return None
+    k = int(done[0])
+    return lo + int(run_start[k]), lo + k
+
+
+def distance_events(vehicle_id: str, t: np.ndarray, y: np.ndarray, v: np.ndarray | None,
+                    nearest: np.ndarray, rests: np.ndarray, layout: LaneLayout,
+                    threshold: float, settle_dwell: float) -> list[LaneChangeEvent]:
+    """The distance criterion on arrays: ``nearest`` and ``rests`` as from
+    ``settle_mask``; see detect_distance.
+
+    While the settled lane holds, the exceedances, the returns home and
+    the samples at rest in another lane are each found once, so a
+    maneuver costs a few index lookups unless the vehicle comes to rest
+    elsewhere.
+    """
+    n = len(t)
+    w = layout.lane_width
     events: list[LaneChangeEvent] = []
-    settled = lanes[0]
+    settled = int(nearest[0])
     i = 0
     while i < n:
         center = layout.center(settled)
-        # no maneuver open: jump to the next exceedance
-        hits = np.flatnonzero(np.abs(yy[i:] - center) > threshold)
-        if len(hits) == 0:
-            break
-        i += int(hits[0])
-        t_exceed = ts[i]
-        cand_lane: int | None = None
-        cand_t0 = 0.0
-        for i in range(i + 1, n):
-            lane_i = lanes[i]
-            if lane_i == settled:
-                if abs(ys[i] - center) <= threshold:
-                    break  # returned home, abandoned maneuver
-                cand_lane = None
-                continue
-            if not rests[i]:
-                cand_lane = None
-                continue
-            if cand_lane != lane_i:
-                cand_lane = lane_i
-                cand_t0 = ts[i]
-            if ts[i] - cand_t0 < settle_dwell:
-                continue
-            # settle confirmed; the event ends where the rest began
-            direction = Direction.LEFT if lane_i > settled else Direction.RIGHT
-            step = 1 if lane_i > settled else -1
-            boundary = center + step * w / 2.0
-            t_mid = _boundary_cross_time(t, yy, t_exceed, cand_t0, boundary)
-            v_mid = (_interp_at(t, y.v, t_mid) if y.v is not None else math.nan)
-            events.append(LaneChangeEvent(
-                vehicle_id=y.vehicle_id,
-                t_start=t_exceed,
-                t_mid=t_mid,
-                t_end=cand_t0,
-                duration=cand_t0 - t_exceed,
-                direction=direction,
-                v_mid=v_mid,
-                # center-to-center displacement: the settle window clips the
-                # transition tails, so the raw |dy| would under-measure
-                lateral_extent=abs(lane_i - settled) * w,
-                criterion="distance",
-            ))
-            settled = lane_i
-            break
-        else:
-            break  # the record ends inside a maneuver
+        dev = np.abs(y - center)
+        exceed = np.flatnonzero(dev > threshold)
+        home = np.flatnonzero((nearest == settled) & (dev <= threshold))
+        away = rests & (nearest != settled)
+        away_idx = np.flatnonzero(away)
+        while True:
+            start = _next_index(exceed, i, n)
+            if start == n:
+                return events
+            back = _next_index(home, start + 1, n)  # returned home, abandoned
+            first = _next_index(away_idx, start + 1, n)
+            settle = (_first_settle(t, nearest, away, first, back, settle_dwell)
+                      if first < back else None)
+            if settle is not None:
+                break
+            if back == n:
+                return events  # the record ends inside a maneuver
+            i = back + 1
+        run, i = settle
+        t_exceed = float(t[start])
+        t_settle = float(t[run])
+        lane = int(nearest[i])
+        # settle confirmed; the event ends where the rest began
+        direction = Direction.LEFT if lane > settled else Direction.RIGHT
+        step = 1 if lane > settled else -1
+        t_mid = _boundary_cross_time(t, y, t_exceed, t_settle, center + step * w / 2.0)
+        events.append(LaneChangeEvent(
+            vehicle_id=vehicle_id,
+            t_start=t_exceed,
+            t_mid=t_mid,
+            t_end=t_settle,
+            duration=t_settle - t_exceed,
+            direction=direction,
+            v_mid=_interp_at(t, v, t_mid) if v is not None else math.nan,
+            # center-to-center displacement: the settle window clips the
+            # transition tails, so the raw |dy| would under-measure
+            lateral_extent=abs(lane - settled) * w,
+            criterion="distance",
+        ))
+        settled = lane
         i += 1
     return events
 

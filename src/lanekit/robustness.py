@@ -14,20 +14,28 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .detection import (
+from .detection import (  # noqa: F401 - detect_*: perfbench/tracer.py wraps them here
     DEFAULT_DISTANCE_THRESHOLD,
+    DEFAULT_SETTLE_DWELL,
+    DEFAULT_SETTLE_RATE,
     LaneChangeEvent,
     PeakParams,
     detect_distance,
     detect_peak,
+    displacement,
+    distance_events,
+    peak_events,
+    peak_rel_height,
+    settle_mask,
 )
-from .trajectory import (  # noqa: F401 - lowpass: perfbench/tracer.py wraps it here
+from .trajectory import (  # noqa: F401 - lowpass, continuous_lateral: as detect_* above
     DEFAULT_CUTOFF,
     InsufficientSamplesError,
     LaneLayout,
     LaneRangeError,
     Trajectory,
     _zero_phase,
+    check_lane_range,
     continuous_lateral,
     lowpass,
 )
@@ -53,7 +61,6 @@ class Perturbation:
 
     kind: str  # {"bias", "brownian"}
     magnitude: float
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in ("bias", "brownian"):
@@ -127,6 +134,17 @@ def _perturbed_lat(traj: Trajectory, pert: Perturbation, seed: int, gi: int,
     return traj.lat + _brownian_walk(len(traj.t), pert.magnitude, stream)
 
 
+def _row_key(pert: Perturbation, gi: int) -> object:
+    """Equal for grid points that perturb every vehicle alike: no
+    perturbation at all, or the same bias.  A Brownian point draws its own
+    stream, so it is keyed by its grid index."""
+    if pert.magnitude == 0.0:
+        return None
+    if pert.kind == "bias":
+        return ("bias", pert.magnitude)
+    return ("brownian", gi)
+
+
 def sweep(corpus: _CorpusLike, criterion: str | Sequence[str],
           grid: Sequence[Perturbation], layout: LaneLayout,
           params: PeakParams | None = None, distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD,
@@ -137,15 +155,20 @@ def sweep(corpus: _CorpusLike, criterion: str | Sequence[str],
     Perturbations are added to the lateral channel at the trajectories'
     own rate; with ``refilter`` the low-pass runs again afterwards,
     modelling raw measurement error entering before preprocessing.  Each
-    vehicle is perturbed and filtered once per grid point, all grid points
-    in one filter call, and every criterion runs on that signal.  Random
-    streams are keyed by (seed, grid index, trajectory index) so
-    evaluation order does not change results.  The points come back per
-    criterion in the given order, each in grid order.  The peak criterion
-    runs without the minimum lateral-extent filter by default, counting
-    raw detections.  A vehicle too short to filter or with a lane index
-    outside ``layout`` is left out and listed in ``skipped`` with the
-    reason.
+    vehicle is evaluated once on its stacked grid signal: its perturbed
+    ``lat`` rows, one per distinct grid point, are filtered in one call,
+    and the continuous lateral position, its derivative (one
+    ``np.gradient`` for all rows), the displacement and the settle mask
+    are computed once for the stack; every criterion then runs its
+    detector kernel on each row, sharing the derivative.  Grid points that
+    perturb alike (no perturbation, or a repeated bias) are computed once
+    and their count reused.  Random streams are keyed by (seed, grid
+    index, trajectory index) so evaluation order does not change results.
+    The points come back per criterion in the given order, each in grid
+    order.  The peak criterion runs without the minimum lateral-extent
+    filter by default, counting raw detections.  A vehicle too short to
+    filter or with a lane index outside ``layout`` is left out and listed
+    in ``skipped`` with the reason.
     """
     criteria = (criterion,) if isinstance(criterion, str) else tuple(criterion)
     for name in criteria:
@@ -156,28 +179,42 @@ def sweep(corpus: _CorpusLike, criterion: str | Sequence[str],
     truth = len(corpus.truth_events)
     if not grid:
         return RobustnessReport(())
+    params = params or PeakParams()
 
-    detected = {name: [0] * len(grid) for name in criteria}
+    keys = [_row_key(pert, gi) for gi, pert in enumerate(grid)]
+    distinct = list(dict.fromkeys(keys))
+    computed = [keys.index(key) for key in distinct]  # grid index of each row
+    detected = {name: [0] * len(distinct) for name in criteria}
     skipped = []
     for ti, traj in enumerate(corpus.trajectories):
-        lat = np.stack([_perturbed_lat(traj, pert, seed, gi, ti)
-                        for gi, pert in enumerate(grid)])
+        lat = np.stack([_perturbed_lat(traj, grid[gi], seed, gi, ti) for gi in computed])
         try:
             if refilter:
                 lat = _zero_phase(traj, lat, cutoff, layout, lateral=True)
-            ys = [continuous_lateral(traj, layout, row) for row in lat]
+            check_lane_range(traj, layout)
         except (InsufficientSamplesError, LaneRangeError) as exc:
             skipped.append((traj.vehicle_id, str(exc)))
             continue
-        for gi, y in enumerate(ys):
+        y = traj.lane * layout.lane_width + lat
+        dy = np.gradient(y, traj.dt, axis=-1)
+        if "peak" in criteria:
+            disp = displacement(dy, traj.dt)
+            rel_h = peak_rel_height(params, traj.shape, layout)
+        if "distance" in criteria:
+            nearest, rests = settle_mask(y, dy, layout, distance_threshold,
+                                         DEFAULT_SETTLE_RATE)
+        for r in range(len(distinct)):
             for name in criteria:
                 if name == "peak":
-                    events = detect_peak(y, traj.shape, layout, params,
-                                         min_extent=min_extent)
+                    events = peak_events(traj.vehicle_id, traj.t, dy[r], disp[r], traj.v,
+                                         traj.rate, rel_h, params, min_extent)
                 else:
-                    events = detect_distance(y, layout, distance_threshold)
-                detected[name][gi] += len(events)
+                    events = distance_events(traj.vehicle_id, traj.t, y[r], traj.v,
+                                             nearest[r], rests[r], layout,
+                                             distance_threshold, DEFAULT_SETTLE_DWELL)
+                detected[name][r] += len(events)
 
     return RobustnessReport(tuple(
-        RobustnessPoint(name, pert.kind, pert.magnitude, detected[name][gi], truth)
+        RobustnessPoint(name, pert.kind, pert.magnitude,
+                        detected[name][distinct.index(keys[gi])], truth)
         for name in criteria for gi, pert in enumerate(grid)), tuple(skipped))

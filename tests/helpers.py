@@ -207,8 +207,10 @@ def assert_same_record(got, want) -> None:
 
 # ---------------------------------------------------------------------------
 # Reference sweep: the two-pass, per-criterion loop the one-pass sweep
-# replaced, with its per-call filter design and the per-sample distance
-# criterion.  Test-only; the library must match it exactly.
+# replaced, with its per-call filter design, a ContinuousLateral and two
+# derivatives per grid point, the peak criterion before its array kernel
+# and range pre-check, and the per-sample distance criterion.  Test-only;
+# the library must match it exactly.
 
 def ref_lowpass_lat(traj, cutoff, layout):
     """``lat`` filtered as one composite row, the filter designed per call."""
@@ -231,9 +233,111 @@ def ref_perturb(traj, pert, stream):
     return traj.with_channels(lat=traj.lat + np.concatenate([[0.0], np.cumsum(steps)]))
 
 
+def _ref_find_peaks(series, rate, params):
+    """Strict local maxima by scipy, always called: no range pre-check."""
+    from lanekit.detection import PeakHit
+    from scipy import signal
+    series = np.asarray(series, dtype=float)
+    distance = max(1, int(round(params.min_peak_separation * rate)))
+    idx, props = signal.find_peaks(series, prominence=params.prominence_min,
+                                   distance=distance)
+    return [PeakHit(int(i), float(series[i]), float(p))
+            for i, p in zip(idx, props["prominences"])]
+
+
+def _ref_cross_time(t, x, i, j, level):
+    x0, x1 = x[i], x[j]
+    if x1 == x0:
+        return float(t[i])
+    frac = (level - x0) / (x1 - x0)
+    return float(t[i] + frac * (t[j] - t[i]))
+
+
+def _ref_peak_width(series, t, peak, rel_height):
+    """(t_start, t_end, duration, truncated) of a peak, walking sample by sample."""
+    series = np.asarray(series, dtype=float)
+    level = peak.height - rel_height * peak.prominence
+    p = peak.index
+    left = None
+    for i in range(p - 1, -1, -1):
+        if series[i] <= level:
+            left = _ref_cross_time(t, series, i, i + 1, level)
+            break
+    right = None
+    for i in range(p + 1, len(series)):
+        if series[i] <= level:
+            right = _ref_cross_time(t, series, i - 1, i, level)
+            break
+    truncated = left is None or right is None
+    t_start = float(t[0]) if left is None else left
+    t_end = float(t[-1]) if right is None else right
+    return t_start, t_end, t_end - t_start, truncated
+
+
+def _ref_half_displacement_time(t, disp, t0, t1, d0, d1, fallback):
+    target = d0 + 0.5 * (d1 - d0)
+    mask = (t >= t0) & (t <= t1)
+    if not np.any(mask):
+        return fallback
+    tt = t[mask]
+    dd = disp[mask]
+    sign = 1.0 if d1 >= d0 else -1.0
+    gd = sign * dd
+    gt = sign * target
+    hit = np.nonzero((gd[:-1] <= gt) & (gd[1:] >= gt))[0]
+    if len(hit) == 0:
+        return fallback
+    i = int(hit[0])
+    if gd[i + 1] == gd[i]:
+        return float(tt[i])
+    frac = (gt - gd[i]) / (gd[i + 1] - gd[i])
+    return float(tt[i] + frac * (tt[i + 1] - tt[i]))
+
+
+def ref_detect_peak(y, shape, layout, params=None, min_extent=2.5):
+    """The peak criterion on one ContinuousLateral, as one function."""
+    from lanekit.detection import (
+        Direction,
+        LaneChangeEvent,
+        PeakParams,
+        _Candidate,
+        _interp_at,
+        _resolve_opposite_overlaps,
+        rel_height_from_widths,
+    )
+    from lanekit.trajectory import derivative
+    params = params or PeakParams()
+    rel_h = params.rel_height
+    if rel_h is None:
+        rel_h = rel_height_from_widths(shape.width, layout.lane_width)
+    dy = derivative(y.y, y.dt)
+    disp = np.concatenate([[0.0], np.cumsum(0.5 * (dy[1:] + dy[:-1]) * y.dt)])
+    candidates = []
+    for sign, direction in ((1.0, Direction.LEFT), (-1.0, Direction.RIGHT)):
+        series = np.maximum(sign * dy, 0.0)
+        for hit in _ref_find_peaks(series, y.rate, params):
+            t_start, t_end, duration, truncated = _ref_peak_width(series, y.t, hit, rel_h)
+            d0 = _interp_at(y.t, disp, t_start)
+            d1 = _interp_at(y.t, disp, t_end)
+            extent = abs(d1 - d0)
+            if min_extent is not None and extent <= min_extent:
+                continue
+            t_mid = _ref_half_displacement_time(y.t, disp, t_start, t_end, d0, d1,
+                                                fallback=float(y.t[hit.index]))
+            v_mid = (_interp_at(y.t, y.v, float(y.t[hit.index]))
+                     if y.v is not None else math.nan)
+            candidates.append(_Candidate(
+                LaneChangeEvent(vehicle_id=y.vehicle_id, t_start=t_start, t_mid=t_mid,
+                                t_end=t_end, duration=duration, direction=direction,
+                                v_mid=v_mid, lateral_extent=extent, truncated=truncated,
+                                criterion="peak"),
+                hit.height))
+    candidates.sort(key=lambda c: (c.event.t_start, c.event.t_mid))
+    return [c.event for c in _resolve_opposite_overlaps(candidates)]
+
+
 def ref_sweep(corpus, criterion, grid, layout, params=None, distance_threshold=0.8,
               seed=0, refilter=True, cutoff=1.3, min_extent=None):
-    from lanekit.detection import detect_peak
     from lanekit.robustness import RobustnessPoint, RobustnessReport
     from lanekit.trajectory import continuous_lateral
     truth = len(corpus.truth_events)
@@ -247,7 +351,8 @@ def ref_sweep(corpus, criterion, grid, layout, params=None, distance_threshold=0
                 perturbed = ref_lowpass_lat(perturbed, cutoff, layout)
             y = continuous_lateral(perturbed, layout)
             if criterion == "peak":
-                events = detect_peak(y, traj.shape, layout, params, min_extent=min_extent)
+                events = ref_detect_peak(y, traj.shape, layout, params,
+                                         min_extent=min_extent)
             else:
                 events = ref_detect_distance(y, layout, distance_threshold)
             detected += len(events)

@@ -251,7 +251,9 @@ rear_gap0 = 110
     assert report["planned_decel"] == pytest.approx(1.0, abs=0.2)
 
 
-def test_mis_eval_role_tagged_trajectories(tmp_path):
+@pytest.fixture
+def roles_csv(tmp_path):
+    """roles.csv with an ego 'e', its front 'f' and a faster rear 'r'."""
     import numpy as np
     from lanekit.io import write_trajectories
     from helpers import make_trajectory
@@ -264,6 +266,10 @@ def test_mis_eval_role_tagged_trajectories(tmp_path):
     rear = make_trajectory(t, np.zeros(len(t)), v=42.0, vehicle_id="r", markings=False)
     rear = rear.with_channels(s=-114.8 + 42.0 * t)
     write_trajectories(tmp_path / "roles.csv", [ego, front, rear])
+    return tmp_path / "roles.csv"
+
+
+def test_mis_eval_role_tagged_trajectories(tmp_path, roles_csv):
     scenario = tmp_path / "mis_roles.cfg"
     scenario.write_text("""
 trajectories = roles.csv
@@ -276,6 +282,28 @@ duration = 45
     assert run("mis-eval", "--scenario", scenario, "--out", out) == 0
     report = json.loads((out / "mis_report.json").read_text())
     assert report["engaged"] is True
+
+
+ROLES_CSV = "trajectories = roles.csv\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (ROLES_CSV + "role.e = ego\nrole.f = frnt\nrole.r = rear\n",
+     "scenario key 'role.f': expected ego, front or rear, got 'frnt'"),
+    (ROLES_CSV + "role.e = ego\nrole.r = rear\n", "no scenario key 'role.<vehicle_id> = front'"),
+    (ROLES_CSV + "role.e = ego\nrole.f = front\nrole.r = front\n",
+     "scenario key 'role.r': role 'front' already given by 'role.f'"),
+    (ROLES_CSV + "role.x = ego\nrole.f = front\nrole.r = rear\n",
+     "scenario key 'role.x': no vehicle 'x' in the trajectories file"),
+    ("role.e = ego\nrole.f = front\nrole.r = rear\n",
+     "scenario key 'role.e' needs a 'trajectories' key"),
+], ids=["misspelt", "missing", "twice", "unknown-id", "no-trajectories"])
+def test_mis_eval_role_errors_name_file_and_key(tmp_path, roles_csv, capsys, text, message):
+    scenario = tmp_path / "bad_roles.cfg"
+    scenario.write_text(text)
+    assert run("mis-eval", "--scenario", scenario, "--out", tmp_path / "mis") == 1
+    assert f"bad_roles.cfg: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "mis" / "mis_report.json").exists()
 
 
 MIS_FIXTURE = "ego_v0 = 30\nfront_v0 = 30\nrear_v0 = 42\nfront_gap0 = 29\nrear_gap0 = 110\n"

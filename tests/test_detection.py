@@ -29,6 +29,7 @@ from helpers import (
     lane_keeping,
     make_trajectory,
     ref_detect_distance,
+    ref_detect_peak,
     sigmoid_lane_change,
     sigmoid_profile,
 )
@@ -79,6 +80,16 @@ def test_two_bumps_within_separation_keep_higher():
     hits = find_peaks(sig, 5.0, PeakParams(min_peak_separation=5.0))
     assert len(hits) == 1
     assert t[hits[0].index] == pytest.approx(11.0, abs=0.2)
+
+
+def test_range_equal_to_prominence_min_still_finds_the_peak():
+    # the range pre-check must let a series through whose range equals
+    # prominence_min: the peak's prominence is then exactly the minimum
+    sig = np.array([0.0, 0.0, 0.15, 0.0, 0.0])
+    assert np.ptp(sig) == 0.15
+    hits = find_peaks(sig, 5.0, PeakParams(prominence_min=0.15))
+    assert hits == [PeakHit(2, 0.15, 0.15)]
+    assert find_peaks(sig, 5.0, PeakParams(prominence_min=np.nextafter(0.15, 1.0))) == []
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +264,17 @@ def test_distance_dwell_exactly_settle_dwell(hold, count):
     assert len(assert_distance_like_reference(y, settle_dwell=2.0)) == count
 
 
+@pytest.mark.parametrize("hold,count", [(9, 0), (10, 1)])
+def test_distance_rest_run_starts_after_the_exceedance(hold, count):
+    # a settle rate so loose that the exceeding sample 8 already rests in
+    # lane 1; the rest run still starts at sample 9, so the dwell of 2.0 s
+    # needs samples 9-17, that is hold >= 10
+    y = lateral([0.0] * 8 + [3.5] * hold + [0.0] * 4)
+    events = assert_distance_like_reference(y, settle_rate=100.0)
+    assert len(events) == count
+    assert [e.t_end for e in events] == [9 * 0.25] * count
+
+
 @st.composite
 def lane_signals(draw):
     rate = draw(st.sampled_from([4.0, 5.0, 25.0]))
@@ -275,9 +297,46 @@ def lane_signals(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(lane_signals(), st.sampled_from([0.5, 0.8, 1.2]))
-def test_distance_matches_reference_on_random_signals(y, threshold):
-    assert_distance_like_reference(y, threshold=threshold)
+@given(lane_signals(), st.sampled_from([0.5, 0.8, 1.2]), st.sampled_from([0.15, 0.15, 20.0]))
+def test_distance_matches_reference_on_random_signals(y, threshold, settle_rate):
+    assert_distance_like_reference(y, threshold=threshold, settle_rate=settle_rate)
+
+
+@st.composite
+def peak_signals(draw):
+    """Lane changes of random timing and size, optionally on a random walk."""
+    rate = draw(st.sampled_from([5.0, 25.0]))
+    t = np.arange(draw(st.integers(2, int(40 * rate)))) / rate
+    y = np.full(len(t), draw(st.sampled_from([0.0, 3.5, 5.0])))
+    for _ in range(draw(st.integers(0, 3))):
+        y += sigmoid_profile(t, t_mid=draw(st.floats(-5.0, 45.0)),
+                             duration=draw(st.floats(0.5, 10.0)),
+                             amplitude=draw(st.sampled_from([3.5, -3.5, 0.4, 7.0])))
+    noise = draw(st.sampled_from([0.0, 0.0, 0.005, 0.05]))
+    seed = draw(st.integers(0, 2**16))
+    y = y + np.cumsum(np.random.default_rng(seed).normal(0.0, noise, len(t)))
+    return lateral(y, rate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(peak_signals(), st.sampled_from([None, 0.0, 2.5]),
+       st.sampled_from(["below", "at", "above", "default"]), st.sampled_from([1.0, -1.0]),
+       st.sampled_from([None, 0.3, 0.7]))
+def test_peak_matches_reference_on_random_signals(y, min_extent, edge, sign, rel_height):
+    # prominence_min just below, exactly at or just above the largest peak
+    # of one rectified derivative, where the range pre-check decides
+    top = float(np.ptp(np.maximum(sign * np.gradient(y.y, y.dt), 0.0)))
+    if edge == "default" or top == 0.0:
+        prominence = 0.15
+    else:
+        prominence = {"below": np.nextafter(top, 0.0), "at": top,
+                      "above": np.nextafter(top, np.inf)}[edge]
+    params = PeakParams(prominence_min=float(prominence), rel_height=rel_height)
+    got = detect_peak(y, CAR, LAYOUT, params, min_extent=min_extent)
+    want = ref_detect_peak(y, CAR, LAYOUT, params, min_extent=min_extent)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_same_record(a, b)
 
 
 def test_exceedance_predicate_shift():

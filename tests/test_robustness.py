@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lanekit.io import RunConfig
 from lanekit.robustness import (
     GroundTruthError,
     Perturbation,
@@ -18,6 +19,8 @@ def test_perturbation_validation():
         Perturbation("bias", -0.1)
     with pytest.raises(ValueError):
         Perturbation("gaussian", 0.1)
+    with pytest.raises(TypeError):  # streams come from sweep's seed alone
+        Perturbation("brownian", 0.01, seed=5)
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +152,33 @@ def test_report_series_sorted(corpus):
 
 BIAS_GRID = [Perturbation("bias", b) for b in (0.0, 0.5, 1.0, 1.5)]
 BROWNIAN_GRID = [Perturbation("brownian", s) for s in (0.0, 0.01, 0.05)]
+# both zero points perturb alike, as do the two bias 0.05 points; the two
+# Brownian 0.05 points draw different streams, and a bias and a Brownian
+# point share a magnitude
+MIXED_GRID = [Perturbation("bias", 0.0), Perturbation("brownian", 0.0),
+              Perturbation("brownian", 0.05), Perturbation("bias", 0.05),
+              Perturbation("brownian", 0.05), Perturbation("bias", 1.5),
+              Perturbation("bias", 0.05)]
+DEFAULT_GRID = ([Perturbation("bias", b) for b in RunConfig().bias_grid]
+                + [Perturbation("brownian", s) for s in RunConfig().brownian_grid])
 
 
 @pytest.fixture(scope="module")
 def sample():
-    return generate_corpus(n=24, seed=3)
+    """24 synthetic 5 Hz vehicles and one 25 Hz vehicle changing lanes twice."""
+    from helpers import make_trajectory, sigmoid_profile
+    corpus = generate_corpus(n=24, seed=3)
+    t = np.arange(0.0, 30.0, 0.04)
+    y = (sigmoid_profile(t, 9.0, 5.0, 3.5) + sigmoid_profile(t, 21.0, 4.0, -3.5)
+         + np.cumsum(np.random.default_rng(4).normal(0.0, 0.002, len(t))))
+    fast = make_trajectory(t, y, vehicle_id="fast", markings=False)
+    return SyntheticCorpus((*corpus.trajectories, fast), corpus.truth_events,
+                           corpus.layout, corpus.seed)
 
 
 @pytest.mark.parametrize("refilter", [True, False])
-@pytest.mark.parametrize("grid", [BIAS_GRID, BROWNIAN_GRID], ids=["bias", "brownian"])
+@pytest.mark.parametrize("grid", [BIAS_GRID, BROWNIAN_GRID, MIXED_GRID, DEFAULT_GRID],
+                         ids=["bias", "brownian", "mixed", "default"])
 def test_one_pass_sweep_matches_two_pass_reference(sample, grid, refilter):
     from helpers import ref_sweep
     got = sweep(sample, ("peak", "distance"), grid, sample.layout, seed=9,
