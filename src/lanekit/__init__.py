@@ -5,6 +5,7 @@ from .criticality import (
     Encounter,
     KinState,
     Thresholds,
+    critical_records,
     direction_stats,
     encounter,
     euclidean_distance,

@@ -19,7 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import io as lkio
-from .criticality import METRIC_NAMES, direction_stats, most_critical
+from .criticality import (  # noqa: F401 - most_critical: perfbench/tracer.py wraps it here
+    METRIC_NAMES,
+    critical_records,
+    direction_stats,
+    most_critical,
+)
 from .detection import (
     EventKind,
     classify_double,
@@ -161,17 +166,19 @@ def cmd_criticality(args) -> int:
             print(f"warning: vehicle {traj.vehicle_id} skipped: {exc}", file=sys.stderr)
             continue
         trajectories.append(traj)
-    by_id = {t.vehicle_id: t for t in trajectories}
-    events = [e for e in lkio.read_events(args.events) if e.kind is EventKind.SINGLE]
-
-    records = []
-    for ev in events:
-        ego = by_id.get(ev.vehicle_id)
-        if ego is None:
+    known = {t.vehicle_id for t in trajectories}
+    windows, missing = [], []
+    for ev in lkio.read_events(args.events):
+        if ev.kind is not EventKind.SINGLE:
             continue
-        # most_critical skips the ego among the opponents
-        records.append(most_critical(ego, trajectories, (ev.t_start, ev.t_end),
-                                     layout, thresholds, ev.direction.value))
+        if ev.vehicle_id in known:
+            windows.append((ev.vehicle_id, (ev.t_start, ev.t_end), ev.direction.value))
+        else:
+            missing.append(ev.vehicle_id)
+    if missing:
+        print(f"warning: {len(missing)} events skipped: vehicle not in trajectories "
+              f"(ids {', '.join(dict.fromkeys(missing))})", file=sys.stderr)
+    records = critical_records(trajectories, windows, layout, thresholds)
     lkio.write_records(out / "criticality_records.csv", records)
 
     # histogram data per metric, threshold marker included

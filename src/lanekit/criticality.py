@@ -12,11 +12,14 @@ accelerations).
 The four pairwise metrics come from one array kernel, ``encounter``: it
 takes the ego and opponent states as ``KinState`` objects whose channels
 (``s``, ``y``, ``vs``, ``vy``) are equal-length arrays or floats, and
-returns d, THW, TTCE and DCE elementwise.  ``most_critical`` calls its
-kernel once per event, on the concatenated time overlaps of all opponents
-with the event window, each sample with its own opponent's footprint;
-``euclidean_distance``, ``thw`` and ``ttce_dce`` are scalar wrappers
-around it.
+returns d, THW, TTCE and DCE elementwise; ``euclidean_distance``, ``thw``
+and ``ttce_dce`` are scalar wrappers around it.
+
+``critical_records`` evaluates every event window of a file at once.  It
+interpolates each vehicle once onto one grid shared by all egos, the
+distinct sample times inside their windows, and calls the kernel once per
+ego over all its windows, each sample with its own opponent's footprint.
+``most_critical`` is its one-window case.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "ttce_dce",
     "time_overlap",
     "most_critical",
+    "critical_records",
     "direction_stats",
     "METRIC_NAMES",
 ]
@@ -206,21 +210,23 @@ def classify(values: Mapping[str, float], thresholds: Thresholds,
     }
 
 
-def _window_mask(t: np.ndarray, window: tuple[float, float]) -> np.ndarray:
-    return (t >= window[0]) & (t <= window[1])
-
-
 def time_overlap(t: np.ndarray, other_t: np.ndarray) -> slice:
     """Slice of the increasing grid ``t`` inside ``[other_t[0], other_t[-1]]``."""
     return slice(int(np.searchsorted(t, other_t[0], side="left")),
                  int(np.searchsorted(t, other_t[-1], side="right")))
 
 
+def _window_span(t: np.ndarray, window: tuple[float, float]) -> tuple[int, int]:
+    """The samples of the increasing grid ``t`` in ``window``, as a range."""
+    inside = np.flatnonzero((t >= window[0]) & (t <= window[1]))
+    return (int(inside[0]), int(inside[-1]) + 1) if len(inside) else (0, 0)
+
+
 def _lateral(traj: Trajectory, layout: LaneLayout) -> tuple[np.ndarray, np.ndarray]:
     """Continuous lateral position and its rate, computed once per vehicle.
 
     Trajectories are immutable, so the result is memoised on the instance
-    (per layout) for every later event that meets the same vehicle.
+    (per layout) for every later call that meets the same vehicle.
     """
     memo = traj.__dict__.setdefault("_lateral_memo", {})
     if layout not in memo:
@@ -233,42 +239,136 @@ def _nanmin(x: np.ndarray) -> float:
     return float(np.fmin.reduce(x)) if len(x) else math.nan
 
 
-def _pairwise_minima(ego: Trajectory, opponents: Sequence[Trajectory],
-                     in_window: np.ndarray, layout: LaneLayout,
-                     ttce_gate: float) -> tuple[float, float, float, float]:
-    """Minimum d, THW, TTCE and gated DCE over the window samples
-    ``in_window`` of ``ego`` and every opponent covering them; nan if none."""
-    t = ego.t[in_window]
-    rivals = [opp for opp in opponents if opp.vehicle_id != ego.vehicle_id]
-    if not len(t) or not rivals:
-        return math.nan, math.nan, math.nan, math.nan
-    # rival i covers the window slice lo[i]:hi[i], as in ``time_overlap``
-    lo = np.searchsorted(t, [opp.t[0] for opp in rivals], side="left")
-    hi = np.searchsorted(t, [opp.t[-1] for opp in rivals], side="right")
-    overlapping = np.flatnonzero(hi > lo)
-    if not len(overlapping):
-        return math.nan, math.nan, math.nan, math.nan
-    parts, half_len, half_wid = [], [], []
-    for i, a, b in zip(overlapping.tolist(), lo[overlapping].tolist(),
-                       hi[overlapping].tolist()):
-        opp = rivals[i]
-        tk = t[a:b]
-        y, vy = _lateral(opp, layout)
-        parts.append((in_window[a:b], np.interp(tk, opp.t, opp.s), np.interp(tk, opp.t, y),
-                      np.interp(tk, opp.t, opp.v), np.interp(tk, opp.t, vy)))
-        half_len.append(0.5 * (ego.shape.length + opp.shape.length))
-        half_wid.append(0.5 * (ego.shape.width + opp.shape.width))
-    counts = (hi - lo)[overlapping]
-    ix, o_s, o_y, o_vs, o_vy = (np.concatenate(col) for col in zip(*parts))
-    e_y, e_vy = _lateral(ego, layout)
-    tt = ego.t[ix]
-    m = _encounter(KinState(tt, ego.s[ix], e_y[ix], ego.v[ix], e_vy[ix]),
-                   KinState(tt, o_s, o_y, o_vs, o_vy),
-                   np.repeat(half_len, counts), np.repeat(half_wid, counts))
-    # the kernel never yields -0.0, so one flat minimum equals the fold
-    # over opponents of each opponent's minimum
-    return (_nanmin(m.d), _nanmin(m.thw), _nanmin(m.ttce),
-            _nanmin(m.dce[m.ttce < ttce_gate]))
+class _Opponents:
+    """Every opponent's ``s``, ``y``, ``v`` and ``vy`` interpolated once onto
+    the slice ``lo:hi`` of the shared grid its track covers; the slices are
+    stored end to end, opponent j's from ``off[j]``."""
+
+    def __init__(self, opponents: Sequence[Trajectory], grid: np.ndarray,
+                 layout: LaneLayout) -> None:
+        self.grid, self.layout = grid, layout
+        self.ids = [opp.vehicle_id for opp in opponents]
+        self.length = np.array([opp.shape.length for opp in opponents])
+        self.width = np.array([opp.shape.width for opp in opponents])
+        # opponent j covers the grid points lo[j]:hi[j], as in ``time_overlap``
+        self.lo = np.searchsorted(grid, [opp.t[0] for opp in opponents], side="left")
+        self.hi = np.searchsorted(grid, [opp.t[-1] for opp in opponents], side="right")
+        self.off = np.cumsum(self.hi - self.lo) - (self.hi - self.lo)
+        parts = []
+        for opp, a, b in zip(opponents, self.lo.tolist(), self.hi.tolist()):
+            if b > a:
+                g = grid[a:b]
+                y, vy = _lateral(opp, layout)
+                parts.append((np.interp(g, opp.t, opp.s), np.interp(g, opp.t, y),
+                              np.interp(g, opp.t, opp.v), np.interp(g, opp.t, vy)))
+        self.s, self.y, self.v, self.vy = (
+            (np.concatenate(col) for col in zip(*parts)) if parts else [np.empty(0)] * 4)
+
+    def encounters(self, ego: Trajectory,
+                   samples: np.ndarray) -> tuple[np.ndarray, Encounter]:
+        """The kernel over every pair of a rival and one of the ego's
+        ``samples`` (indices into its track, all on the grid), ordered by
+        ego sample and, per sample, by opponent.  Returns each pair's ego
+        sample index and the metrics.  An opponent with the ego's vehicle
+        id is no rival."""
+        at = np.searchsorted(self.grid, ego.t[samples])  # exact: the grid holds them
+        # rival j covers the ego samples samples[a[j]:b[j]]
+        a = np.searchsorted(at, self.lo, side="left")
+        b = np.searchsorted(at, self.hi, side="left")
+        rival = np.array([vid != ego.vehicle_id for vid in self.ids], dtype=bool)
+        counts = np.where(rival, b - a, 0)
+        first = np.cumsum(counts) - counts
+        k = np.arange(int(counts.sum())) - np.repeat(first - a, counts)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        order = np.argsort(k, kind="stable")
+        k, owner = k[order], owner[order]
+        row = self.off[owner] + at[k] - self.lo[owner]
+        ix = samples[k]
+        e_y, e_vy = _lateral(ego, self.layout)
+        tt = ego.t[ix]
+        m = _encounter(KinState(tt, ego.s[ix], e_y[ix], ego.v[ix], e_vy[ix]),
+                       KinState(tt, self.s[row], self.y[row], self.v[row], self.vy[row]),
+                       0.5 * (ego.shape.length + self.length[owner]),
+                       0.5 * (ego.shape.width + self.width[owner]))
+        return ix, m
+
+
+def _records(opponents: Sequence[Trajectory],
+             windows: Sequence[tuple[Trajectory, tuple[float, float], str]],
+             layout: LaneLayout, thresholds: Thresholds | None,
+             speed_limit: float | None) -> list[CriticalityRecord]:
+    """One record per ``(ego, window, direction)``, against ``opponents``."""
+    thresholds = thresholds or Thresholds()
+    if speed_limit is None:
+        speed_limit = layout.speed_limit
+    spans = [_window_span(ego.t, window) for ego, window, _ in windows]
+    egos: dict[str, tuple[Trajectory, list[int]]] = {}
+    for i, (ego, _, _) in enumerate(windows):
+        egos.setdefault(ego.vehicle_id, (ego, []))[1].append(i)
+    # each ego is evaluated on the samples inside any of its windows
+    samples = {}
+    for vid, (ego, which) in egos.items():
+        inside = np.zeros(len(ego.t), dtype=bool)
+        for i in which:
+            inside[slice(*spans[i])] = True
+        samples[vid] = np.flatnonzero(inside)
+    grid = np.unique(np.concatenate(
+        [ego.t[samples[vid]] for vid, (ego, _) in egos.items()] or [np.empty(0)]))
+    table = _Opponents(opponents, grid, layout)
+
+    records: list[CriticalityRecord | None] = [None] * len(windows)
+    for vid, (ego, which) in egos.items():
+        ix, m = table.encounters(ego, samples[vid])
+        dce = np.where(m.ttce < thresholds.ttce_gate, m.dce, np.nan)
+        for i in which:
+            _, window, direction = windows[i]
+            w0, w1 = spans[i]
+            # the kernel never yields -0.0, so the minimum over a window's
+            # pairs does not depend on their order
+            a, b = np.searchsorted(ix, [w0, w1], side="left").tolist()
+            values = {"d": _nanmin(m.d[a:b]), "thw": _nanmin(m.thw[a:b]),
+                      "ttce": _nanmin(m.ttce[a:b]), "dce": _nanmin(dce[a:b])}
+            if w1 > w0:
+                values.update(v=float(np.max(ego.v[w0:w1])),
+                              a_lon=float(np.max(np.abs(ego.a_lon[w0:w1]))),
+                              a_lat=float(np.max(np.abs(ego.a_lat[w0:w1]))))
+            else:
+                values.update(v=math.nan, a_lon=math.nan, a_lat=math.nan)
+            records[i] = CriticalityRecord(
+                vehicle_id=ego.vehicle_id, t_start=window[0], t_end=window[1],
+                direction=direction, min_d=values["d"], max_v=values["v"],
+                max_a_lon=values["a_lon"], max_a_lat=values["a_lat"],
+                min_thw=values["thw"], min_dce=values["dce"], min_ttce=values["ttce"],
+                flags=classify(values, thresholds, speed_limit))
+    return records
+
+
+def critical_records(trajectories: Sequence[Trajectory],
+                     windows: Sequence[tuple[str, tuple[float, float], str]],
+                     layout: LaneLayout, thresholds: Thresholds | None = None,
+                     speed_limit: float | None = None) -> list[CriticalityRecord]:
+    """Worst-case metrics of many event windows over all opponents.
+
+    ``windows`` holds ``(vehicle_id, (t_start, t_end), direction)``; the
+    ego of each is the vehicle of ``trajectories`` with that id (KeyError
+    if none), and its opponents are all of ``trajectories``.  Returns one
+    record per window, in input order, each equal to ``most_critical`` of
+    that window.
+
+    The work is shared per file and per ego.  The grid is the distinct
+    sample times that any window holds.  Each vehicle is interpolated once
+    onto the slice of that grid its track covers.  Each ego then gathers its
+    rivals' values at its samples and calls the kernel once for all its
+    windows, whose minima are taken over their own samples.  Tracks on one
+    frame clock, as in one recording, share their grid points, so the grid
+    is no longer than that clock's span; tracks on unrelated clocks make it
+    as long as all windows' samples together, and each vehicle's slice
+    with it.
+    """
+    by_id = {traj.vehicle_id: traj for traj in trajectories}
+    return _records(trajectories, [(by_id[vid], window, direction)
+                                   for vid, window, direction in windows],
+                    layout, thresholds, speed_limit)
 
 
 def most_critical(ego: Trajectory, opponents: Sequence[Trajectory],
@@ -279,43 +379,16 @@ def most_critical(ego: Trajectory, opponents: Sequence[Trajectory],
 
     Pairwise metrics are evaluated on the ego samples in the window that
     each opponent's track covers, with the opponent interpolated onto the
-    ego grid.  The overlaps of all opponents are concatenated into one
-    series, and the kernel of ``encounter`` evaluates it in one call per
-    event, each sample with its own opponent's footprint.  Minima are taken
-    over every such sample; DCE only over samples whose TTCE is below the
-    gate.  An opponent with the ego's vehicle id is skipped.  Ego-only
-    fields (max speed, max acceleration magnitudes) are produced even
-    without opponents; pairwise fields are then undefined (nan).
+    ego grid, in one kernel call over all opponents, each sample with its
+    own opponent's footprint.  Minima are taken over every such sample;
+    DCE only over samples whose TTCE is below the gate.  An opponent with
+    the ego's vehicle id is skipped.  Ego-only fields (max speed, max
+    acceleration magnitudes) are produced even without opponents; pairwise
+    fields are then undefined (nan).  This is the one-window case of
+    ``critical_records``, with the ego given instead of looked up.
     """
-    thresholds = thresholds or Thresholds()
-    if speed_limit is None:
-        speed_limit = layout.speed_limit
-    in_window = np.flatnonzero(_window_mask(ego.t, window))
-    if len(in_window):
-        max_v = float(np.max(ego.v[in_window]))
-        max_a_lon = float(np.max(np.abs(ego.a_lon[in_window])))
-        max_a_lat = float(np.max(np.abs(ego.a_lat[in_window])))
-    else:
-        max_v = max_a_lon = max_a_lat = math.nan
-    min_d, min_thw, min_ttce, min_dce = _pairwise_minima(
-        ego, opponents, in_window, layout, thresholds.ttce_gate)
-
-    values = {"d": min_d, "v": max_v, "a_lon": max_a_lon, "a_lat": max_a_lat,
-              "thw": min_thw, "dce": min_dce, "ttce": min_ttce}
-    return CriticalityRecord(
-        vehicle_id=ego.vehicle_id,
-        t_start=window[0],
-        t_end=window[1],
-        direction=direction,
-        min_d=min_d,
-        max_v=max_v,
-        max_a_lon=max_a_lon,
-        max_a_lat=max_a_lat,
-        min_thw=min_thw,
-        min_dce=min_dce,
-        min_ttce=min_ttce,
-        flags=classify(values, thresholds, speed_limit),
-    )
+    return _records(opponents, [(ego, window, direction)], layout, thresholds,
+                    speed_limit)[0]
 
 
 @dataclass(frozen=True)

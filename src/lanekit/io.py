@@ -108,6 +108,16 @@ def _unmarked(text: str) -> int:
     return text.count(",,\n") + text.count(",,\r") + text.endswith(",,")
 
 
+def _nan_markings(line: str) -> str:
+    """``line`` with ``nan`` in its empty ``d_left`` and ``d_right`` fields;
+    a line without ten fields is left for np.loadtxt to refuse."""
+    body = line.rstrip("\r\n")
+    if body.count(",") != 9:
+        return line
+    head, d_left, d_right = body.rsplit(",", 2)
+    return f"{head},{d_left or 'nan'},{d_right or 'nan'}{line[len(body):]}"
+
+
 def _scan_lines(fh, block: list[str], unmarked: bool,
                 runs: list[tuple[str, int]]) -> Iterator[list[str]]:
     """Blocks of data lines of an open trajectory CSV, ``block`` first.
@@ -120,6 +130,8 @@ def _scan_lines(fh, block: list[str], unmarked: bool,
     (loadtxt drops extra columns) and, with ``unmarked``, on a block with a
     line whose two last fields are not both empty.  As loadtxt refuses a
     line with fewer fields than it reads, every line it returns had ten.
+    Without ``unmarked``, empty ``d_left`` and ``d_right`` fields are
+    returned as ``nan``, which loadtxt reads as ``_parse_float`` reads "".
     """
     row = 0
     prefix = "\n,"  # starts no line: "\n" ends one
@@ -140,6 +152,9 @@ def _scan_lines(fh, block: list[str], unmarked: bool,
                     prefix = line[:end + 1]
                     runs.append((line[:end], row + i))
         row += n
+        if not unmarked and (",," in text or ",\n" in text or ",\r" in text
+                             or text.endswith(",")):
+            block = [_nan_markings(line) for line in block]
         yield block
         block = fh.readlines(_BLOCK_CHARS)
 
@@ -158,12 +173,8 @@ def _parse_clean(fh) -> tuple[np.ndarray, list[tuple[str, int]]] | None:
     runs: list[tuple[str, int]] = []
     lines = chain.from_iterable(_scan_lines(fh, block, unmarked, runs))
     try:
-        if unmarked:
-            data = np.loadtxt(lines, delimiter=",", usecols=range(1, 8),
-                              comments=None, ndmin=2)
-        else:
-            data = np.loadtxt(lines, delimiter=",", usecols=range(1, 10), comments=None,
-                              converters={8: _parse_float, 9: _parse_float}, ndmin=2)
+        data = np.loadtxt(lines, delimiter=",", usecols=range(1, 8 if unmarked else 10),
+                          comments=None, ndmin=2)
     except (_Unclean, ValueError):
         return None
     if not (np.isfinite(data[:, :7]).all() and (np.floor(data[:, 2]) == data[:, 2]).all()):

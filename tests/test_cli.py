@@ -151,6 +151,58 @@ def test_criticality_skips_lane_out_of_range(workdir, tmp_path, capsys):
         assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
+def test_criticality_warns_of_events_without_a_vehicle(workdir, tmp_path, capsys):
+    from lanekit.detection import Direction, EventKind, LaneChangeEvent
+    from lanekit.io import read_events, write_events
+
+    normal, mixed = _with_wide_vehicle(workdir, tmp_path)
+    assert run("detect", "--traj", normal, "--out", tmp_path / "det") == 0
+    events = read_events(tmp_path / "det" / "events.csv")
+    write_events(tmp_path / "events.csv", events)
+
+    def orphan(vid, t):
+        return LaneChangeEvent(vid, t, t + 2.0, t + 4.0, 4.0, Direction.LEFT, 30.0, 3.5,
+                               EventKind.SINGLE, criterion="peak")
+
+    # "wide" is quarantined by its lane, "ghost" is in no trajectories file
+    write_events(tmp_path / "orphans.csv", [orphan("ghost", 3.0), *events, orphan("wide", 8.0),
+                                            orphan("ghost", 9.0)])
+    assert run("criticality", "--traj", normal, "--events", tmp_path / "events.csv",
+               "--out", tmp_path / "a") == 0
+    assert "events skipped" not in capsys.readouterr().err
+    assert run("criticality", "--traj", mixed, "--events", tmp_path / "orphans.csv",
+               "--out", tmp_path / "b") == 0
+    err = capsys.readouterr().err.splitlines()
+    assert ("warning: 3 events skipped: vehicle not in trajectories (ids ghost, wide)"
+            in err)
+    for name in ("criticality_records.csv", "histograms.json", "direction_boxes.json"):
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+
+def test_criticality_records_match_reference(workdir, tmp_path):
+    from lanekit.detection import EventKind
+    from lanekit.io import ingest, read_events, read_vehicles, write_records
+    from helpers import LAYOUT, ref_most_critical
+
+    det = tmp_path / "det"
+    assert run("detect", "--traj", workdir / "trajectories.csv",
+               "--vehicles", workdir / "vehicles.csv", "--out", det) == 0
+    assert run("criticality", "--traj", workdir / "trajectories.csv",
+               "--vehicles", workdir / "vehicles.csv", "--events", det / "events.csv",
+               "--out", tmp_path / "crit") == 0
+    trajectories = ingest(workdir / "trajectories.csv",
+                          shapes=read_vehicles(workdir / "vehicles.csv")).trajectories
+    by_id = {traj.vehicle_id: traj for traj in trajectories}
+    events = [e for e in read_events(det / "events.csv") if e.kind is EventKind.SINGLE]
+    assert len({e.vehicle_id for e in events}) > 1 and len(events) > len(
+        {e.vehicle_id for e in events})
+    write_records(tmp_path / "ref.csv", [
+        ref_most_critical(by_id[e.vehicle_id], trajectories, (e.t_start, e.t_end), LAYOUT,
+                          direction=e.direction.value) for e in events])
+    assert ((tmp_path / "crit" / "criticality_records.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
 def test_robustness(workdir, tmp_path):
     out = tmp_path / "rob"
     assert run("robustness", "--traj", workdir / "trajectories.csv",

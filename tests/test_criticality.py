@@ -11,6 +11,7 @@ from lanekit.criticality import (
     Thresholds,
     _encounter,
     classify,
+    critical_records,
     direction_stats,
     encounter,
     euclidean_distance,
@@ -450,6 +451,70 @@ def test_most_critical_matches_reference_on_random_corpus(seed, n, ego_at, start
     window = (start, start + length)
     assert_same_record(most_critical(ego, opponents, window, LAYOUT),
                        ref_most_critical(ego, opponents, window, LAYOUT))
+
+
+# ---------------------------------------------------------------------------
+# many windows per call: one shared grid, one kernel call per ego
+
+def assert_same_as_reference(trajectories, windows):
+    by_id = {traj.vehicle_id: traj for traj in trajectories}
+    got = critical_records(trajectories, windows, LAYOUT)
+    assert len(got) == len(windows)
+    for record, (vid, window, direction) in zip(got, windows):
+        assert_same_record(record, ref_most_critical(by_id[vid], trajectories, window,
+                                                     LAYOUT, direction=direction))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(2, 6),
+       shifts=st.lists(st.sampled_from([0.0, 0.0, 0.2, -3.4, 1.37, 12.051]),
+                       min_size=6, max_size=6),
+       spans=st.lists(st.tuples(st.integers(0, 5), st.floats(-5.0, 110.0),
+                                st.floats(0.0, 12.0)), min_size=1, max_size=6))
+def test_critical_records_match_reference_on_random_corpus(seed, n, shifts, spans):
+    # shifted vehicles, egos among them, sample off the others' lattice
+    corpus = generate_corpus(n=n, seed=seed, truck_fraction=0.5)
+    trajectories = [dataclasses.replace(traj, t=traj.t + dt)
+                    for traj, dt in zip(corpus.trajectories, shifts)]
+    windows = [(trajectories[k % n].vehicle_id, (start, start + length), "left")
+               for k, start, length in spans]
+    first_id, (start, end), _ = windows[0]
+    windows += [(first_id, (start + 0.5 * (end - start), end + 3.0), "right"),  # overlaps
+                (first_id, (-50.0, -40.0), "left")]  # holds no ego sample
+    assert_same_as_reference(trajectories, windows)
+
+
+def test_critical_records_on_mixed_rates():
+    # 25 Hz tracks off the 5 Hz lattice: the shared grid is not one lattice
+    trajectories = [EGO, span_track("fast", 2.02 + T25, 40.0, 22.0, 1.0),
+                    span_track("slow", T5, 50.0, 25.0),
+                    span_track("fast2", 0.013 + T25, -20.0, 34.0, 3.5, TRUCK),
+                    span_track("late", 4.1 + T5, -60.0, 35.0)]
+    windows = [("ego", (0.0, 9.8), "left"), ("fast", (3.0, 6.0), "right"),
+               ("fast2", (0.0, 4.0), "left"), ("fast", (5.5, 8.9), "left"),
+               ("late", (4.0, 8.0), "right"), ("ego", (2.0, 2.1), "left")]
+    assert_same_as_reference(trajectories, windows)
+
+
+def test_critical_records_edge_cases():
+    far = span_track("far", T_NONE, 0.0, 20.0)  # covers no ego sample
+    opp = span_track("opp", T5, 50.0, 25.0)
+    cases = [
+        ([EGO, far], [("ego", (0.0, 9.8), "left"), ("far", (22.0, 25.0), "right")]),
+        ([EGO], [("ego", (1.0, 6.0), "left"), ("ego", (0.0, 9.8), "right")]),
+        ([EGO, opp, opp], [("ego", (1.0, 6.0), "left"), ("opp", (0.0, 3.0), "left")]),
+        ([EGO, opp], []),
+    ]
+    for trajectories, windows in cases:
+        assert_same_as_reference(trajectories, windows)
+    lone = critical_records([EGO], [("ego", (1.0, 6.0), "left")], LAYOUT)[0]
+    assert math.isnan(lone.min_d) and not math.isnan(lone.max_v)
+    assert_same_record(most_critical(EGO, [opp, opp], (1.0, 6.0), LAYOUT),
+                       most_critical(EGO, [opp], (1.0, 6.0), LAYOUT))
+    assert_same_record(most_critical(EGO, [], (1.0, 6.0), LAYOUT),
+                       ref_most_critical(EGO, [], (1.0, 6.0), LAYOUT))
+    with pytest.raises(KeyError):
+        critical_records([EGO], [("ghost", (1.0, 6.0), "left")], LAYOUT)
 
 
 # ---------------------------------------------------------------------------

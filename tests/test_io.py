@@ -285,6 +285,36 @@ def test_ingest_clean_file_takes_columnar_parse(tmp_path, markings, interleave):
     assert [t.has_markings for t in got.trajectories] == [markings] * len(trajs)
 
 
+def _marked_rows():
+    return [f"a,{0.2 * i:.1f},{6 * i},0,0.1,30,0,0,0.5,0.6" for i in range(4)] + \
+           [f"b,{0.2 * i:.1f},{6 * i},1,0.1,30,0,0,0.7,0.4" for i in range(4)]
+
+
+MARKED_FILES = {
+    "fully marked": _marked_rows(),
+    "empty marking": [r.replace(",0.5,0.6", ",,0.6") if r.startswith("a,0.2") else r
+                      for r in _marked_rows()],
+    "empty markings on a last line without line end": [
+        *_marked_rows()[:-1], _marked_rows()[-1].replace(",0.7,0.4", ",,")],
+    "empty s": [r.replace("a,0.4,12,", "a,0.4,,") for r in _marked_rows()],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MARKED_FILES))
+def test_ingest_marked_file_without_converter(tmp_path, case):
+    path = tmp_path / "marked.csv"
+    last_end = "" if "without line end" in case else "\n"
+    path.write_text("\n".join([HEADER, *MARKED_FILES[case]]) + last_end)
+    with mock.patch.object(lkio, "_ingest_rows", wraps=lkio._ingest_rows) as rows, \
+            mock.patch.object(lkio.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        got = ingest(path)
+    assert_same_ingest(got, ref_ingest(path))
+    # an empty s still takes the row parser, which names the row
+    assert rows.called == (case == "empty s")
+    assert loadtxt.called and all("converters" not in c.kwargs
+                                  for c in loadtxt.call_args_list)
+
+
 @pytest.mark.parametrize("blank_at", [0, 1])
 def test_ingest_blank_line_offset_by_extra_columns(tmp_path, blank_at):
     # nine extra commas on one line make up for a blank line's missing nine
