@@ -189,12 +189,8 @@ def cmd_criticality(args) -> int:
         if not values:
             continue
         counts, edges = np.histogram(values, bins=30)
-        limit = {"d": thresholds.d_crit, "v": thresholds.v_factor * layout.speed_limit,
-                 "a_lon": thresholds.a_lon_crit, "a_lat": thresholds.a_lat_crit,
-                 "thw": thresholds.thw_crit, "dce": thresholds.dce_crit,
-                 "ttce": thresholds.ttce_gate}[metric]
         histograms[metric] = {"edges": edges.tolist(), "counts": counts.tolist(),
-                              "threshold": limit}
+                              "threshold": thresholds.limit(metric, layout.speed_limit)}
     lkio.write_json(out / "histograms.json", {"histograms": histograms})
 
     grouped: dict[tuple[str, str], list] = {}

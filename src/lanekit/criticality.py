@@ -17,9 +17,15 @@ and ``ttce_dce`` are scalar wrappers around it.
 
 ``critical_records`` evaluates every event window of a file at once.  It
 interpolates each vehicle once onto one grid shared by all egos, the
-distinct sample times inside their windows, and calls the kernel once per
-ego over all its windows, each sample with its own opponent's footprint.
-``most_critical`` is its one-window case.
+distinct sample times inside their windows, as one dense vehicles x grid
+table, NaN where a track does not reach, and calls the kernel once per
+ego on the block of its rivals and its samples.  ``most_critical`` is its
+one-window case.
+
+Each metric is defined once: ``METRIC_NAMES`` orders them, ``_LOW`` holds
+those critical below their limit (worst value the minimum), and
+``record_field`` and ``Thresholds.limit`` give a metric's record field and
+threshold.
 """
 
 from __future__ import annotations
@@ -47,11 +53,22 @@ __all__ = [
     "critical_records",
     "direction_stats",
     "METRIC_NAMES",
+    "record_field",
 ]
 
 V_EGO_MIN = 0.1  # [m/s] below this, headway is undefined
 
 METRIC_NAMES = ("d", "v", "a_lon", "a_lat", "thw", "dce", "ttce")
+# critical below their limit, worst value the minimum; the others are
+# critical above it, worst value the maximum
+_LOW = {"d", "thw", "dce", "ttce"}
+
+
+def record_field(metric: str) -> str:
+    """The ``CriticalityRecord`` field holding the worst value of ``metric``."""
+    if metric not in METRIC_NAMES:
+        raise KeyError(metric)
+    return ("min_" if metric in _LOW else "max_") + metric
 
 
 @dataclass(frozen=True)
@@ -71,6 +88,12 @@ class Thresholds:
                      "thw_crit", "dce_crit", "ttce_gate"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+
+    def limit(self, metric: str, speed_limit: float) -> float:
+        """The threshold of ``metric``; that of ``v`` scales with ``speed_limit``."""
+        if metric == "v":
+            return self.v_factor * speed_limit
+        return self.ttce_gate if metric == "ttce" else getattr(self, metric + "_crit")
 
 
 @dataclass(frozen=True)
@@ -184,30 +207,17 @@ class CriticalityRecord:
     flags: Mapping[str, bool]
 
     def value(self, metric: str) -> float:
-        return {"d": self.min_d, "v": self.max_v, "a_lon": self.max_a_lon,
-                "a_lat": self.max_a_lat, "thw": self.min_thw,
-                "dce": self.min_dce, "ttce": self.min_ttce}[metric]
+        return getattr(self, record_field(metric))
 
 
 def classify(values: Mapping[str, float], thresholds: Thresholds,
              speed_limit: float) -> dict[str, bool]:
     """Per-metric critical flags; nan (undefined) is never critical."""
-
-    def below(x: float, lim: float) -> bool:
-        return not math.isnan(x) and x < lim
-
-    def above(x: float, lim: float) -> bool:
-        return not math.isnan(x) and x > lim
-
-    return {
-        "d": below(values["d"], thresholds.d_crit),
-        "v": above(values["v"], thresholds.v_factor * speed_limit),
-        "a_lon": above(values["a_lon"], thresholds.a_lon_crit),
-        "a_lat": above(values["a_lat"], thresholds.a_lat_crit),
-        "thw": below(values["thw"], thresholds.thw_crit),
-        "dce": below(values["dce"], thresholds.dce_crit),
-        "ttce": below(values["ttce"], thresholds.ttce_gate),
-    }
+    flags = {}
+    for metric in METRIC_NAMES:
+        x, lim = values[metric], thresholds.limit(metric, speed_limit)
+        flags[metric] = not math.isnan(x) and (x < lim if metric in _LOW else x > lim)
+    return flags
 
 
 def time_overlap(t: np.ndarray, other_t: np.ndarray) -> slice:
@@ -236,61 +246,7 @@ def _lateral(traj: Trajectory, layout: LaneLayout) -> tuple[np.ndarray, np.ndarr
 
 
 def _nanmin(x: np.ndarray) -> float:
-    return float(np.fmin.reduce(x)) if len(x) else math.nan
-
-
-class _Opponents:
-    """Every opponent's ``s``, ``y``, ``v`` and ``vy`` interpolated once onto
-    the slice ``lo:hi`` of the shared grid its track covers; the slices are
-    stored end to end, opponent j's from ``off[j]``."""
-
-    def __init__(self, opponents: Sequence[Trajectory], grid: np.ndarray,
-                 layout: LaneLayout) -> None:
-        self.grid, self.layout = grid, layout
-        self.ids = [opp.vehicle_id for opp in opponents]
-        self.length = np.array([opp.shape.length for opp in opponents])
-        self.width = np.array([opp.shape.width for opp in opponents])
-        # opponent j covers the grid points lo[j]:hi[j], as in ``time_overlap``
-        self.lo = np.searchsorted(grid, [opp.t[0] for opp in opponents], side="left")
-        self.hi = np.searchsorted(grid, [opp.t[-1] for opp in opponents], side="right")
-        self.off = np.cumsum(self.hi - self.lo) - (self.hi - self.lo)
-        parts = []
-        for opp, a, b in zip(opponents, self.lo.tolist(), self.hi.tolist()):
-            if b > a:
-                g = grid[a:b]
-                y, vy = _lateral(opp, layout)
-                parts.append((np.interp(g, opp.t, opp.s), np.interp(g, opp.t, y),
-                              np.interp(g, opp.t, opp.v), np.interp(g, opp.t, vy)))
-        self.s, self.y, self.v, self.vy = (
-            (np.concatenate(col) for col in zip(*parts)) if parts else [np.empty(0)] * 4)
-
-    def encounters(self, ego: Trajectory,
-                   samples: np.ndarray) -> tuple[np.ndarray, Encounter]:
-        """The kernel over every pair of a rival and one of the ego's
-        ``samples`` (indices into its track, all on the grid), ordered by
-        ego sample and, per sample, by opponent.  Returns each pair's ego
-        sample index and the metrics.  An opponent with the ego's vehicle
-        id is no rival."""
-        at = np.searchsorted(self.grid, ego.t[samples])  # exact: the grid holds them
-        # rival j covers the ego samples samples[a[j]:b[j]]
-        a = np.searchsorted(at, self.lo, side="left")
-        b = np.searchsorted(at, self.hi, side="left")
-        rival = np.array([vid != ego.vehicle_id for vid in self.ids], dtype=bool)
-        counts = np.where(rival, b - a, 0)
-        first = np.cumsum(counts) - counts
-        k = np.arange(int(counts.sum())) - np.repeat(first - a, counts)
-        owner = np.repeat(np.arange(len(counts)), counts)
-        order = np.argsort(k, kind="stable")
-        k, owner = k[order], owner[order]
-        row = self.off[owner] + at[k] - self.lo[owner]
-        ix = samples[k]
-        e_y, e_vy = _lateral(ego, self.layout)
-        tt = ego.t[ix]
-        m = _encounter(KinState(tt, ego.s[ix], e_y[ix], ego.v[ix], e_vy[ix]),
-                       KinState(tt, self.s[row], self.y[row], self.v[row], self.vy[row]),
-                       0.5 * (ego.shape.length + self.length[owner]),
-                       0.5 * (ego.shape.width + self.width[owner]))
-        return ix, m
+    return float(np.fmin.reduce(x, axis=None)) if x.size else math.nan
 
 
 def _records(opponents: Sequence[Trajectory],
@@ -314,20 +270,43 @@ def _records(opponents: Sequence[Trajectory],
         samples[vid] = np.flatnonzero(inside)
     grid = np.unique(np.concatenate(
         [ego.t[samples[vid]] for vid, (ego, _) in egos.items()] or [np.empty(0)]))
-    table = _Opponents(opponents, grid, layout)
+    # every opponent's s, y, v and vy on the grid points its track covers
+    table = np.full((4, len(opponents), len(grid)), np.nan)
+    covers = np.zeros((len(opponents), len(grid)), dtype=bool)
+    for j, opp in enumerate(opponents):
+        span = time_overlap(grid, opp.t)
+        g = grid[span]
+        y, vy = _lateral(opp, layout)
+        table[:, j, span] = (np.interp(g, opp.t, opp.s), np.interp(g, opp.t, y),
+                             np.interp(g, opp.t, opp.v), np.interp(g, opp.t, vy))
+        covers[j, span] = True
+    ids = np.array([opp.vehicle_id for opp in opponents], dtype=object)
+    length = np.array([opp.shape.length for opp in opponents])
+    width = np.array([opp.shape.width for opp in opponents])
 
     records: list[CriticalityRecord | None] = [None] * len(windows)
     for vid, (ego, which) in egos.items():
-        ix, m = table.encounters(ego, samples[vid])
-        dce = np.where(m.ttce < thresholds.ttce_gate, m.dce, np.nan)
+        ix = samples[vid]
+        tt = ego.t[ix]
+        rival = ids != vid
+        cols = np.searchsorted(grid, tt)  # exact: the grid holds them
+        e_y, e_vy = _lateral(ego, layout)
+        s, y, v, vy = table[:, :, cols][:, rival]
+        m = _encounter(KinState(tt, ego.s[ix], e_y[ix], ego.v[ix], e_vy[ix]),
+                       KinState(tt, s, y, v, vy),
+                       0.5 * (ego.shape.length + length[rival][:, None]),
+                       0.5 * (ego.shape.width + width[rival][:, None]))
+        # a NaN-padded entry reads as ttce = 0, so TTCE is kept where covered
+        ttce = np.where(covers[:, cols][rival], m.ttce, np.nan)
+        dce = np.where(ttce < thresholds.ttce_gate, m.dce, np.nan)
         for i in which:
             _, window, direction = windows[i]
             w0, w1 = spans[i]
-            # the kernel never yields -0.0, so the minimum over a window's
-            # pairs does not depend on their order
-            a, b = np.searchsorted(ix, [w0, w1], side="left").tolist()
-            values = {"d": _nanmin(m.d[a:b]), "thw": _nanmin(m.thw[a:b]),
-                      "ttce": _nanmin(m.ttce[a:b]), "dce": _nanmin(dce[a:b])}
+            # the kernel never yields -0.0, so a window's minimum does not
+            # depend on the order of its entries
+            a, b = np.searchsorted(ix, [w0, w1]).tolist()
+            values = {"d": _nanmin(m.d[:, a:b]), "thw": _nanmin(m.thw[:, a:b]),
+                      "ttce": _nanmin(ttce[:, a:b]), "dce": _nanmin(dce[:, a:b])}
             if w1 > w0:
                 values.update(v=float(np.max(ego.v[w0:w1])),
                               a_lon=float(np.max(np.abs(ego.a_lon[w0:w1]))),
@@ -335,10 +314,8 @@ def _records(opponents: Sequence[Trajectory],
             else:
                 values.update(v=math.nan, a_lon=math.nan, a_lat=math.nan)
             records[i] = CriticalityRecord(
-                vehicle_id=ego.vehicle_id, t_start=window[0], t_end=window[1],
-                direction=direction, min_d=values["d"], max_v=values["v"],
-                max_a_lon=values["a_lon"], max_a_lat=values["a_lat"],
-                min_thw=values["thw"], min_dce=values["dce"], min_ttce=values["ttce"],
+                ego.vehicle_id, window[0], window[1], direction,
+                **{record_field(k): values[k] for k in METRIC_NAMES},
                 flags=classify(values, thresholds, speed_limit))
     return records
 
@@ -357,13 +334,14 @@ def critical_records(trajectories: Sequence[Trajectory],
 
     The work is shared per file and per ego.  The grid is the distinct
     sample times that any window holds.  Each vehicle is interpolated once
-    onto the slice of that grid its track covers.  Each ego then gathers its
-    rivals' values at its samples and calls the kernel once for all its
-    windows, whose minima are taken over their own samples.  Tracks on one
-    frame clock, as in one recording, share their grid points, so the grid
-    is no longer than that clock's span; tracks on unrelated clocks make it
-    as long as all windows' samples together, and each vehicle's slice
-    with it.
+    onto the grid points its track covers, one row of a dense vehicles x
+    grid table that is NaN elsewhere.  Each ego then takes the block of its
+    rivals' rows and its samples' columns and calls the kernel once for all
+    its windows, whose minima are taken over their own columns; TTCE counts
+    only where the rival's track covers the sample.  Tracks on one frame
+    clock, as in one recording, share their grid points, so the grid is no
+    longer than that clock's span; tracks on unrelated clocks make it as
+    long as all windows' samples together.
     """
     by_id = {traj.vehicle_id: traj for traj in trajectories}
     return _records(trajectories, [(by_id[vid], window, direction)

@@ -28,11 +28,12 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .criticality import CriticalityRecord, Thresholds
+from .criticality import METRIC_NAMES, CriticalityRecord, Thresholds, record_field
 from .detection import (DEFAULT_DISTANCE_THRESHOLD, DEFAULT_MIN_EXTENT, Direction,
                         EventKind, LaneChangeEvent, PeakParams)
 from .mis import MISConfig
 from .robustness import RobustnessReport
+from .synth import DEFAULT_N, DEFAULT_TRUCK_FRACTION
 from .trajectory import DEFAULT_CUTOFF, LaneLayout, Trajectory, VehicleClass, VehicleShape
 from .wiedemann import ScenarioSpec, W99Params
 
@@ -62,10 +63,7 @@ EVENT_HEADER = ["vehicle_id", "criterion", "t_start", "t_mid", "t_end",
                 "duration", "direction", "v_mid", "lateral_extent", "kind"]
 VEHICLE_HEADER = ["vehicle_id", "class", "length", "width"]
 RECORD_HEADER = ["vehicle_id", "t_start", "t_end", "direction",
-                 "min_d", "max_v", "max_a_lon", "max_a_lat",
-                 "min_thw", "min_dce", "min_ttce",
-                 "flag_d", "flag_v", "flag_a_lon", "flag_a_lat",
-                 "flag_thw", "flag_dce", "flag_ttce"]
+                 *map(record_field, METRIC_NAMES), *("flag_" + m for m in METRIC_NAMES)]
 
 
 def fmt(x: float) -> str:
@@ -408,11 +406,8 @@ def write_records(path: str | Path, records: Iterable[CriticalityRecord]) -> Non
         for r in records:
             writer.writerow([
                 r.vehicle_id, fmt(r.t_start), fmt(r.t_end), r.direction,
-                fmt(r.min_d), fmt(r.max_v), fmt(r.max_a_lon), fmt(r.max_a_lat),
-                fmt(r.min_thw), fmt(r.min_dce), fmt(r.min_ttce),
-                int(r.flags["d"]), int(r.flags["v"]), int(r.flags["a_lon"]),
-                int(r.flags["a_lat"]), int(r.flags["thw"]), int(r.flags["dce"]),
-                int(r.flags["ttce"]),
+                *(fmt(r.value(m)) for m in METRIC_NAMES),
+                *(int(r.flags[m]) for m in METRIC_NAMES),
             ])
 
 
@@ -523,8 +518,8 @@ class RunConfig:
     # car following
     sim_dt: float = ScenarioSpec.dt  # [s]
     # synthetic corpus / misc
-    synth_n: int = 200
-    truck_fraction: float = 0.2
+    synth_n: int = DEFAULT_N
+    truck_fraction: float = DEFAULT_TRUCK_FRACTION
     marking_tolerance: float = 0.05  # [m] d_left + d_right consistency check
     seed: int = 0
 

@@ -32,6 +32,8 @@ STEEPNESS_SCALE = 4.7  # logistic k = scale / duration, see module docstring
 EVENT_SPACING = 15.0  # [s] minimum gap between maneuver midpoints
 EDGE_MARGIN = 9.0  # [s] keep maneuvers fully recorded
 N_RECORDINGS = 8
+DEFAULT_N = 200  # trajectories in a corpus
+DEFAULT_TRUCK_FRACTION = 0.2  # probability that a vehicle is a truck
 
 
 @dataclass(frozen=True)
@@ -104,9 +106,9 @@ def _jitter(rng: np.random.Generator, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def generate_corpus(n: int = 200, seed: int = 0,
+def generate_corpus(n: int = DEFAULT_N, seed: int = 0,
                     layout: LaneLayout | None = None,
-                    truck_fraction: float = 0.2) -> SyntheticCorpus:
+                    truck_fraction: float = DEFAULT_TRUCK_FRACTION) -> SyntheticCorpus:
     """Deterministic corpus of ``n`` trajectories with ground-truth events."""
     layout = layout or LaneLayout()
     w = layout.lane_width

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanekit.criticality import (
+    METRIC_NAMES,
+    CriticalityRecord,
     KinState,
     Thresholds,
     _encounter,
@@ -437,6 +439,22 @@ def test_most_critical_stacks_opponents_like_the_reference(case):
         assert_same_record(got, most_critical(ego, alone, window, LAYOUT))
 
 
+def test_nan_inside_a_track_is_still_covered():
+    # a NaN s sample inside full1's track gives d = nan and ttce = 0 there,
+    # as in the reference; only a sample no track covers drops out of TTCE
+    ego, opponents, window = STACKED_CASES["partial overlaps"]
+    assert ref_most_critical(ego, opponents, window, LAYOUT).min_ttce == 0.5
+    full1 = opponents[0]
+    s = full1.s.copy()
+    s[20] = np.nan  # t = 4 s, inside the window
+    opponents = [dataclasses.replace(full1, s=s), *opponents[1:]]
+    want = ref_most_critical(ego, opponents, window, LAYOUT)
+    assert want.min_ttce == 0.0
+    assert_same_record(most_critical(ego, opponents, window, LAYOUT), want)
+    assert_same_record(critical_records([ego, *opponents], [("ego", window, "")],
+                                        LAYOUT)[0], want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**16), n=st.integers(2, 7), ego_at=st.integers(0, 6),
        start=st.floats(-5.0, 70.0), length=st.floats(0.0, 25.0),
@@ -515,6 +533,27 @@ def test_critical_records_edge_cases():
                        ref_most_critical(EGO, [], (1.0, 6.0), LAYOUT))
     with pytest.raises(KeyError):
         critical_records([EGO], [("ghost", (1.0, 6.0), "left")], LAYOUT)
+
+
+# ---------------------------------------------------------------------------
+# the metric table
+
+def test_threshold_limit_per_metric():
+    th = Thresholds(d_crit=1.5, v_factor=1.2, a_lon_crit=7.0, a_lat_crit=6.0,
+                    thw_crit=0.8, dce_crit=0.7, ttce_gate=2.4)
+    named = {"d": th.d_crit, "v": th.v_factor * V_LIM, "a_lon": th.a_lon_crit,
+             "a_lat": th.a_lat_crit, "thw": th.thw_crit, "dce": th.dce_crit,
+             "ttce": th.ttce_gate}
+    assert {m: th.limit(m, V_LIM) for m in METRIC_NAMES} == named
+
+
+def test_record_value_per_metric():
+    r = CriticalityRecord("v", 0.0, 1.0, "left", 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, {})
+    named = {"d": r.min_d, "v": r.max_v, "a_lon": r.max_a_lon, "a_lat": r.max_a_lat,
+             "thw": r.min_thw, "dce": r.min_dce, "ttce": r.min_ttce}
+    assert {m: r.value(m) for m in METRIC_NAMES} == named
+    with pytest.raises(KeyError):
+        r.value("speed")
 
 
 # ---------------------------------------------------------------------------

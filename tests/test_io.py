@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanekit import io as lkio
-from lanekit.criticality import Thresholds
+from lanekit.criticality import CriticalityRecord, Thresholds
 from lanekit.detection import Direction, EventKind, LaneChangeEvent, PeakParams
 from lanekit.io import (
     RunConfig,
@@ -36,6 +36,22 @@ def test_fmt_nine_digits():
     assert fmt(1.0 / 3.0) == "0.333333333"
     assert fmt(float("nan")) == ""
     assert fmt(None) == ""
+
+
+def test_record_schema(tmp_path):
+    header = ["vehicle_id", "t_start", "t_end", "direction",
+              "min_d", "max_v", "max_a_lon", "max_a_lat",
+              "min_thw", "min_dce", "min_ttce",
+              "flag_d", "flag_v", "flag_a_lon", "flag_a_lat",
+              "flag_thw", "flag_dce", "flag_ttce"]
+    assert lkio.RECORD_HEADER == header
+    flags = {"d": False, "v": True, "a_lon": False, "a_lat": False,
+             "thw": True, "dce": False, "ttce": True}
+    record = CriticalityRecord("r00v0001", 1.0, 9.5, "left", 0.5, 40.0, 2.5, 1.25,
+                               0.75, float("nan"), 1.5, flags)
+    lkio.write_records(tmp_path / "records.csv", [record])
+    assert (tmp_path / "records.csv").read_text().splitlines() == [
+        ",".join(header), "r00v0001,1,9.5,left,0.5,40,2.5,1.25,0.75,,1.5,0,1,0,0,1,0,1"]
 
 
 # ---------------------------------------------------------------------------
