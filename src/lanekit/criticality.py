@@ -16,11 +16,11 @@ returns d, THW, TTCE and DCE elementwise; ``euclidean_distance``, ``thw``
 and ``ttce_dce`` are scalar wrappers around it.
 
 ``critical_records`` evaluates every event window of a file at once.  It
-interpolates each vehicle once onto one grid shared by all egos, the
-distinct sample times inside their windows, as one dense vehicles x grid
-table, NaN where a track does not reach, and calls the kernel once per
-ego on the block of its rivals and its samples.  ``most_critical`` is its
-one-window case.
+interpolates each vehicle once onto the points of one grid shared by all
+egos, the distinct sample times inside their windows, that its track
+covers, and calls the kernel once per ego on a rivals x samples block
+that is NaN where a rival's track does not reach.  ``most_critical`` is
+its one-window case.
 
 Each metric is defined once: ``METRIC_NAMES`` orders them, ``_LOW`` holds
 those critical below their limit (worst value the minimum), and
@@ -270,16 +270,19 @@ def _records(opponents: Sequence[Trajectory],
         samples[vid] = np.flatnonzero(inside)
     grid = np.unique(np.concatenate(
         [ego.t[samples[vid]] for vid, (ego, _) in egos.items()] or [np.empty(0)]))
-    # every opponent's s, y, v and vy on the grid points its track covers
-    table = np.full((4, len(opponents), len(grid)), np.nan)
-    covers = np.zeros((len(opponents), len(grid)), dtype=bool)
-    for j, opp in enumerate(opponents):
-        span = time_overlap(grid, opp.t)
-        g = grid[span]
-        y, vy = _lateral(opp, layout)
-        table[:, j, span] = (np.interp(g, opp.t, opp.s), np.interp(g, opp.t, y),
-                             np.interp(g, opp.t, opp.v), np.interp(g, opp.t, vy))
-        covers[j, span] = True
+    # every opponent's s, y, v and vy on the grid points lo[j]:hi[j] its
+    # track covers (as in ``time_overlap``), the slices stored end to end:
+    # opponent j's value at grid point c is column start[j] + c
+    lo = np.searchsorted(grid, [opp.t[0] for opp in opponents], side="left")
+    hi = np.searchsorted(grid, [opp.t[-1] for opp in opponents], side="right")
+    start = np.cumsum(hi - lo) - hi
+    table = np.empty((4, int(np.sum(hi - lo))))
+    for opp, a, b, o in zip(opponents, lo.tolist(), hi.tolist(), (start + lo).tolist()):
+        if b > a:
+            g = grid[a:b]
+            y, vy = _lateral(opp, layout)
+            table[:, o:o + b - a] = (np.interp(g, opp.t, opp.s), np.interp(g, opp.t, y),
+                                     np.interp(g, opp.t, opp.v), np.interp(g, opp.t, vy))
     ids = np.array([opp.vehicle_id for opp in opponents], dtype=object)
     length = np.array([opp.shape.length for opp in opponents])
     width = np.array([opp.shape.width for opp in opponents])
@@ -288,16 +291,21 @@ def _records(opponents: Sequence[Trajectory],
     for vid, (ego, which) in egos.items():
         ix = samples[vid]
         tt = ego.t[ix]
-        rival = ids != vid
         cols = np.searchsorted(grid, tt)  # exact: the grid holds them
+        # the rivals are the other vehicles whose tracks cover any of the
+        # ego's samples; their block is NaN where a track does not reach
+        rival = np.flatnonzero((ids != vid)
+                               & (np.searchsorted(cols, lo) < np.searchsorted(cols, hi)))
+        covers = (cols >= lo[rival, None]) & (cols < hi[rival, None])
+        s, y, v, vy = np.where(covers, table[:, np.where(covers, start[rival, None] + cols, 0)],
+                               np.nan)
         e_y, e_vy = _lateral(ego, layout)
-        s, y, v, vy = table[:, :, cols][:, rival]
         m = _encounter(KinState(tt, ego.s[ix], e_y[ix], ego.v[ix], e_vy[ix]),
                        KinState(tt, s, y, v, vy),
-                       0.5 * (ego.shape.length + length[rival][:, None]),
-                       0.5 * (ego.shape.width + width[rival][:, None]))
+                       0.5 * (ego.shape.length + length[rival, None]),
+                       0.5 * (ego.shape.width + width[rival, None]))
         # a NaN-padded entry reads as ttce = 0, so TTCE is kept where covered
-        ttce = np.where(covers[:, cols][rival], m.ttce, np.nan)
+        ttce = np.where(covers, m.ttce, np.nan)
         dce = np.where(ttce < thresholds.ttce_gate, m.dce, np.nan)
         for i in which:
             _, window, direction = windows[i]
@@ -334,10 +342,12 @@ def critical_records(trajectories: Sequence[Trajectory],
 
     The work is shared per file and per ego.  The grid is the distinct
     sample times that any window holds.  Each vehicle is interpolated once
-    onto the grid points its track covers, one row of a dense vehicles x
-    grid table that is NaN elsewhere.  Each ego then takes the block of its
-    rivals' rows and its samples' columns and calls the kernel once for all
-    its windows, whose minima are taken over their own columns; TTCE counts
+    onto the grid points its track covers; these slices are stored end to
+    end, so the table grows with the covered points, not with vehicles x
+    grid.  Each ego's rivals are the other vehicles whose tracks cover any
+    of its samples.  It gathers them into a rivals x samples block, NaN
+    where a track does not reach, and calls the kernel once for all its
+    windows, whose minima are taken over their own columns; TTCE counts
     only where the rival's track covers the sample.  Tracks on one frame
     clock, as in one recording, share their grid points, so the grid is no
     longer than that clock's span; tracks on unrelated clocks make it as
