@@ -63,22 +63,30 @@ def _outdir(args) -> Path:
     return out
 
 
-def _ingest_corpus(args, cfg) -> list[Trajectory]:
-    shapes = lkio.read_vehicles(args.vehicles) if getattr(args, "vehicles", None) else None
-    report = lkio.ingest(args.traj, shapes=shapes, default_shape=cfg.default_shape)
+def _read_trajectories(traj: str | Path, vehicles: str | Path | None,
+                       cfg: lkio.RunConfig) -> list[Trajectory]:
+    """The vehicles ``ingest`` accepts from the trajectory file ``traj``,
+    shaped by the vehicles file if given; what it rejects goes to stderr."""
+    shapes = lkio.read_vehicles(vehicles) if vehicles else None
+    report = lkio.ingest(traj, shapes=shapes, default_shape=cfg.default_shape)
     for msg in report.warnings:
         print(f"warning: {msg}", file=sys.stderr)
     for vid, reason in report.rejected_vehicles:
         print(f"warning: vehicle {vid} rejected: {reason}", file=sys.stderr)
     if report.rejected_rows:
         print(f"warning: {len(report.rejected_rows)} rows rejected", file=sys.stderr)
-    for traj in report.trajectories:
+    return report.trajectories
+
+
+def _ingest_corpus(args, cfg) -> list[Trajectory]:
+    trajectories = _read_trajectories(args.traj, getattr(args, "vehicles", None), cfg)
+    for traj in trajectories:
         if traj.has_markings:
             residual = marking_residual(traj, cfg.layout)
             if residual > cfg.marking_tolerance:
                 print(f"warning: vehicle {traj.vehicle_id}: marking distances "
                       f"inconsistent by {residual:.3f} m", file=sys.stderr)
-    return report.trajectories
+    return trajectories
 
 
 def _preprocess(traj: Trajectory, cfg: lkio.RunConfig, layout: LaneLayout) -> Trajectory:
@@ -233,9 +241,8 @@ def _scenario_trajectories(raw: dict[str, str], path: str,
     vehicles = raw.pop("vehicles", None)
     if "trajectories" not in raw:
         return None
-    shapes = lkio.read_vehicles(base / vehicles) if vehicles is not None else None
-    return lkio.ingest(base / raw.pop("trajectories"), shapes=shapes,
-                       default_shape=cfg.default_shape).trajectories
+    return _read_trajectories(base / raw.pop("trajectories"),
+                              base / vehicles if vehicles is not None else None, cfg)
 
 
 def _scenario_from_file(path: str, cfg: lkio.RunConfig) -> tuple[ScenarioSpec, list[float]]:

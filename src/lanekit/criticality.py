@@ -251,12 +251,9 @@ def _nanmin(x: np.ndarray) -> float:
 
 def _records(opponents: Sequence[Trajectory],
              windows: Sequence[tuple[Trajectory, tuple[float, float], str]],
-             layout: LaneLayout, thresholds: Thresholds | None,
-             speed_limit: float | None) -> list[CriticalityRecord]:
+             layout: LaneLayout, thresholds: Thresholds | None) -> list[CriticalityRecord]:
     """One record per ``(ego, window, direction)``, against ``opponents``."""
     thresholds = thresholds or Thresholds()
-    if speed_limit is None:
-        speed_limit = layout.speed_limit
     spans = [_window_span(ego.t, window) for ego, window, _ in windows]
     egos: dict[str, tuple[Trajectory, list[int]]] = {}
     for i, (ego, _, _) in enumerate(windows):
@@ -324,14 +321,14 @@ def _records(opponents: Sequence[Trajectory],
             records[i] = CriticalityRecord(
                 ego.vehicle_id, window[0], window[1], direction,
                 **{record_field(k): values[k] for k in METRIC_NAMES},
-                flags=classify(values, thresholds, speed_limit))
+                flags=classify(values, thresholds, layout.speed_limit))
     return records
 
 
 def critical_records(trajectories: Sequence[Trajectory],
                      windows: Sequence[tuple[str, tuple[float, float], str]],
-                     layout: LaneLayout, thresholds: Thresholds | None = None,
-                     speed_limit: float | None = None) -> list[CriticalityRecord]:
+                     layout: LaneLayout,
+                     thresholds: Thresholds | None = None) -> list[CriticalityRecord]:
     """Worst-case metrics of many event windows over all opponents.
 
     ``windows`` holds ``(vehicle_id, (t_start, t_end), direction)``; the
@@ -356,13 +353,13 @@ def critical_records(trajectories: Sequence[Trajectory],
     by_id = {traj.vehicle_id: traj for traj in trajectories}
     return _records(trajectories, [(by_id[vid], window, direction)
                                    for vid, window, direction in windows],
-                    layout, thresholds, speed_limit)
+                    layout, thresholds)
 
 
 def most_critical(ego: Trajectory, opponents: Sequence[Trajectory],
                   window: tuple[float, float], layout: LaneLayout,
                   thresholds: Thresholds | None = None,
-                  direction: str = "", speed_limit: float | None = None) -> CriticalityRecord:
+                  direction: str = "") -> CriticalityRecord:
     """Worst-case metrics of one event window over all opponents.
 
     Pairwise metrics are evaluated on the ego samples in the window that
@@ -375,8 +372,7 @@ def most_critical(ego: Trajectory, opponents: Sequence[Trajectory],
     fields are then undefined (nan).  This is the one-window case of
     ``critical_records``, with the ego given instead of looked up.
     """
-    return _records(opponents, [(ego, window, direction)], layout, thresholds,
-                    speed_limit)[0]
+    return _records(opponents, [(ego, window, direction)], layout, thresholds)[0]
 
 
 @dataclass(frozen=True)

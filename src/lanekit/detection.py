@@ -457,8 +457,7 @@ def _boundary_cross_time(t: np.ndarray, yy: np.ndarray, t0: float, t1: float,
 
 
 def detect_gradient(traj: Trajectory, layout: LaneLayout,
-                    params: PeakParams | None = None,
-                    match_window: float = 3.0) -> list[LaneChangeEvent]:
+                    params: PeakParams | None = None) -> list[LaneChangeEvent]:
     """Gradient criterion: re-referencing jumps in the marking distances.
 
     A crossing flips the referenced marking, so ``d_left`` jumps by one
@@ -480,7 +479,7 @@ def detect_gradient(traj: Trajectory, layout: LaneLayout,
         t_mid = 0.5 * float(traj.t[i] + traj.t[i + 1])
         direction = Direction.LEFT if jumps[i] > 0 else Direction.RIGHT
         match = None
-        best = match_window
+        best = 3.0  # [s] widest gap between the jump and a matching peak
         for ev in peak_events:
             gap = abs(ev.t_mid - t_mid)
             if ev.direction == direction and gap < best:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -86,6 +86,33 @@ class IngestReport:
 
 def _parse_float(text: str) -> float:
     return float(text) if text != "" else math.nan
+
+
+def _data_rows(fh, path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each row after the header of the open CSV
+    ``fh``; a first row other than ``header`` is a ValueError."""
+    reader = csv.reader(fh)
+    first = next(reader, None)
+    if first != header:
+        raise ValueError(f"malformed header in {path}: {first}")
+    return enumerate(reader, start=2)
+
+
+def _read_table(path: str | Path, header: list[str],
+                parse: Callable[[list[str]], object]) -> list:
+    """``parse`` of each data row of the CSV at ``path``; a row without one
+    field per column of ``header``, or one ``parse`` refuses with a
+    ValueError, is a ValueError naming the file and line."""
+    out = []
+    with Path(path).open(newline="") as fh:
+        for lineno, row in _data_rows(fh, path, header):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                out.append(parse(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return out
 
 
 _HEADER_LINE = ",".join(TRAJECTORY_HEADER)
@@ -230,11 +257,7 @@ def _ingest_rows(path: Path, shapes: Mapping[str, VehicleShape] | None,
     order: list[str] = []
 
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRAJECTORY_HEADER:
-            raise ValueError(f"malformed header in {path}: {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in _data_rows(fh, path, TRAJECTORY_HEADER):
             if len(row) != len(TRAJECTORY_HEADER):
                 report.rejected_rows.append((lineno, "wrong column count"))
                 continue
@@ -328,16 +351,11 @@ def write_vehicles(path: str | Path, trajectories: Iterable[Trajectory]) -> None
 
 
 def read_vehicles(path: str | Path) -> dict[str, VehicleShape]:
-    shapes: dict[str, VehicleShape] = {}
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != VEHICLE_HEADER:
-            raise ValueError(f"malformed header in {path}: {header}")
-        for row in reader:
-            shapes[row[0]] = VehicleShape(length=float(row[2]), width=float(row[3]),
-                                          vclass=VehicleClass(row[1]))
-    return shapes
+    def shape(row: list[str]) -> tuple[str, VehicleShape]:
+        return row[0], VehicleShape(length=float(row[2]), width=float(row[3]),
+                                    vclass=VehicleClass(row[1]))
+
+    return dict(_read_table(path, VEHICLE_HEADER, shape))
 
 
 # --------------------------------------------------------------------------
@@ -357,26 +375,18 @@ def write_events(path: str | Path, events: Iterable[LaneChangeEvent]) -> None:
 
 
 def read_events(path: str | Path) -> list[LaneChangeEvent]:
-    events: list[LaneChangeEvent] = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != EVENT_HEADER:
-            raise ValueError(f"malformed header in {path}: {header}")
-        for row in reader:
-            events.append(LaneChangeEvent(
-                vehicle_id=row[0],
-                criterion=row[1],
-                t_start=float(row[2]),
-                t_mid=float(row[3]),
-                t_end=float(row[4]),
-                duration=float(row[5]),
-                direction=Direction(row[6]),
-                v_mid=_parse_float(row[7]),
-                lateral_extent=float(row[8]),
-                kind=EventKind(row[9]),
-            ))
-    return events
+    return _read_table(path, EVENT_HEADER, lambda row: LaneChangeEvent(
+        vehicle_id=row[0],
+        criterion=row[1],
+        t_start=float(row[2]),
+        t_mid=float(row[3]),
+        t_end=float(row[4]),
+        duration=float(row[5]),
+        direction=Direction(row[6]),
+        v_mid=_parse_float(row[7]),
+        lateral_extent=float(row[8]),
+        kind=EventKind(row[9]),
+    ))
 
 
 # --------------------------------------------------------------------------
@@ -494,8 +504,8 @@ class RunConfig:
     of ``sample``), ``mis`` and ``default_shape`` (the shape of a vehicle no
     vehicles file names) are the library's parameter dataclasses with their
     own defaults; the other fields are the pipeline's settings.  A config
-    key is a field's name; ``_SECTIONS`` gives the section fields a key can
-    set and the prefix of their keys.
+    key is the name of a field that ``field_types`` lists: a setting's, or a
+    section field's after the section's prefix in ``_SECTIONS``.
     """
 
     layout: LaneLayout = field(default_factory=LaneLayout)
@@ -531,10 +541,9 @@ class RunConfig:
     def from_dict(cls, raw: Mapping[str, str]) -> "RunConfig":
         """The config ``raw`` sets; each section's own checks run on it."""
         cfg, raw, sections = cls(), dict(raw), {}
-        for section, (prefix, names) in _SECTIONS.items():
+        for section, prefix in _SECTIONS.items():
             default = getattr(cfg, section)
-            kinds = {prefix + name: kind for name, kind in field_types(default).items()
-                     if names is None or name in names}
+            kinds = {prefix + name: kind for name, kind in field_types(default).items()}
             values = parse_fields({k: raw.pop(k) for k in kinds if k in raw}, kinds, "config key")
             if values:
                 sections[section] = replace(
@@ -542,9 +551,6 @@ class RunConfig:
         return replace(cfg, **parse_fields(raw, field_types(cfg), "config key"), **sections)
 
 
-# RunConfig section -> (prefix of its config keys, the fields they set; None: all)
-_SECTIONS = {"layout": ("", None), "thresholds": ("", None), "w99": ("", None),
-             "peak": ("", ("prominence_min", "min_peak_separation")),
-             "mis": ("mis_", ("rear_detect_range", "delta_v_min", "thw_increase",
-                              "comfort_decel_cap")),
-             "default_shape": ("vehicle_", ("length", "width"))}
+# RunConfig section -> prefix of its config keys
+_SECTIONS = {"layout": "", "thresholds": "", "w99": "", "peak": "", "mis": "mis_",
+             "default_shape": "vehicle_"}

@@ -49,28 +49,30 @@ class MISMode(str, Enum):
     COMPLETED = "completed"
 
 
+# calibration of the ego's controller and of the evaluation
+CRUISE_THW = 0.9  # [s] front headway setpoint of the ego
+ENGAGE_SLACK = 0.5  # [s] short margin means thw below setpoint+slack
+REAR_RESERVE = 5.0  # [m] margin must be built before d_R drops below
+STANDSTILL_GAP = 2.0  # [m] cruise gap offset
+HARD_DECEL = 6.0  # [m/s^2] ego emergency braking
+ACCEL_CAP = 1.0  # [m/s^2] ego cruise acceleration limit
+EMERGENCY_THW = 0.3  # [s] safety override below this front headway
+AEB_THW = 1.2  # [s] hard braking when closing fast below this headway
+AEB_CLOSING = 3.0  # [m/s]
+REAR_GAP_VIOLATION = 1.0  # [m] violation when d_R falls below
+
+
 @dataclass(frozen=True)
 class MISConfig:
     rear_detect_range: float = 100.0  # [m]
     delta_v_min: float = 10.0 / 3.6  # [m/s] minimum closing speed
     thw_increase: float = 2.0  # [s]
     comfort_decel_cap: float = 1.5  # [m/s^2]
-    cruise_thw: float = 0.9  # [s] front headway setpoint of the ego
-    engage_slack: float = 0.5  # [s] short margin means thw below setpoint+slack
-    rear_reserve: float = 5.0  # [m] margin must be built before d_R drops below
-    standstill_gap: float = 2.0  # [m] cruise gap offset
-    hard_decel: float = 6.0  # [m/s^2] ego emergency braking
-    accel_cap: float = 1.0  # [m/s^2] ego cruise acceleration limit
-    emergency_thw: float = 0.3  # [s] safety override below this front headway
-    aeb_thw: float = 1.2  # [s] hard braking when closing fast below this headway
-    aeb_closing: float = 3.0  # [m/s]
-    rear_gap_violation: float = 1.0  # [m] violation when d_R falls below
 
     def __post_init__(self) -> None:
         if self.thw_increase <= 0.0:
             raise ValueError("thw_increase must be positive")
-        for name in ("rear_detect_range", "delta_v_min", "comfort_decel_cap",
-                     "cruise_thw", "rear_reserve", "hard_decel"):
+        for name in ("rear_detect_range", "delta_v_min", "comfort_decel_cap"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -103,7 +105,7 @@ def engagement_check(ego: CFState, front: CFState | None, rear: CFState | None,
     """
     if front is None or rear is None:
         return False
-    short_margin = _front_thw(ego, front) < cfg.cruise_thw + cfg.engage_slack
+    short_margin = _front_thw(ego, front) < CRUISE_THW + ENGAGE_SLACK
     in_range = _net_gap(rear, ego) <= cfg.rear_detect_range
     closing = (rear.v - ego.v) >= cfg.delta_v_min
     return short_margin and in_range and closing and left_lane_free
@@ -114,7 +116,7 @@ def plan_decel(ego: CFState, front: CFState, rear: CFState, cfg: MISConfig,
     """Constant deceleration that grows the front headway in time.
 
     The headway must have grown by ``thw_increase`` (or up to an absolute
-    ``target_thw``) before the rear vehicle is within ``rear_reserve`` of
+    ``target_thw``) before the rear vehicle is within ``REAR_RESERVE`` of
     the ego, i.e. no later than the closest encounter.  Solving the
     constant-speed front / constant-decel ego kinematics for that horizon
     gives the braking value, clamped to the comfort cap.  Zero when the
@@ -123,7 +125,7 @@ def plan_decel(ego: CFState, front: CFState, rear: CFState, cfg: MISConfig,
     closing = rear.v - ego.v
     if closing <= 0.0:
         raise EngagementError("engagement precondition violated")
-    horizon = max((_net_gap(rear, ego) - cfg.rear_reserve) / closing, 0.5)
+    horizon = max((_net_gap(rear, ego) - REAR_RESERVE) / closing, 0.5)
     g0 = _net_gap(ego, front)
     thw0 = _front_thw(ego, front)
     target = target_thw if target_thw is not None else thw0 + cfg.thw_increase
@@ -350,14 +352,14 @@ def run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
                 state.mode = MISMode.COMPLETED
         elif state.mode is MISMode.COMPLETED or not mis_on or state.mode is MISMode.IDLE:
             gap = _net_gap(ego, front)
-            g_des = cfg.cruise_thw * ego.v + cfg.standstill_gap
+            g_des = CRUISE_THW * ego.v + STANDSTILL_GAP
             a_cmd = _clamp(0.25 * (gap - g_des) + 0.9 * (front.v - ego.v),
-                           -cfg.hard_decel, cfg.accel_cap)
+                           -HARD_DECEL, ACCEL_CAP)
 
         closing_front = ego.v - front.v
-        if (thw_front[k] < cfg.emergency_thw
-                or (thw_front[k] < cfg.aeb_thw and closing_front > cfg.aeb_closing)):
-            a_cmd = -cfg.hard_decel
+        if (thw_front[k] < EMERGENCY_THW
+                or (thw_front[k] < AEB_THW and closing_front > AEB_CLOSING)):
+            a_cmd = -HARD_DECEL
         if in_window and a_cmd < -1e-9:
             braked_in_window = True
             if rear.s < ego.s and overlap:
@@ -395,7 +397,7 @@ def run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
         braked_during_overlap=bool(braked_in_overlap),
         min_rear_gap=min_rear,
         rear_gap_violation=bool(not math.isnan(min_rear)
-                                and min_rear < cfg.rear_gap_violation),
+                                and min_rear < REAR_GAP_VIOLATION),
         collision=bool(not math.isnan(min_rear) and min_rear <= 0.0),
         window=window,
         t=t_grid,

@@ -148,8 +148,8 @@ def _row_key(pert: Perturbation, gi: int) -> object:
 def sweep(corpus: _CorpusLike, criterion: str | Sequence[str],
           grid: Sequence[Perturbation], layout: LaneLayout,
           params: PeakParams | None = None, distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD,
-          seed: int = 0, refilter: bool = True, cutoff: float = DEFAULT_CUTOFF,
-          min_extent: float | None = None) -> RobustnessReport:
+          seed: int = 0, refilter: bool = True,
+          cutoff: float = DEFAULT_CUTOFF) -> RobustnessReport:
     """Detection counts of one or more criteria over a perturbation grid.
 
     Perturbations are added to the lateral channel at the trajectories'
@@ -166,9 +166,9 @@ def sweep(corpus: _CorpusLike, criterion: str | Sequence[str],
     index, trajectory index) so evaluation order does not change results.
     The points come back per criterion in the given order, each in grid
     order.  The peak criterion runs without the minimum lateral-extent
-    filter by default, counting raw detections.  A vehicle too short to
-    filter or with a lane index outside ``layout`` is left out and listed
-    in ``skipped`` with the reason.
+    filter, counting raw detections.  A vehicle too short to filter or
+    with a lane index outside ``layout`` is left out and listed in
+    ``skipped`` with the reason.
     """
     criteria = (criterion,) if isinstance(criterion, str) else tuple(criterion)
     for name in criteria:
@@ -190,7 +190,7 @@ def sweep(corpus: _CorpusLike, criterion: str | Sequence[str],
         lat = np.stack([_perturbed_lat(traj, grid[gi], seed, gi, ti) for gi in computed])
         try:
             if refilter:
-                lat = _zero_phase(traj, lat, cutoff, layout, lateral=True)
+                lat = _zero_phase(traj, lat, cutoff, layout)
             check_lane_range(traj, layout)
         except (InsufficientSamplesError, LaneRangeError) as exc:
             skipped.append((traj.vehicle_id, str(exc)))
@@ -207,7 +207,7 @@ def sweep(corpus: _CorpusLike, criterion: str | Sequence[str],
             for name in criteria:
                 if name == "peak":
                     events = peak_events(traj.vehicle_id, traj.t, dy[r], disp[r], traj.v,
-                                         traj.rate, rel_h, params, min_extent)
+                                         traj.rate, rel_h, params, min_extent=None)
                 else:
                     events = distance_events(traj.vehicle_id, traj.t, y[r], traj.v,
                                              nearest[r], rests[r], layout,

@@ -42,8 +42,7 @@ class BoxSummary:
         }
 
 
-def box_summary(values: Sequence[float] | np.ndarray,
-                iqr_factor: float = 1.5) -> BoxSummary:
+def box_summary(values: Sequence[float] | np.ndarray) -> BoxSummary:
     """Five-number summary with the conventional 1.5 IQR outlier rule."""
     arr = np.asarray(values, dtype=float)
     arr = arr[~np.isnan(arr)]
@@ -51,8 +50,8 @@ def box_summary(values: Sequence[float] | np.ndarray,
         raise ValueError("box_summary of empty data")
     q25, med, q75 = np.percentile(arr, [25.0, 50.0, 75.0])
     iqr = q75 - q25
-    lo_fence = q25 - iqr_factor * iqr
-    hi_fence = q75 + iqr_factor * iqr
+    lo_fence = q25 - 1.5 * iqr
+    hi_fence = q75 + 1.5 * iqr
     inside = arr[(arr >= lo_fence) & (arr <= hi_fence)]
     outliers = arr[(arr < lo_fence) | (arr > hi_fence)]
     return BoxSummary(
@@ -68,16 +67,15 @@ def box_summary(values: Sequence[float] | np.ndarray,
 
 
 def event_stats(events: Sequence[LaneChangeEvent],
-                classes: Mapping[str, VehicleClass] | None = None,
-                include_double: bool = False) -> dict[str, dict[str, BoxSummary]]:
+                classes: Mapping[str, VehicleClass] | None = None
+                ) -> dict[str, dict[str, BoxSummary]]:
     """Duration and crossing-speed summaries per class and direction.
 
     ``classes`` maps vehicle id to its class; events of unknown vehicles
     fall back to "car".  Double lane changes and truncated events are
-    excluded from the statistics unless requested.
+    excluded from the statistics.
     """
-    usable = [e for e in events
-              if (include_double or e.kind is EventKind.SINGLE) and not e.truncated]
+    usable = [e for e in events if e.kind is EventKind.SINGLE and not e.truncated]
 
     def cls(e: LaneChangeEvent) -> str:
         if classes is None:

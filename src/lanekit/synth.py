@@ -203,8 +203,7 @@ def _plain_trajectory(vid: str, shape: VehicleShape, t: np.ndarray,
     )
 
 
-def overtake_scenario(layout: LaneLayout | None = None,
-                      model: W99Params | None = None) -> ScenarioSpec:
+def overtake_scenario() -> ScenarioSpec:
     """Canonical substitution scenario: the ego is overtaken by a fast
     vehicle in the left lane, then changes left itself and overtakes a slow
     one.
@@ -214,8 +213,7 @@ def overtake_scenario(layout: LaneLayout | None = None,
     cc1 tightens the ego's headway to the slow leader while the headway to
     the faster overtaker is nearly unaffected.
     """
-    layout = layout or LaneLayout()
-    model = model or W99Params(v_desired=33.0)
+    layout = LaneLayout()
     w = layout.lane_width
     t = np.arange(0.0, 60.0 + 1e-9, 0.2)
     car = VehicleShape()
@@ -236,4 +234,4 @@ def overtake_scenario(layout: LaneLayout | None = None,
     opp2 = _plain_trajectory("opp2", car, t, -150.0, 40.0,
                              np.ones(n, int), np.zeros(n), layout)
     return ScenarioSpec(trajectories=(ego, opp1, opp2), substituted_id="ego",
-                        model=model, layout=layout, duration=60.0)
+                        model=W99Params(v_desired=33.0), layout=layout, duration=60.0)

@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -217,8 +217,6 @@ def resample(traj: Trajectory, target_rate: float) -> Trajectory:
     """
     if target_rate <= 0.0:
         raise ValueError("target_rate must be positive")
-    if len(traj.t) < 2:
-        raise InsufficientSamplesError("insufficient samples")
     dt = 1.0 / target_rate
     eps = 1e-9 * dt
     k0 = int(math.ceil(traj.t[0] / dt - eps))
@@ -271,12 +269,12 @@ def _butter_sos(cutoff: float, rate: float) -> np.ndarray:
 
 
 def _zero_phase(traj: Trajectory, rows: np.ndarray, cutoff: float,
-                layout: LaneLayout | None, lateral: bool) -> np.ndarray:
-    """Forward-backward Butterworth filter along the last axis of ``rows``.
+                layout: LaneLayout | None) -> np.ndarray:
+    """Forward-backward Butterworth filter of ``lat`` rows along the last axis.
 
-    ``rows`` holds one or more versions of a channel of ``traj``.  With
-    ``lateral`` they are ``lat`` rows, filtered in the composite form
-    ``lane * lane_width + lat`` and returned as ``lat``.
+    ``rows`` holds one or more versions of the ``lat`` channel of ``traj``,
+    filtered in the composite form ``lane * lane_width + lat`` and returned
+    as ``lat``.
     """
     # scipy.signal is imported here, not at module level: it costs about a
     # second per process, and commands that never filter should not pay it
@@ -288,8 +286,6 @@ def _zero_phase(traj: Trajectory, rows: np.ndarray, cutoff: float,
     sos = _butter_sos(cutoff, traj.rate)
     if len(traj.t) < 10:  # shorter than the forward-backward pad
         raise InsufficientSamplesError("insufficient samples")
-    if not lateral:
-        return signal.sosfiltfilt(sos, rows, axis=-1)
     if np.all(traj.lane == traj.lane[0]):
         offset = np.zeros(len(traj.t))
     else:
@@ -302,9 +298,8 @@ def _zero_phase(traj: Trajectory, rows: np.ndarray, cutoff: float,
 DEFAULT_CUTOFF = 1.3  # [Hz] low-pass cutoff of the preprocessing
 
 
-def lowpass(traj: Trajectory, cutoff: float, layout: LaneLayout | None = None,
-            channels: Sequence[str] = ("lat",)) -> Trajectory:
-    """Zero-phase second-order Butterworth low-pass on selected channels.
+def lowpass(traj: Trajectory, cutoff: float, layout: LaneLayout | None = None) -> Trajectory:
+    """Zero-phase second-order Butterworth low-pass of the ``lat`` channel.
 
     ``lat`` is filtered in its continuous composite form
     ``lane * lane_width + lat`` so the re-referencing jumps at lane
@@ -312,13 +307,7 @@ def lowpass(traj: Trajectory, cutoff: float, layout: LaneLayout | None = None,
     the lane index is not constant.  Forward-backward filtering keeps peak
     locations unshifted for symmetric inputs.
     """
-    updates = {}
-    for name in channels:
-        ch = getattr(traj, name)
-        if ch is None:
-            raise ValueError(f"channel {name!r} not present")
-        updates[name] = _zero_phase(traj, ch, cutoff, layout, lateral=name == "lat")
-    return traj.with_channels(**updates)
+    return traj.with_channels(lat=_zero_phase(traj, traj.lat, cutoff, layout))
 
 
 def check_lane_range(traj: Trajectory, layout: LaneLayout) -> None:
@@ -327,14 +316,10 @@ def check_lane_range(traj: Trajectory, layout: LaneLayout) -> None:
         raise LaneRangeError("lane index out of range for layout")
 
 
-def continuous_lateral(traj: Trajectory, layout: LaneLayout,
-                       lat: np.ndarray | None = None) -> ContinuousLateral:
-    """Build the continuous global lateral channel y = lane*width + lat.
-
-    ``lat`` replaces the trajectory's own lateral channel when given.
-    """
+def continuous_lateral(traj: Trajectory, layout: LaneLayout) -> ContinuousLateral:
+    """Build the continuous global lateral channel y = lane*width + lat."""
     check_lane_range(traj, layout)
-    y = traj.lane * layout.lane_width + (traj.lat if lat is None else lat)
+    y = traj.lane * layout.lane_width + traj.lat
     return ContinuousLateral(vehicle_id=traj.vehicle_id, t=traj.t, y=y,
                              rate=traj.rate, v=traj.v)
 

@@ -459,6 +459,74 @@ def test_readme_ini_blocks_parse(tmp_path):
         parsers[block.splitlines()[0]](str(path))
 
 
+def test_readme_python_blocks_run():
+    """The python blocks of README.md run in order in one namespace."""
+    import ast
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    namespace = {}
+    for block in blocks:
+        *body, last = ast.parse(block).body  # each ends in an expression, whose value we keep
+        assert isinstance(last, ast.Expr)
+        exec(compile(ast.Module(body, []), "README.md", "exec"), namespace)
+        value = eval(compile(ast.Expression(last.value), "README.md", "eval"), namespace)
+    assert ast.unparse(last).startswith("lk.thw(")
+    assert value == pytest.approx(0.84, abs=1e-12)
+
+
+def _with_row(source, path, row):
+    """``source`` with ``row`` appended, written to ``path``; its line number."""
+    text = source.read_text() + row + "\n"
+    path.write_text(text)
+    return len(text.splitlines())
+
+
+@pytest.mark.parametrize("row,message", [
+    ("r00v0000,car,4.8", "expected 4 fields, got 3"),
+    ("r00v0000,car,long,2.0", "could not convert string to float: 'long'"),
+    ("r00v0000,bus,4.8,2.0", "'bus' is not a valid VehicleClass"),
+], ids=["short", "number", "class"])
+def test_malformed_vehicles_row_names_file_and_line(workdir, tmp_path, capsys, row, message):
+    vehicles = tmp_path / "vehicles.csv"
+    line = _with_row(workdir / "vehicles.csv", vehicles, row)
+    assert run("detect", "--traj", workdir / "trajectories.csv", "--vehicles", vehicles,
+               "--out", tmp_path / "det") == 1
+    assert f"error: {vehicles}:{line}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda f: f[:4], "expected 10 fields, got 4"),
+    (lambda f: f[:2] + ["soon"] + f[3:], "could not convert string to float: 'soon'"),
+    (lambda f: f[:6] + ["up"] + f[7:], "'up' is not a valid Direction"),
+    (lambda f: f[:9] + ["triple"], "'triple' is not a valid EventKind"),
+], ids=["short", "number", "direction", "kind"])
+@pytest.mark.parametrize("command", ["stats", "criticality"])
+def test_malformed_events_row_names_file_and_line(workdir, tmp_path, capsys, command, edit,
+                                                  message):
+    truth = workdir / "truth_events.csv"
+    events = tmp_path / "events.csv"
+    line = _with_row(truth, events, ",".join(edit(truth.read_text().splitlines()[1].split(","))))
+    inputs = ["--traj", workdir / "trajectories.csv"] if command == "criticality" else []
+    assert run(command, *inputs, "--events", events, "--out", tmp_path / "out") == 1
+    assert f"error: {events}:{line}: {message}" in capsys.readouterr().err
+
+
+def test_sample_warns_of_rejected_rows(tmp_path, capsys):
+    from lanekit.io import write_trajectories
+    from lanekit.synth import overtake_scenario
+
+    write_trajectories(tmp_path / "clean.csv", overtake_scenario().trajectories)
+    _with_row(tmp_path / "clean.csv", tmp_path / "scenario_traj.csv",
+              "opp1,60.2,nan,0,0,24,0,0,,\nopp1,60.4")
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text("trajectories = scenario_traj.csv\nsubstituted_id = ego\n")
+    out = tmp_path / "sample"
+    assert run("sample", "--scenario", scenario, "--out", out) == 0
+    assert "warning: 2 rows rejected" in capsys.readouterr().err
+    assert len((out / "thw_traces.csv").read_text().splitlines()) > 1
+
+
 def test_error_exit_code(tmp_path):
     assert run("detect", "--traj", tmp_path / "missing.csv",
                "--out", tmp_path) == 1

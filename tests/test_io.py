@@ -506,6 +506,38 @@ def test_config_key_set():
             RunConfig.from_dict({key: "1"})
 
 
+# the keys RunConfig.from_dict accepts, sorted
+ACCEPTED_KEYS = [
+    "a_lat_crit", "a_lon_crit", "bias_grid", "brownian_grid", "cc0", "cc1", "cc2", "cc3",
+    "cc4", "cc5", "cc6", "cc7", "cc8", "cc9", "d_crit", "dce_crit", "distance_threshold",
+    "lane_count", "lane_width", "lowpass_aerial", "lowpass_cutoff", "marking_tolerance",
+    "min_lateral_extent", "min_peak_separation", "mis_comfort_decel_cap", "mis_delta_v_min",
+    "mis_rear_detect_range", "mis_thw_increase", "prominence_min", "resample_rate", "seed",
+    "sim_dt", "speed_limit", "sweep_refilter", "synth_n", "thw_crit", "truck_fraction",
+    "ttce_gate", "v_desired", "v_factor", "vehicle_length", "vehicle_width",
+]
+
+
+def test_accepted_config_keys_are_the_literal_set():
+    # a key from_dict knows fails on the value "?", any other as unknown; the
+    # candidates are every field name of RunConfig and its sections, and the
+    # margin increase system's calibration names, bare and with each prefix
+    cfg = RunConfig()
+    names = {f.name for f in fields(cfg)} | {
+        "cruise_thw", "engage_slack", "rear_reserve", "standstill_gap", "hard_decel",
+        "accel_cap", "emergency_thw", "aeb_thw", "aeb_closing", "rear_gap_violation"}
+    for section in ("layout", "peak", "thresholds", "w99", "mis", "default_shape"):
+        names |= {f.name for f in fields(getattr(cfg, section))}
+    accepted = set()
+    for key in set(ACCEPTED_KEYS) | {p + n for n in names for p in ("", "mis_", "vehicle_")}:
+        with pytest.raises(ValueError) as err:
+            RunConfig.from_dict({key: "?"})
+        if not str(err.value).startswith("unknown config key"):
+            accepted.add(key)
+    assert len(ACCEPTED_KEYS) == 42
+    assert sorted(accepted) == ACCEPTED_KEYS
+
+
 @pytest.mark.parametrize("key,text,attr,value", CONFIG_KEYS, ids=[k[0] for k in CONFIG_KEYS])
 def test_config_key_lands_on_its_field(key, text, attr, value):
     cfg, default = RunConfig.from_dict({key: text}), RunConfig()

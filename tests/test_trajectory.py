@@ -220,7 +220,7 @@ def test_stacked_rows_filter_like_one_lowpass_each(rate):
     for traj in (sigmoid_lane_change(rate=rate), lane_keeping(rate=rate, lane=1)):
         rows = traj.lat + np.cumsum(rng.normal(0.0, 0.02, (6, len(traj.t))), axis=1)
         rows[0] = traj.lat
-        got = _zero_phase(traj, rows, 1.3, LAYOUT, lateral=True)
+        got = _zero_phase(traj, rows, 1.3, LAYOUT)
         for row, lat in zip(got, rows):
             want = ref_lowpass_lat(traj.with_channels(lat=lat), 1.3, LAYOUT).lat
             assert np.array_equal(row, want)
