@@ -9,11 +9,9 @@ all outputs are deterministic given inputs, configuration and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import sys
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -111,12 +109,18 @@ def cmd_synth(args) -> int:
     return 0
 
 
+_CRITERIA = ("gradient", "peak", "distance")
+
+
 def cmd_detect(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
     layout = cfg.layout
+    criteria = args.criteria.split(",") if args.criteria else _CRITERIA
+    for name in criteria:
+        if name not in _CRITERIA:
+            raise ValueError(f"unknown criterion {name!r}")
     trajectories = _ingest_corpus(args, cfg)
-    criteria = args.criteria.split(",") if args.criteria else ["gradient", "peak", "distance"]
 
     all_events = []
     for traj in trajectories:
@@ -240,6 +244,8 @@ def _scenario_trajectories(raw: dict[str, str], path: str,
     base = Path(path).parent
     vehicles = raw.pop("vehicles", None)
     if "trajectories" not in raw:
+        if vehicles is not None:
+            raise ValueError(f"{path}: scenario key 'vehicles' needs a 'trajectories' key")
         return None
     return _read_trajectories(base / raw.pop("trajectories"),
                               base / vehicles if vehicles is not None else None, cfg)
@@ -271,15 +277,7 @@ def cmd_sample(args) -> int:
     spec, cc1_values = _scenario_from_file(args.scenario, cfg)
     result = sample_cc1(spec, cc1_values)
 
-    t_col = [lkio.fmt(tk) for tk in result.t.tolist()]
-    with (out / "thw_traces.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "opponent_id", "thw", "cc1"])
-        for sc in result.scenarios:
-            cc1 = repeat(lkio.fmt(sc.cc1))
-            for opp_id, trace in sorted(sc.thw_traces.items()):
-                thw = [lkio.fmt(val) for val in trace.tolist()]
-                writer.writerows(zip(t_col, repeat(opp_id), thw, cc1))
+    lkio.write_thw_traces(out / "thw_traces.csv", result)
     for sc in result.scenarios:
         lkio.write_trajectories(out / f"simulated_cc1_{sc.cc1:g}.csv",
                                 [sc.trajectory])

@@ -22,6 +22,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
+from io import StringIO
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
@@ -35,7 +36,7 @@ from .mis import MISConfig
 from .robustness import RobustnessReport
 from .synth import DEFAULT_N, DEFAULT_TRUCK_FRACTION
 from .trajectory import DEFAULT_CUTOFF, LaneLayout, Trajectory, VehicleClass, VehicleShape
-from .wiedemann import ScenarioSpec, W99Params
+from .wiedemann import SampledScenarioSet, ScenarioSpec, W99Params
 
 __all__ = [
     "TRAJECTORY_HEADER",
@@ -51,6 +52,7 @@ __all__ = [
     "read_events",
     "write_robustness",
     "write_records",
+    "write_thw_traces",
     "write_json",
     "parse_keyvalues",
     "field_types",
@@ -325,20 +327,29 @@ def _add_vehicle(report: IngestReport, vid: str, rows: np.ndarray,
 
 
 def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> None:
+    """One ``csv.writer`` line per sample, written one vehicle at a time."""
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_HEADER)
+        fh.write(_HEADER_LINE + "\r\n")
         for traj in trajectories:
-            writer.writerows(zip(
-                repeat(traj.vehicle_id), _fmt_column(traj.t), _fmt_column(traj.s),
-                traj.lane.tolist(), _fmt_column(traj.lat), _fmt_column(traj.v),
+            rows = zip(
+                repeat(_csv_field(traj.vehicle_id)), _fmt_column(traj.t), _fmt_column(traj.s),
+                map(str, traj.lane.tolist()), _fmt_column(traj.lat), _fmt_column(traj.v),
                 _fmt_column(traj.a_lon), _fmt_column(traj.a_lat),
-                _fmt_column(traj.d_left), _fmt_column(traj.d_right)))
+                _fmt_column(traj.d_left), _fmt_column(traj.d_right))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")  # a track has 2+ samples
 
 
 def _fmt_column(values: np.ndarray | None) -> Iterable[str]:
     """``fmt`` of every element; endless empty fields for a missing channel."""
     return repeat("") if values is None else [fmt(x) for x in values.tolist()]
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one of several fields: quoted,
+    its quotes doubled, if it holds a comma, a quote or a line break."""
+    buf = StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-3]  # less the empty field's ",\r\n"
 
 
 def write_vehicles(path: str | Path, trajectories: Iterable[Trajectory]) -> None:
@@ -421,24 +432,85 @@ def write_records(path: str | Path, records: Iterable[CriticalityRecord]) -> Non
             ])
 
 
-def _json_safe(obj):
-    """Replace non-finite floats with null; JSON has no nan/inf tokens."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    return obj
+def write_thw_traces(path: str | Path, result: SampledScenarioSet) -> None:
+    """One line per (cc1, opponent, t): scenarios in run order, opponents
+    sorted by id, ``thw`` empty where that opponent is not the leader.
+    Each (scenario, opponent) block is one write."""
+    t_col = [fmt(tk) for tk in result.t.tolist()]
+    with Path(path).open("w", newline="") as fh:
+        fh.write("t,opponent_id,thw,cc1\r\n")
+        for sc in result.scenarios:
+            tail = f",{fmt(sc.cc1)}\r\n"
+            for opp_id, trace in sorted(sc.thw_traces.items()):
+                # the lines t + mid + thw + tail, without a string per line
+                mid = f",{_csv_field(opp_id)},"
+                fh.write("".join(chain.from_iterable(
+                    zip(t_col, repeat(mid), _fmt_column(trace), repeat(tail)))))
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    """Schema-versioned, key-sorted JSON for byte-reproducible reports."""
+    """Schema-versioned JSON for byte-reproducible reports.
+
+    The bytes are those of ``json.dump(..., indent=1, sort_keys=True)``
+    plus a final newline: keys sorted, one space of indent per level,
+    strings ASCII with ``\\uXXXX`` escapes, a float as ``float.__repr__``
+    writes it and a non-finite one as ``null``.  Keys must be ``str``; a
+    value other than a dict, list, tuple, str, int, float, bool or None is
+    a TypeError.
+    """
     body = {"schema": 1}
     body.update(payload)
+    out: list[str] = []
+    _json_text(body, "\n", out)
+    out.append("\n")
     with Path(path).open("w") as fh:
-        json.dump(_json_safe(body), fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write("".join(out))
+
+
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``obj`` to ``out``; ``newline`` is the line
+    break and indent that close ``obj`` when it is a container."""
+    if isinstance(obj, (list, tuple, dict)):
+        brackets = "{}" if isinstance(obj, dict) else "[]"
+        if not obj:
+            out.append(brackets)
+            return
+        inner = newline + " "
+        sep = "," + inner
+        first = len(out)
+        if isinstance(obj, dict):
+            for key in sorted(obj):
+                out.append(sep + _json_str(key) + ": ")
+                _json_text(obj[key], inner, out)
+        else:
+            for item in obj:
+                # the time series of a report: floats and strings without a call
+                if isinstance(item, float):
+                    out.append(sep + (float.__repr__(item) if math.isfinite(item) else "null"))
+                elif isinstance(item, str):
+                    out.append(sep + _json_str(item))
+                else:
+                    out.append(sep)
+                    _json_text(item, inner, out)
+        out[first] = brackets[0] + out[first][1:]
+        out.append(newline + brackets[1])
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
+    elif isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # --------------------------------------------------------------------------

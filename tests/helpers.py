@@ -599,3 +599,39 @@ def ref_write_trajectories(path, trajectories) -> None:
                     fmt(traj.a_lon[i]), fmt(traj.a_lat[i]),
                     fmt(dl[i]), fmt(dr[i]),
                 ])
+
+
+def ref_write_thw_traces(path, result) -> None:
+    import csv
+    from itertools import repeat
+    from pathlib import Path
+    from lanekit.io import fmt
+    t_col = [fmt(tk) for tk in result.t.tolist()]
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "opponent_id", "thw", "cc1"])
+        for sc in result.scenarios:
+            cc1 = repeat(fmt(sc.cc1))
+            for opp_id, trace in sorted(sc.thw_traces.items()):
+                thw = [fmt(val) for val in trace.tolist()]
+                writer.writerows(zip(t_col, repeat(opp_id), thw, cc1))
+
+
+def ref_write_json(path, payload) -> None:
+    import json
+    from pathlib import Path
+
+    def safe(obj):  # JSON has no nan/inf tokens
+        if isinstance(obj, float):
+            return obj if math.isfinite(obj) else None
+        if isinstance(obj, dict):
+            return {k: safe(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [safe(v) for v in obj]
+        return obj
+
+    body = {"schema": 1}
+    body.update(payload)
+    with Path(path).open("w") as fh:
+        json.dump(safe(body), fh, indent=1, sort_keys=True, allow_nan=False)
+        fh.write("\n")

@@ -54,6 +54,14 @@ def test_detect_reproducible(workdir, tmp_path):
     assert (a / "events.csv").read_bytes() == (b / "events.csv").read_bytes()
 
 
+def test_detect_rejects_unknown_criterion(workdir, tmp_path, capsys):
+    out = tmp_path / "det"
+    assert run("detect", "--traj", workdir / "trajectories.csv", "--criteria", "gradiant,peek",
+               "--out", out) == 1
+    assert "error: unknown criterion 'gradiant'" in capsys.readouterr().err
+    assert not (out / "events.csv").exists()
+
+
 def test_detect_skips_short_track(workdir, tmp_path, capsys):
     import numpy as np
     from lanekit.io import ingest, write_trajectories
@@ -411,6 +419,17 @@ def test_sample_scenario_needs_trajectories_and_substituted_id(tmp_path, capsys,
     scenario.write_text(text)
     assert run("sample", "--scenario", scenario, "--out", tmp_path / "sample") == 1
     assert "needs 'trajectories' and 'substituted_id'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text", [("sample", "substituted_id = ego\n"),
+                                          ("mis-eval", MIS_FIXTURE)], ids=["sample", "mis-eval"])
+def test_scenario_vehicles_need_trajectories(workdir, tmp_path, capsys, command, text):
+    scenario = tmp_path / "no_traj.cfg"
+    scenario.write_text(f"vehicles = {workdir / 'vehicles.csv'}\n" + text)
+    assert run(command, "--scenario", scenario, "--out", tmp_path / "out") == 1
+    assert ("no_traj.cfg: scenario key 'vehicles' needs a 'trajectories' key"
+            in capsys.readouterr().err)
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_scenario_coercion_error_names_the_key(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import math
 import tempfile
 import warnings
 from dataclasses import fields, replace
+from enum import IntEnum
 from itertools import groupby, zip_longest
 from pathlib import Path
 from unittest import mock
@@ -26,10 +28,11 @@ from lanekit.io import (
 )
 from lanekit.mis import MISConfig
 from lanekit.synth import generate_corpus
-from lanekit.trajectory import LaneLayout, VehicleShape
-from lanekit.wiedemann import W99Params
+from lanekit.trajectory import LaneLayout, Trajectory, VehicleShape
+from lanekit.wiedemann import SampledScenario, SampledScenarioSet, W99Params
 
-from helpers import assert_same_ingest, ref_ingest, ref_write_trajectories
+from helpers import (assert_same_ingest, ref_ingest, ref_write_json, ref_write_thw_traces,
+                     ref_write_trajectories)
 
 
 def test_fmt_nine_digits():
@@ -590,3 +593,110 @@ def test_boolean_spellings(text, value):
 def test_out_of_range_section_value_fails_on_load(key, text, message):
     with pytest.raises(ValueError, match=message):
         RunConfig.from_dict({key: text})
+
+
+# ---------------------------------------------------------------------------
+# writers against their csv.writer and json.dump references
+
+def _same_bytes(write, ref, *args) -> bool:
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got", Path(tmp) / "want"
+        write(got, *args)
+        ref(want, *args)
+        return got.read_bytes() == want.read_bytes()
+
+
+# ids csv.writer quotes (comma, quote, line breaks) and ids it leaves alone
+CSV_IDS = st.text(st.sampled_from('ab7,"\n\r \té'), max_size=6)
+# nan, infinities, signed zeros, subnormals and 9-digit rounding edges
+CSV_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 0.1 + 0.2, 999999999.5])
+
+
+@st.composite
+def csv_trajectories(draw):
+    out = []
+    for vid in draw(st.lists(CSV_IDS, min_size=1, max_size=3)):
+        n = draw(st.integers(2, 5))
+
+        def column():
+            return np.array(draw(st.lists(CSV_FLOATS, min_size=n, max_size=n)))
+
+        markings = {k: column() if draw(st.booleans()) else None for k in ("d_left", "d_right")}
+        out.append(Trajectory(
+            vehicle_id=vid, shape=VehicleShape(), rate=5.0,
+            t=np.cumsum(draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))),
+            s=column(), lane=np.array(draw(st.lists(st.integers(-3, 9), min_size=n, max_size=n))),
+            lat=column(), v=column(), a_lon=column(), a_lat=column(), **markings))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(trajs=csv_trajectories())
+def test_write_trajectories_matches_csv_writer(trajs):
+    assert _same_bytes(write_trajectories, ref_write_trajectories, trajs)
+
+
+@st.composite
+def thw_results(draw):
+    n = draw(st.integers(1, 6))
+    traces = st.one_of(st.just([math.nan] * n),  # an opponent that never leads
+                       st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n),  # one always ahead
+                       st.lists(CSV_FLOATS, min_size=n, max_size=n))
+    scenarios = st.builds(SampledScenario, cc1=st.floats(1e-3, 10.0), trajectory=st.none(),
+                          thw_traces=st.dictionaries(CSV_IDS, traces.map(np.array), max_size=4),
+                          min_thw=st.just({}))
+    return SampledScenarioSet(
+        t=np.array(draw(st.lists(CSV_FLOATS, min_size=n, max_size=n))),
+        scenarios=tuple(draw(st.lists(scenarios, min_size=1, max_size=3))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(result=thw_results())
+def test_write_thw_traces_matches_csv_writer(result):
+    assert _same_bytes(lkio.write_thw_traces, ref_write_thw_traces, result)
+
+
+class Lane(IntEnum):
+    RIGHT = 0
+    LEFT = 1
+
+
+# any code point: non-ASCII, control characters and lone surrogates
+JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | JSON_TEXT
+                | st.floats() | st.floats().map(np.float64)
+                | st.sampled_from([-0.0, 5e-324, 1e16, True, 1, False, 0, *Lane, *Direction]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=5))
+def test_write_json_matches_json_dump(payload):
+    assert _same_bytes(lkio.write_json, ref_write_json, payload)
+
+
+def test_write_json_edge_values(tmp_path):
+    payload = {"floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, np.float64(0.1),
+                          np.float64(math.nan)],
+               "ints": [True, 1, False, 0, Lane.LEFT, 2 ** 70],
+               "text": ["é\x00\x1f\ud800\U0001f600\"\\/", "", Direction.RIGHT],
+               "\udfff key é": {"": [], "b": {}, "a": ([1, (2.5,)], {"z": None})}}
+    assert _same_bytes(lkio.write_json, ref_write_json, payload)
+    lkio.write_json(tmp_path / "r.json", payload)
+    text = (tmp_path / "r.json").read_text()
+    assert text.isascii() and text.endswith("}\n")
+    assert ('\n "floats": [\n  null,\n  null,\n  null,\n  -0.0,\n  5e-324,\n  1e+16,\n  0.1,\n'
+            '  null\n ]') in text
+
+
+@pytest.mark.parametrize("bad", [np.int64(1), np.bool_(True), {1, 2}])
+@pytest.mark.parametrize("where", ["value", "list", "dict", "tuple"])
+def test_write_json_type_error_parity(tmp_path, bad, where):
+    payload = {"value": bad, "list": [1.0, bad], "dict": {"k": bad}, "tuple": ("a", bad)}[where]
+    for write in (lkio.write_json, ref_write_json):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write(tmp_path / "r.json", {"x": payload})
