@@ -275,12 +275,16 @@ def cmd_sample(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
     spec, cc1_values = _scenario_from_file(args.scenario, cfg)
+    names = [f"simulated_cc1_{cc1:g}.csv" for cc1 in cc1_values]
+    for j, name in enumerate(names):
+        if name in names[:j]:  # the rollouts would overwrite each other
+            raise ValueError(f"cc1 values {cc1_values[names.index(name)]} and "
+                             f"{cc1_values[j]} both write {name}")
     result = sample_cc1(spec, cc1_values)
 
     lkio.write_thw_traces(out / "thw_traces.csv", result)
-    for sc in result.scenarios:
-        lkio.write_trajectories(out / f"simulated_cc1_{sc.cc1:g}.csv",
-                                [sc.trajectory])
+    for name, sc in zip(names, result.scenarios):
+        lkio.write_trajectories(out / name, [sc.trajectory])
     print(f"wrote {len(result.scenarios)} sampled scenarios to {out}")
     return 0
 

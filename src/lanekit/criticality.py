@@ -19,8 +19,11 @@ and ``ttce_dce`` are scalar wrappers around it.
 interpolates each vehicle once onto the points of one grid shared by all
 egos, the distinct sample times inside their windows, that its track
 covers, and calls the kernel once per ego on a rivals x samples block
-that is NaN where a rival's track does not reach.  ``most_critical`` is
-its one-window case.
+that is NaN where a rival's track does not reach.  It tabulates each
+metric's worst value per ego sample, the pairwise ones by ``nan_min`` over
+rivals.  A window, the samples ``time_overlap`` finds, takes ``nan_min`` of
+its columns for the metrics in ``_LOW``, else a NaN-propagating maximum, and
+is all NaN without samples.  ``most_critical`` is its one-window case.
 
 Each metric is defined once: ``METRIC_NAMES`` orders them, ``_LOW`` holds
 those critical below their limit (worst value the minimum), and
@@ -30,14 +33,13 @@ threshold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .stats import BoxSummary, box_summary
-from .trajectory import LaneLayout, Trajectory, VehicleShape, continuous_lateral
+from .trajectory import LaneLayout, Trajectory, VehicleShape, continuous_lateral, time_overlap
 
 __all__ = [
     "Thresholds",
@@ -48,7 +50,7 @@ __all__ = [
     "euclidean_distance",
     "thw",
     "ttce_dce",
-    "time_overlap",
+    "nan_min",
     "most_critical",
     "critical_records",
     "direction_stats",
@@ -212,24 +214,17 @@ class CriticalityRecord:
 
 def classify(values: Mapping[str, float], thresholds: Thresholds,
              speed_limit: float) -> dict[str, bool]:
-    """Per-metric critical flags; nan (undefined) is never critical."""
+    """Per-metric critical flags; nan (undefined) compares false: never critical."""
     flags = {}
     for metric in METRIC_NAMES:
         x, lim = values[metric], thresholds.limit(metric, speed_limit)
-        flags[metric] = not math.isnan(x) and (x < lim if metric in _LOW else x > lim)
+        flags[metric] = x < lim if metric in _LOW else x > lim
     return flags
 
 
-def time_overlap(t: np.ndarray, other_t: np.ndarray) -> slice:
-    """Slice of the increasing grid ``t`` inside ``[other_t[0], other_t[-1]]``."""
-    return slice(int(np.searchsorted(t, other_t[0], side="left")),
-                 int(np.searchsorted(t, other_t[-1], side="right")))
-
-
-def _window_span(t: np.ndarray, window: tuple[float, float]) -> tuple[int, int]:
-    """The samples of the increasing grid ``t`` in ``window``, as a range."""
-    inside = np.flatnonzero((t >= window[0]) & (t <= window[1]))
-    return (int(inside[0]), int(inside[-1]) + 1) if len(inside) else (0, 0)
+def nan_min(x: np.ndarray) -> np.ndarray:
+    """Minimum along the first axis ignoring NaN; NaN where there is no other value."""
+    return np.fmin.reduce(x, axis=0, initial=np.nan)
 
 
 def _lateral(traj: Trajectory, layout: LaneLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -245,28 +240,20 @@ def _lateral(traj: Trajectory, layout: LaneLayout) -> tuple[np.ndarray, np.ndarr
     return memo[layout]
 
 
-def _nanmin(x: np.ndarray) -> float:
-    return float(np.fmin.reduce(x, axis=None)) if x.size else math.nan
-
-
 def _records(opponents: Sequence[Trajectory],
              windows: Sequence[tuple[Trajectory, tuple[float, float], str]],
              layout: LaneLayout, thresholds: Thresholds | None) -> list[CriticalityRecord]:
     """One record per ``(ego, window, direction)``, against ``opponents``."""
     thresholds = thresholds or Thresholds()
-    spans = [_window_span(ego.t, window) for ego, window, _ in windows]
-    egos: dict[str, tuple[Trajectory, list[int]]] = {}
-    for i, (ego, _, _) in enumerate(windows):
-        egos.setdefault(ego.vehicle_id, (ego, []))[1].append(i)
-    # each ego is evaluated on the samples inside any of its windows
-    samples = {}
-    for vid, (ego, which) in egos.items():
-        inside = np.zeros(len(ego.t), dtype=bool)
-        for i in which:
-            inside[slice(*spans[i])] = True
-        samples[vid] = np.flatnonzero(inside)
+    # each ego, its windows and the samples inside any of them it is evaluated on
+    egos: dict[str, tuple[Trajectory, list[int], np.ndarray]] = {}
+    for i, (ego, window, _) in enumerate(windows):
+        _, which, inside = egos.setdefault(
+            ego.vehicle_id, (ego, [], np.zeros(len(ego.t), dtype=bool)))
+        which.append(i)
+        inside[time_overlap(ego.t, window)] = True
     grid = np.unique(np.concatenate(
-        [ego.t[samples[vid]] for vid, (ego, _) in egos.items()] or [np.empty(0)]))
+        [ego.t[inside] for ego, _, inside in egos.values()] or [np.empty(0)]))
     # every opponent's s, y, v and vy on the grid points lo[j]:hi[j] its
     # track covers (as in ``time_overlap``), the slices stored end to end:
     # opponent j's value at grid point c is column start[j] + c
@@ -284,9 +271,10 @@ def _records(opponents: Sequence[Trajectory],
     length = np.array([opp.shape.length for opp in opponents])
     width = np.array([opp.shape.width for opp in opponents])
 
+    low = np.array([k in _LOW for k in METRIC_NAMES])
     records: list[CriticalityRecord | None] = [None] * len(windows)
-    for vid, (ego, which) in egos.items():
-        ix = samples[vid]
+    for vid, (ego, which, inside) in egos.items():
+        ix = np.flatnonzero(inside)
         tt = ego.t[ix]
         cols = np.searchsorted(grid, tt)  # exact: the grid holds them
         # the rivals are the other vehicles whose tracks cover any of the
@@ -303,21 +291,20 @@ def _records(opponents: Sequence[Trajectory],
                        0.5 * (ego.shape.width + width[rival, None]))
         # a NaN-padded entry reads as ttce = 0, so TTCE is kept where covered
         ttce = np.where(covers, m.ttce, np.nan)
-        dce = np.where(ttce < thresholds.ttce_gate, m.dce, np.nan)
+        pairwise = {"d": m.d, "thw": m.thw, "ttce": ttce,
+                    "dce": np.where(ttce < thresholds.ttce_gate, m.dce, np.nan)}
+        own = {"v": ego.v[ix], "a_lon": np.abs(ego.a_lon[ix]), "a_lat": np.abs(ego.a_lat[ix])}
+        # every metric's worst value at each ego sample, rows in METRIC_NAMES
+        # order; the kernel never yields -0.0, so a window's minimum does not
+        # depend on the order of its entries
+        worst = np.array([nan_min(pairwise[k]) if k in _LOW else own[k] for k in METRIC_NAMES])
         for i in which:
             _, window, direction = windows[i]
-            w0, w1 = spans[i]
-            # the kernel never yields -0.0, so a window's minimum does not
-            # depend on the order of its entries
-            a, b = np.searchsorted(ix, [w0, w1]).tolist()
-            values = {"d": _nanmin(m.d[:, a:b]), "thw": _nanmin(m.thw[:, a:b]),
-                      "ttce": _nanmin(ttce[:, a:b]), "dce": _nanmin(dce[:, a:b])}
-            if w1 > w0:
-                values.update(v=float(np.max(ego.v[w0:w1])),
-                              a_lon=float(np.max(np.abs(ego.a_lon[w0:w1]))),
-                              a_lat=float(np.max(np.abs(ego.a_lat[w0:w1]))))
-            else:
-                values.update(v=math.nan, a_lon=math.nan, a_lat=math.nan)
+            block = worst[:, time_overlap(tt, window)]
+            if not block.size:  # a window without samples is all NaN
+                block = np.full((len(METRIC_NAMES), 1), np.nan)
+            values = dict(zip(METRIC_NAMES, np.where(low, nan_min(block.T),
+                                                     np.max(block, axis=1)).tolist()))
             records[i] = CriticalityRecord(
                 ego.vehicle_id, window[0], window[1], direction,
                 **{record_field(k): values[k] for k in METRIC_NAMES},
@@ -344,11 +331,15 @@ def critical_records(trajectories: Sequence[Trajectory],
     grid.  Each ego's rivals are the other vehicles whose tracks cover any
     of its samples.  It gathers them into a rivals x samples block, NaN
     where a track does not reach, and calls the kernel once for all its
-    windows, whose minima are taken over their own columns; TTCE counts
-    only where the rival's track covers the sample.  Tracks on one frame
-    clock, as in one recording, share their grid points, so the grid is no
-    longer than that clock's span; tracks on unrelated clocks make it as
-    long as all windows' samples together.
+    windows; TTCE counts only where the rival's track covers the sample.
+    A table holds each metric's worst value per ego sample: d, THW, DCE and
+    TTCE reduced over rivals ignoring NaN, and v, |a_lon| and |a_lat|.  A
+    window, the samples with ``t_start <= t <= t_end``, takes the minimum
+    of its columns ignoring NaN for the first four and the maximum, NaN if
+    any sample is, for the rest; without samples (or reversed) it is all
+    NaN.  Tracks on one frame clock, as in one recording, share their grid
+    points, so the grid is no longer than that clock's span; tracks on
+    unrelated clocks make it as long as all windows' samples together.
     """
     by_id = {traj.vehicle_id: traj for traj in trajectories}
     return _records(trajectories, [(by_id[vid], window, direction)

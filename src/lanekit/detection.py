@@ -30,6 +30,7 @@ from .trajectory import (
     VehicleShape,
     continuous_lateral,
     derivative,
+    time_overlap,
 )
 
 __all__ = [
@@ -274,13 +275,10 @@ def _half_displacement_time(t: np.ndarray, disp: np.ndarray, t0: float,
                             fallback: float) -> float:
     """Instant inside [t0, t1] where half the window displacement is done."""
     target = d0 + 0.5 * (d1 - d0)
-    mask = (t >= t0) & (t <= t1)
-    if not np.any(mask):
-        return fallback
-    tt = t[mask]
-    dd = disp[mask]
+    k = time_overlap(t, (t0, t1))
+    tt = t[k]
     sign = 1.0 if d1 >= d0 else -1.0
-    gd = sign * dd
+    gd = sign * disp[k]
     gt = sign * target
     hit = np.nonzero((gd[:-1] <= gt) & (gd[1:] >= gt))[0]
     if len(hit) == 0:
@@ -444,9 +442,9 @@ def distance_events(vehicle_id: str, t: np.ndarray, y: np.ndarray, v: np.ndarray
 def _boundary_cross_time(t: np.ndarray, yy: np.ndarray, t0: float, t1: float,
                          boundary: float) -> float:
     """First crossing of a lane boundary inside [t0, t1]; midpoint fallback."""
-    mask = (t >= t0) & (t <= t1)
-    tt = t[mask]
-    vv = yy[mask] - boundary
+    k = time_overlap(t, (t0, t1))
+    tt = t[k]
+    vv = yy[k] - boundary
     crossings = np.nonzero(vv[:-1] * vv[1:] <= 0.0)[0]
     for i in crossings:
         if vv[i] == vv[i + 1]:

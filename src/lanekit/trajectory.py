@@ -30,6 +30,7 @@ __all__ = [
     "check_lane_range",
     "continuous_lateral",
     "derivative",
+    "time_overlap",
 ]
 
 
@@ -185,6 +186,14 @@ class ContinuousLateral:
 
     def shifted(self, offset: float) -> "ContinuousLateral":
         return replace(self, y=self.y + offset)
+
+
+def time_overlap(t: np.ndarray, span: tuple[float, float] | np.ndarray) -> slice:
+    """Slice of the increasing grid ``t`` inside ``[span[0], span[-1]]``; like
+    a reversed span, one with a NaN bound gives an empty slice."""
+    lo = int(np.searchsorted(t, span[0], side="left"))
+    hi = lo if math.isnan(span[-1]) else int(np.searchsorted(t, span[-1], side="right"))
+    return slice(lo, hi)
 
 
 def _interp_with_rereference(t_new: np.ndarray, t_old: np.ndarray,

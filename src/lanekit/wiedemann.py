@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .criticality import KinState, encounter, time_overlap
-from .trajectory import LaneLayout, Trajectory
+from .criticality import KinState, encounter, nan_min
+from .trajectory import LaneLayout, Trajectory, time_overlap
 
 __all__ = [
     "W99Params",
@@ -221,11 +221,12 @@ def simulate(spec: ScenarioSpec) -> Trajectory:
     t_grid = t0 + np.arange(n) * spec.dt
 
     lane = _held_lane(rec, t_grid)
-    opp_s = np.empty((n, len(others)))
+    opp_s = np.full((n, len(others)), math.inf)
     for j, opp in enumerate(others):
-        shown = ((t_grid >= opp.t[0]) & (t_grid <= opp.t[-1])
-                 & (_held_lane(opp, t_grid) == lane))
-        opp_s[:, j] = np.where(shown, np.interp(t_grid, opp.t, opp.s), math.inf)
+        k = time_overlap(t_grid, opp.t)
+        tk = t_grid[k]
+        opp_s[k, j] = np.where(_held_lane(opp, tk) == lane[k],
+                               np.interp(tk, opp.t, opp.s), math.inf)
 
     s = np.empty(n)
     v = np.empty(n)
@@ -314,16 +315,12 @@ def sample_cc1(spec: ScenarioSpec, cc1_values: Sequence[float]) -> SampledScenar
         raise ValueError("cc1 values must be positive")
 
     scenarios = []
-    t_grid: np.ndarray | None = None
     for cc1 in cc1_values:
         variant = replace(spec, model=replace(spec.model, cc1=cc1))
         ego = simulate(variant)
-        if t_grid is None:
-            t_grid = ego.t
         traces = {opp.vehicle_id: _thw_trace(ego, opp, spec.layout)
                   for opp in spec.others()}
-        mins = {vid: (float(np.nanmin(tr)) if np.any(~np.isnan(tr)) else math.nan)
-                for vid, tr in traces.items()}
+        mins = {vid: float(nan_min(tr)) for vid, tr in traces.items()}
         scenarios.append(SampledScenario(cc1, ego, traces, mins))
-    assert t_grid is not None
-    return SampledScenarioSet(t=t_grid, scenarios=tuple(scenarios))
+    # one grid for all rollouts: it depends on the spec, not on cc1
+    return SampledScenarioSet(t=scenarios[0].trajectory.t, scenarios=tuple(scenarios))

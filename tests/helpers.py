@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -136,9 +137,23 @@ def ref_pairwise_samples(ego, opp, layout, window) -> list[tuple]:
     return out
 
 
+# frozen copies of METRIC_NAMES, _LOW and classify from lanekit.criticality
+_REF_METRICS = ("d", "v", "a_lon", "a_lat", "thw", "dce", "ttce")
+_REF_LOW = {"d", "thw", "dce", "ttce"}
+
+
+def _ref_classify(values, thresholds, speed_limit):
+    """Per-metric critical flags; nan (undefined) is never critical."""
+    flags = {}
+    for metric in _REF_METRICS:
+        x, lim = values[metric], thresholds.limit(metric, speed_limit)
+        flags[metric] = not math.isnan(x) and (x < lim if metric in _REF_LOW else x > lim)
+    return flags
+
+
 def ref_most_critical(ego, opponents, window, layout, thresholds=None,
                       direction="", speed_limit=None):
-    from lanekit.criticality import CriticalityRecord, Thresholds, classify
+    from lanekit.criticality import CriticalityRecord, Thresholds
     thresholds = thresholds or Thresholds()
     if speed_limit is None:
         speed_limit = layout.speed_limit
@@ -167,7 +182,7 @@ def ref_most_critical(ego, opponents, window, layout, thresholds=None,
     return CriticalityRecord(ego.vehicle_id, window[0], window[1], direction,
                              min_d, max_v, max_a_lon, max_a_lat, min_thw,
                              min_dce, min_ttce,
-                             classify(values, thresholds, speed_limit))
+                             _ref_classify(values, thresholds, speed_limit))
 
 
 def ref_thw_trace(ego, opp, layout) -> np.ndarray:
@@ -196,7 +211,6 @@ def same_float(a: float, b: float) -> bool:
 
 
 def assert_same_record(got, want) -> None:
-    import dataclasses
     for f in dataclasses.fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, float):
@@ -274,6 +288,32 @@ def _ref_peak_width(series, t, peak, rel_height):
     return t_start, t_end, t_end - t_start, truncated
 
 
+def _ref_interp_at(t, values, when):
+    return float(np.interp(when, t, values))
+
+
+@dataclasses.dataclass(frozen=True)
+class _RefCandidate:
+    event: object
+    peak_height: float
+
+
+def _ref_resolve_opposite_overlaps(candidates):
+    """Keep the dominant peak of overlapping opposite-direction windows."""
+    kept = []
+    for cand in candidates:
+        if kept:
+            last = kept[-1]
+            overlap = (cand.event.t_start < last.event.t_end
+                       and cand.event.direction != last.event.direction)
+            if overlap:
+                if cand.peak_height > last.peak_height:
+                    kept[-1] = cand
+                continue
+        kept.append(cand)
+    return kept
+
+
 def _ref_half_displacement_time(t, disp, t0, t1, d0, d1, fallback):
     target = d0 + 0.5 * (d1 - d0)
     mask = (t >= t0) & (t <= t1)
@@ -300,9 +340,6 @@ def ref_detect_peak(y, shape, layout, params=None, min_extent=2.5):
         Direction,
         LaneChangeEvent,
         PeakParams,
-        _Candidate,
-        _interp_at,
-        _resolve_opposite_overlaps,
         rel_height_from_widths,
     )
     from lanekit.trajectory import derivative
@@ -317,23 +354,23 @@ def ref_detect_peak(y, shape, layout, params=None, min_extent=2.5):
         series = np.maximum(sign * dy, 0.0)
         for hit in _ref_find_peaks(series, y.rate, params):
             t_start, t_end, duration, truncated = _ref_peak_width(series, y.t, hit, rel_h)
-            d0 = _interp_at(y.t, disp, t_start)
-            d1 = _interp_at(y.t, disp, t_end)
+            d0 = _ref_interp_at(y.t, disp, t_start)
+            d1 = _ref_interp_at(y.t, disp, t_end)
             extent = abs(d1 - d0)
             if min_extent is not None and extent <= min_extent:
                 continue
             t_mid = _ref_half_displacement_time(y.t, disp, t_start, t_end, d0, d1,
                                                 fallback=float(y.t[hit.index]))
-            v_mid = (_interp_at(y.t, y.v, float(y.t[hit.index]))
+            v_mid = (_ref_interp_at(y.t, y.v, float(y.t[hit.index]))
                      if y.v is not None else math.nan)
-            candidates.append(_Candidate(
+            candidates.append(_RefCandidate(
                 LaneChangeEvent(vehicle_id=y.vehicle_id, t_start=t_start, t_mid=t_mid,
                                 t_end=t_end, duration=duration, direction=direction,
                                 v_mid=v_mid, lateral_extent=extent, truncated=truncated,
                                 criterion="peak"),
                 hit.height))
     candidates.sort(key=lambda c: (c.event.t_start, c.event.t_mid))
-    return [c.event for c in _resolve_opposite_overlaps(candidates)]
+    return [c.event for c in _ref_resolve_opposite_overlaps(candidates)]
 
 
 def ref_sweep(corpus, criterion, grid, layout, params=None, distance_threshold=0.8,
@@ -361,14 +398,23 @@ def ref_sweep(corpus, criterion, grid, layout, params=None, distance_threshold=0
     return RobustnessReport(tuple(points))
 
 
+def _ref_boundary_cross_time(t, yy, t0, t1, boundary):
+    """First crossing of a lane boundary inside [t0, t1]; midpoint fallback."""
+    mask = (t >= t0) & (t <= t1)
+    tt = t[mask]
+    vv = yy[mask] - boundary
+    crossings = np.nonzero(vv[:-1] * vv[1:] <= 0.0)[0]
+    for i in crossings:
+        if vv[i] == vv[i + 1]:
+            continue
+        frac = -vv[i] / (vv[i + 1] - vv[i])
+        return float(tt[i] + frac * (tt[i + 1] - tt[i]))
+    return 0.5 * (t0 + t1)
+
+
 def ref_detect_distance(y, layout, threshold=0.8, settle_rate=0.15, settle_dwell=2.0):
     """Per-sample state machine of the distance criterion."""
-    from lanekit.detection import (
-        Direction,
-        LaneChangeEvent,
-        _boundary_cross_time,
-        _interp_at,
-    )
+    from lanekit.detection import Direction, LaneChangeEvent
     from lanekit.trajectory import derivative
     t = y.t
     yy = y.y
@@ -406,8 +452,8 @@ def ref_detect_distance(y, layout, threshold=0.8, settle_rate=0.15, settle_dwell
         direction = Direction.LEFT if lane_i > settled else Direction.RIGHT
         step = 1 if lane_i > settled else -1
         boundary = layout.center(settled) + step * w / 2.0
-        t_mid = _boundary_cross_time(t, yy, t_exceed, cand_t0, boundary)
-        v_mid = _interp_at(t, y.v, t_mid) if y.v is not None else math.nan
+        t_mid = _ref_boundary_cross_time(t, yy, t_exceed, cand_t0, boundary)
+        v_mid = _ref_interp_at(t, y.v, t_mid) if y.v is not None else math.nan
         events.append(LaneChangeEvent(
             vehicle_id=y.vehicle_id, t_start=t_exceed, t_mid=t_mid, t_end=cand_t0,
             duration=cand_t0 - t_exceed, direction=direction, v_mid=v_mid,

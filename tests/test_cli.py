@@ -293,6 +293,24 @@ v_desired = 33.0
     assert (out / "simulated_cc1_0.5.csv").exists()
 
 
+@pytest.mark.parametrize("values,message", [
+    ("0.3, 0.3000001", "cc1 values 0.3 and 0.3000001 both write simulated_cc1_0.3.csv"),
+    ("0.9, 0.5, 0.9", "cc1 values 0.9 and 0.9 both write simulated_cc1_0.9.csv"),
+], ids=["near-equal", "repeated"])
+def test_sample_rejects_cc1_values_sharing_a_file(tmp_path, capsys, values, message):
+    from lanekit.io import write_trajectories
+    from lanekit.synth import overtake_scenario
+
+    write_trajectories(tmp_path / "scenario_traj.csv", overtake_scenario().trajectories)
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text("trajectories = scenario_traj.csv\nsubstituted_id = ego\n"
+                        f"cc1_values = {values}\n")
+    out = tmp_path / "sample"
+    assert run("sample", "--scenario", scenario, "--out", out) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_mis_eval_scenario(tmp_path):
     scenario = tmp_path / "mis.cfg"
     scenario.write_text("""

@@ -498,8 +498,23 @@ def test_critical_records_match_reference_on_random_corpus(seed, n, shifts, span
                for k, start, length in spans]
     first_id, (start, end), _ = windows[0]
     windows += [(first_id, (start + 0.5 * (end - start), end + 3.0), "right"),  # overlaps
-                (first_id, (-50.0, -40.0), "left")]  # holds no ego sample
+                (first_id, (-50.0, -40.0), "left"),  # holds no ego sample
+                (first_id, (start, start - 1.0), "left"),  # reversed
+                (first_id, (start, math.nan), "left")]  # no end
     assert_same_as_reference(trajectories, windows)
+    for record in critical_records(trajectories, windows[-2:], LAYOUT):
+        assert all(math.isnan(record.value(m)) for m in METRIC_NAMES)
+        assert not any(record.flags.values())
+    # the first vehicle with one NaN speed inside a window, among its own rivals
+    first = trajectories[0]
+    k = len(first.t) // 2
+    nan_v = dataclasses.replace(first, v=np.where(np.arange(len(first.t)) == k,
+                                                  np.nan, first.v))
+    corpus = [nan_v, *trajectories[1:]]
+    window = [(first.vehicle_id, (float(first.t[k - 2]), float(first.t[k + 2])), "left")]
+    assert_same_as_reference(corpus, window)
+    record, = critical_records(corpus, window, LAYOUT)
+    assert math.isnan(record.max_v) and not record.flags["v"]
 
 
 def test_critical_records_on_mixed_rates():

@@ -12,6 +12,7 @@ from lanekit.trajectory import (
     derivative,
     lowpass,
     resample,
+    time_overlap,
 )
 
 from helpers import CAR, LAYOUT, lane_keeping, make_trajectory
@@ -310,3 +311,19 @@ def test_derivative_bias_invariance(c):
     d0 = derivative(y, 0.2)
     d1 = derivative(y + c, 0.2)
     assert np.allclose(d0, d1, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# windows
+
+bound = st.one_of(st.floats(-3.0, 13.0), st.sampled_from([0.0, 0.25, 9.75, float("nan")]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.sampled_from([0.25, 0.04, 1.0 / 3.0]), min_size=1, max_size=40),
+       t0=bound, t1=bound)
+def test_time_overlap_holds_the_samples_of_the_window(steps, t0, t1):
+    # the slice holds exactly the samples the inclusive mask picks: bounds
+    # on a sample, reversed, outside the grid or NaN
+    t = np.cumsum([0.0] + steps)
+    np.testing.assert_array_equal(t[time_overlap(t, (t0, t1))], t[(t >= t0) & (t <= t1)])
