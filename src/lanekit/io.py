@@ -385,14 +385,21 @@ def write_events(path: str | Path, events: Iterable[LaneChangeEvent]) -> None:
             ])
 
 
+def _finite_event_field(row: list[str], i: int) -> float:
+    x = float(row[i])
+    if not math.isfinite(x):
+        raise ValueError(f"{EVENT_HEADER[i]}: expected a finite number, got {row[i]!r}")
+    return x
+
+
 def read_events(path: str | Path) -> list[LaneChangeEvent]:
     return _read_table(path, EVENT_HEADER, lambda row: LaneChangeEvent(
         vehicle_id=row[0],
         criterion=row[1],
-        t_start=float(row[2]),
-        t_mid=float(row[3]),
-        t_end=float(row[4]),
-        duration=float(row[5]),
+        t_start=_finite_event_field(row, 2),
+        t_mid=_finite_event_field(row, 3),
+        t_end=_finite_event_field(row, 4),
+        duration=_finite_event_field(row, 5),
         direction=Direction(row[6]),
         v_mid=_parse_float(row[7]),
         lateral_extent=float(row[8]),

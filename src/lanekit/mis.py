@@ -11,14 +11,16 @@ The harness runs ego (controlled), front (scripted, optional braking
 injection) and rear (car-following driven with a short target gap, then a
 scripted overtake) in closed loop and reports engagement, the margin
 build-up and the safety outcome.  The rear driver is human: its commands
-apply with a reaction delay.
+apply with a reaction delay.  Besides the three vehicles' kinematics the
+loop keeps two facts: the rear maneuver as three instants (cut-out,
+cut-in and end, each unset until it happens) and the ego mode (idle,
+engaged or completed).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,8 +29,6 @@ from .wiedemann import CFState, W99Params, _clamp, w99_accel
 
 __all__ = [
     "MISConfig",
-    "MISMode",
-    "MISState",
     "MISScenario",
     "FrontBrakeInjection",
     "MISEvalReport",
@@ -41,12 +41,6 @@ __all__ = [
 
 class EngagementError(RuntimeError):
     pass
-
-
-class MISMode(str, Enum):
-    IDLE = "idle"
-    ENGAGED = "engaged"
-    COMPLETED = "completed"
 
 
 # calibration of the ego's controller and of the evaluation
@@ -75,14 +69,6 @@ class MISConfig:
         for name in ("rear_detect_range", "delta_v_min", "comfort_decel_cap"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-
-
-@dataclass
-class MISState:
-    mode: MISMode = MISMode.IDLE
-    commanded_decel: float = 0.0  # [m/s^2], positive value
-    engagement_time: float = math.nan
-    target_front_thw: float = math.nan
 
 
 def _net_gap(behind: CFState, ahead: CFState) -> float:
@@ -171,6 +157,21 @@ class MISScenario:
     cut_in_lead: float = 5.0  # [m] net lead over the ego at the cut-in
     left_lane_blocked: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("dt", "lc_duration"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("duration", "rear_reaction_delay"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0")
+        # the rear vehicle overtakes in the lane to the left of ``lane``
+        if not 0 <= self.lane <= self.layout.lane_count - 2:
+            raise ValueError(f"lane {self.lane} has no lane to its left in a "
+                             f"{self.layout.lane_count}-lane layout")
+
+
+_TRACE = ("t", "a_ego", "thw_front", "rear_gap", "mode")  # per-step series of a report
+
 
 @dataclass(frozen=True)
 class MISEvalReport:
@@ -192,27 +193,9 @@ class MISEvalReport:
     mode: tuple[str, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "engaged": self.engaged,
-            "engagement_time": self.engagement_time,
-            "planned_decel": self.planned_decel,
-            "time_to_target_thw": self.time_to_target_thw,
-            "target_reached_rear_gap": self.target_reached_rear_gap,
-            "braked_during_window": self.braked_during_window,
-            "braked_during_overlap": self.braked_during_overlap,
-            "min_rear_gap": self.min_rear_gap,
-            "rear_gap_violation": self.rear_gap_violation,
-            "collision": self.collision,
-            "window": list(self.window),
-            "trace": {
-                "t": self.t.tolist(),
-                "a_ego": self.a_ego.tolist(),
-                "thw_front": self.thw_front.tolist(),
-                "rear_gap": self.rear_gap.tolist(),
-                "mode": list(self.mode),
-            },
-        }
+        out = {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
+        trace = {name: out.pop(name) for name in _TRACE}
+        return {"schema": 1, **out, "trace": trace}
 
 
 def _logistic(x: np.ndarray | float) -> np.ndarray | float:
@@ -230,6 +213,13 @@ def run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
     whether the ego braked inside the overtake window, the minimum rear
     gap while the rear vehicle was behind with overlapping corridors, and
     the collision flag.
+
+    Each step reads the loop's state: the vehicles' kinematics, the rear
+    maneuver as three instants (``lc_start`` the cut-out, ``cutin_start``,
+    ``maneuver_end``; None until they happen) and the ego ``mode``, idle
+    until engagement, engaged until the step the maneuver ends, then
+    completed.  The controller's one memory is its commanded deceleration,
+    zeroed once the front headway reaches the target.
     """
     cfg = cfg or MISConfig()
     sc = scenario
@@ -237,171 +227,116 @@ def run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
     n = int(round(sc.duration / dt)) + 1
     t_grid = np.arange(n) * dt
     w = sc.layout.lane_width
-    y_home = sc.lane * w
-    y_left = (sc.lane + 1) * w
-
-    # state arrays
-    s_e = np.empty(n); v_e = np.empty(n); a_e = np.zeros(n)
-    s_f = np.empty(n); v_f = np.empty(n)
-    s_r = np.empty(n); v_r = np.empty(n); y_r = np.empty(n)
-    thw_front = np.full(n, np.nan)
-    rear_gap = np.full(n, np.nan)
-    modes: list[str] = []
-
-    s_e[0] = 0.0
-    v_e[0] = sc.ego_v0
-    s_f[0] = 0.5 * (sc.ego_shape.length + sc.front_shape.length) + sc.front_gap0
-    v_f[0] = sc.front_v0
-    s_r[0] = -(0.5 * (sc.ego_shape.length + sc.rear_shape.length) + sc.rear_gap0)
-    v_r[0] = sc.rear_v0
-    y_r[0] = y_home
-
-    state = MISState()
-    delay_steps = max(int(round(sc.rear_reaction_delay / dt)), 0)
-    rear_cmds: list[float] = []
-    rear_prev_a = 0.0
-    ego_prev_a = 0.0
-    front_a = 0.0
-    inject_t: float | None = front_brake.t if front_brake else None
-
-    lc_start: float | None = None  # rear vehicle's cut-out instant
-    cutin_start: float | None = None
-    maneuver_end: float | None = None
-    phase = "approach"
-    braked_in_window = False
-    braked_in_overlap = False
-    min_rear_gap = math.inf
-    time_to_target = math.nan
-    target_rear_gap = math.nan
-    planned = 0.0
-
+    y_home, y_left = sc.lane * w, (sc.lane + 1) * w
     half_wid_er = 0.5 * (sc.ego_shape.width + sc.rear_shape.width)
+    delay_steps = int(round(sc.rear_reaction_delay / dt))
 
-    for k in range(n):
-        tk = float(t_grid[k])
-        ego = CFState(s_e[k], v_e[k], ego_prev_a, sc.ego_shape.length)
-        front = CFState(s_f[k], v_f[k], front_a, sc.front_shape.length)
-        rear = CFState(s_r[k], v_r[k], rear_prev_a, sc.rear_shape.length)
+    a_ego = np.empty(n)
+    thw_front = np.empty(n)
+    rear_gap = np.empty(n)
+    modes: list[str] = []
+    rear_cmds: list[float] = []
 
-        thw_front[k] = _front_thw(ego, front)
-        d_r = _net_gap(rear, ego)
-        rear_gap[k] = d_r
-        overlap = abs(y_r[k] - y_home) < half_wid_er
-        if rear.s < ego.s and overlap:
+    s_e = 0.0
+    s_f = 0.5 * (sc.ego_shape.length + sc.front_shape.length) + sc.front_gap0
+    s_r = -(0.5 * (sc.ego_shape.length + sc.rear_shape.length) + sc.rear_gap0)
+    v_e, v_f, v_r = sc.ego_v0, sc.front_v0, sc.rear_v0
+    a_e = a_f = a_r = 0.0
+    y_r = y_home
+    lc_start = cutin_start = maneuver_end = None
+    mode = "idle"
+    engagement_time = target_thw = time_to_target = target_rear_gap = math.nan
+    planned = decel = 0.0
+    braked_in_window = braked_in_overlap = False
+    min_rear_gap = math.inf
+
+    for k, tk in enumerate(t_grid.tolist()):
+        ego = CFState(s_e, v_e, a_e, sc.ego_shape.length)
+        front = CFState(s_f, v_f, a_f, sc.front_shape.length)
+        rear = CFState(s_r, v_r, a_r, sc.rear_shape.length)
+        thw = thw_front[k] = _front_thw(ego, front)
+        d_r = rear_gap[k] = _net_gap(rear, ego)
+        behind = rear.s < ego.s and abs(y_r - y_home) < half_wid_er
+        if behind:
             min_rear_gap = min(min_rear_gap, d_r)
 
-        # --- rear vehicle: phase logic -------------------------------------
-        if phase == "approach":
-            rear_thw = (max(d_r, 0.0) / rear.v) if rear.v > 0.1 else math.inf
-            if rear_thw < sc.overtake_trigger_thw:
-                phase = "overtake"
-                lc_start = tk
-                if front_brake is not None and inject_t is None:
-                    inject_t = tk
-        if phase == "overtake" and lc_start is not None:
-            if cutin_start is None:
-                frac = min((tk - lc_start) / sc.lc_duration, 1.0)
-                y_r[k] = y_home + (y_left - y_home) * float(
-                    _logistic(10.0 * (frac - 0.5)))
-                if _net_gap(ego, rear) >= sc.cut_in_lead and frac >= 1.0:
-                    cutin_start = tk
-            else:
-                frac = min((tk - cutin_start) / sc.lc_duration, 1.0)
-                y_r[k] = y_left + (y_home - y_left) * float(
-                    _logistic(10.0 * (frac - 0.5)))
-                if frac >= 1.0 and maneuver_end is None:
-                    maneuver_end = tk
-                    phase = "done"
+        # --- rear vehicle: cut out below the trigger headway, cut back in
+        # once it leads the ego by cut_in_lead -------------------------------
+        if lc_start is None and rear.v > 0.1 and max(d_r, 0.0) / rear.v < sc.overtake_trigger_thw:
+            lc_start = tk
+        if lc_start is not None and maneuver_end is None:
+            start, y0, y1 = ((lc_start, y_home, y_left) if cutin_start is None
+                             else (cutin_start, y_left, y_home))
+            frac = min((tk - start) / sc.lc_duration, 1.0)
+            y_r = y0 + (y1 - y0) * float(_logistic(10.0 * (frac - 0.5)))
+            if frac >= 1.0 and cutin_start is not None:
+                maneuver_end = tk
+            elif frac >= 1.0 and _net_gap(ego, rear) >= sc.cut_in_lead:
+                cutin_start = tk
 
         # rear longitudinal command (applied with reaction delay)
-        rear_lane_now = round(y_r[k] / w)
         leader_r: CFState | None = None
-        if rear_lane_now == sc.lane:
-            if rear.s < ego.s:
-                leader_r = ego
-            elif rear.s < front.s:
-                leader_r = front
-        cmd = w99_accel(rear, leader_r, sc.rear_model)
-        rear_cmds.append(cmd)
+        if round(y_r / w) == sc.lane:
+            leader_r = ego if rear.s < ego.s else front if rear.s < front.s else None
+        rear_cmds.append(w99_accel(rear, leader_r, sc.rear_model))
         a_r = rear_cmds[max(k - delay_steps, 0)]
-        rear_prev_a = a_r
 
         # --- ego controller -------------------------------------------------
-        in_window = (lc_start is not None and tk >= lc_start
-                     and (maneuver_end is None or tk <= maneuver_end))
-        if mis_on and state.mode is MISMode.IDLE:
-            left_free = not sc.left_lane_blocked
-            rear_seen = rear if d_r <= cfg.rear_detect_range else None
-            if engagement_check(ego, front, rear_seen, left_free, cfg):
-                planned = plan_decel(ego, front, rear, cfg)
-                state.mode = MISMode.ENGAGED
-                state.commanded_decel = planned
-                state.engagement_time = tk
-                state.target_front_thw = thw_front[k] + cfg.thw_increase
-
-        if state.mode is MISMode.ENGAGED:
-            if thw_front[k] >= state.target_front_thw:
-                state.commanded_decel = 0.0
+        if (mis_on and mode == "idle"
+                and engagement_check(ego, front, rear, not sc.left_lane_blocked, cfg)):
+            planned = decel = plan_decel(ego, front, rear, cfg)
+            mode, engagement_time, target_thw = "engaged", tk, thw + cfg.thw_increase
+        if mode == "engaged":
+            if thw >= target_thw:
+                decel = 0.0
                 if math.isnan(time_to_target):
-                    time_to_target = tk - state.engagement_time
+                    time_to_target = tk - engagement_time
                     target_rear_gap = d_r
                 a_cmd = 0.0
             else:
-                a_cmd = -state.commanded_decel
+                a_cmd = -decel
             if maneuver_end is not None:
-                state.mode = MISMode.COMPLETED
-        elif state.mode is MISMode.COMPLETED or not mis_on or state.mode is MISMode.IDLE:
-            gap = _net_gap(ego, front)
+                mode = "completed"
+        else:
             g_des = CRUISE_THW * ego.v + STANDSTILL_GAP
-            a_cmd = _clamp(0.25 * (gap - g_des) + 0.9 * (front.v - ego.v),
+            a_cmd = _clamp(0.25 * (_net_gap(ego, front) - g_des) + 0.9 * (front.v - ego.v),
                            -HARD_DECEL, ACCEL_CAP)
-
-        closing_front = ego.v - front.v
-        if (thw_front[k] < EMERGENCY_THW
-                or (thw_front[k] < AEB_THW and closing_front > AEB_CLOSING)):
+        if thw < EMERGENCY_THW or (thw < AEB_THW and ego.v - front.v > AEB_CLOSING):
             a_cmd = -HARD_DECEL
-        if in_window and a_cmd < -1e-9:
+        if (a_cmd < -1e-9 and lc_start is not None
+                and (maneuver_end is None or tk <= maneuver_end)):
             braked_in_window = True
-            if rear.s < ego.s and overlap:
-                braked_in_overlap = True
+            braked_in_overlap = braked_in_overlap or behind
+        a_e = a_ego[k] = a_cmd
+        modes.append(mode)
 
-        a_e[k] = a_cmd
-        ego_prev_a = a_cmd
-        modes.append(state.mode.value)
+        # --- front vehicle script: brakes from front_brake.t, or from the
+        # cut-out when that is None ------------------------------------------
+        brake_t = (None if front_brake is None
+                   else lc_start if front_brake.t is None else front_brake.t)
+        a_f = (-abs(front_brake.decel) if brake_t is not None and tk >= brake_t and v_f > 0.0
+               else 0.0)
 
-        # --- front vehicle script -------------------------------------------
-        front_a = 0.0
-        if front_brake is not None and inject_t is not None and tk >= inject_t:
-            front_a = -abs(front_brake.decel) if v_f[k] > 0.0 else 0.0
+        s_e, v_e = s_e + v_e * dt, max(v_e + a_e * dt, 0.0)
+        s_f, v_f = s_f + v_f * dt, max(v_f + a_f * dt, 0.0)
+        s_r, v_r = s_r + v_r * dt, max(v_r + a_r * dt, 0.0)
 
-        # --- integrate -------------------------------------------------------
-        if k + 1 < n:
-            s_e[k + 1] = s_e[k] + v_e[k] * dt
-            v_e[k + 1] = max(v_e[k] + a_e[k] * dt, 0.0)
-            s_f[k + 1] = s_f[k] + v_f[k] * dt
-            v_f[k + 1] = max(v_f[k] + front_a * dt, 0.0)
-            s_r[k + 1] = s_r[k] + v_r[k] * dt
-            v_r[k + 1] = max(v_r[k] + a_r * dt, 0.0)
-            y_r[k + 1] = y_r[k]
-
-    window = (float(lc_start) if lc_start is not None else math.nan,
-              float(maneuver_end) if maneuver_end is not None else float(t_grid[-1]))
-    min_rear = float(min_rear_gap) if math.isfinite(min_rear_gap) else math.nan
+    min_rear = min_rear_gap if math.isfinite(min_rear_gap) else math.nan
     return MISEvalReport(
-        engaged=not math.isnan(state.engagement_time),
-        engagement_time=float(state.engagement_time),
-        planned_decel=float(planned),
-        time_to_target_thw=float(time_to_target),
-        target_reached_rear_gap=float(target_rear_gap),
-        braked_during_window=bool(braked_in_window),
-        braked_during_overlap=bool(braked_in_overlap),
+        engaged=mode != "idle",
+        engagement_time=engagement_time,
+        planned_decel=planned,
+        time_to_target_thw=time_to_target,
+        target_reached_rear_gap=target_rear_gap,
+        braked_during_window=braked_in_window,
+        braked_during_overlap=braked_in_overlap,
         min_rear_gap=min_rear,
-        rear_gap_violation=bool(not math.isnan(min_rear)
-                                and min_rear < REAR_GAP_VIOLATION),
-        collision=bool(not math.isnan(min_rear) and min_rear <= 0.0),
-        window=window,
+        rear_gap_violation=min_rear < REAR_GAP_VIOLATION,
+        collision=min_rear <= 0.0,
+        window=(math.nan if lc_start is None else lc_start,
+                float(t_grid[-1]) if maneuver_end is None else maneuver_end),
         t=t_grid,
-        a_ego=a_e,
+        a_ego=a_ego,
         thw_front=thw_front,
         rear_gap=rear_gap,
         mode=tuple(modes),

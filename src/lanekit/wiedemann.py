@@ -173,8 +173,10 @@ class ScenarioSpec:
     duration: float | None = None
 
     def __post_init__(self) -> None:
-        if self.dt > 0.1:
-            raise ValueError("dt must be <= 0.1 s")
+        if not 0.0 < self.dt <= 0.1:
+            raise ValueError("dt must be positive and <= 0.1 s")
+        if self.duration is not None and not self.duration > 0.0:
+            raise ValueError("duration must be positive")
         if all(t.vehicle_id != self.substituted_id for t in self.trajectories):
             raise ValueError(f"substituted vehicle {self.substituted_id!r} absent")
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -681,3 +683,253 @@ def ref_write_json(path, payload) -> None:
     with Path(path).open("w") as fh:
         json.dump(safe(body), fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# margin increase closed loop, frozen as first written: the ego mode in an
+# enum held by a mutable state record, the rear maneuver as a phase string
+
+class MISMode(str, Enum):
+    IDLE = "idle"
+    ENGAGED = "engaged"
+    COMPLETED = "completed"
+
+
+@dataclass
+class MISState:
+    mode: MISMode = MISMode.IDLE
+    commanded_decel: float = 0.0  # [m/s^2], positive value
+    engagement_time: float = math.nan
+    target_front_thw: float = math.nan
+
+
+def ref_mis_as_dict(report) -> dict:
+    return {
+        "schema": 1,
+        "engaged": report.engaged,
+        "engagement_time": report.engagement_time,
+        "planned_decel": report.planned_decel,
+        "time_to_target_thw": report.time_to_target_thw,
+        "target_reached_rear_gap": report.target_reached_rear_gap,
+        "braked_during_window": report.braked_during_window,
+        "braked_during_overlap": report.braked_during_overlap,
+        "min_rear_gap": report.min_rear_gap,
+        "rear_gap_violation": report.rear_gap_violation,
+        "collision": report.collision,
+        "window": list(report.window),
+        "trace": {
+            "t": report.t.tolist(),
+            "a_ego": report.a_ego.tolist(),
+            "thw_front": report.thw_front.tolist(),
+            "rear_gap": report.rear_gap.tolist(),
+            "mode": list(report.mode),
+        },
+    }
+
+
+def ref_run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
+                        front_brake: FrontBrakeInjection | None = None,
+                        mis_on: bool = True) -> MISEvalReport:
+    """Simulate the three-role scenario and report the safety outcome.
+
+    With the controller on, the ego applies the planned deceleration upon
+    engagement, holds speed once the margin is built, and resumes cruising
+    after the rear vehicle concludes its maneuver.  The report records
+    whether the ego braked inside the overtake window, the minimum rear
+    gap while the rear vehicle was behind with overlapping corridors, and
+    the collision flag.
+    """
+    from lanekit.mis import (
+        ACCEL_CAP,
+        AEB_CLOSING,
+        AEB_THW,
+        CRUISE_THW,
+        EMERGENCY_THW,
+        HARD_DECEL,
+        REAR_GAP_VIOLATION,
+        STANDSTILL_GAP,
+        MISConfig,
+        MISEvalReport,
+        _front_thw,
+        _logistic,
+        _net_gap,
+        engagement_check,
+        plan_decel,
+    )
+    from lanekit.wiedemann import CFState, _clamp, w99_accel
+
+    cfg = cfg or MISConfig()
+    sc = scenario
+    dt = sc.dt
+    n = int(round(sc.duration / dt)) + 1
+    t_grid = np.arange(n) * dt
+    w = sc.layout.lane_width
+    y_home = sc.lane * w
+    y_left = (sc.lane + 1) * w
+
+    # state arrays
+    s_e = np.empty(n); v_e = np.empty(n); a_e = np.zeros(n)
+    s_f = np.empty(n); v_f = np.empty(n)
+    s_r = np.empty(n); v_r = np.empty(n); y_r = np.empty(n)
+    thw_front = np.full(n, np.nan)
+    rear_gap = np.full(n, np.nan)
+    modes: list[str] = []
+
+    s_e[0] = 0.0
+    v_e[0] = sc.ego_v0
+    s_f[0] = 0.5 * (sc.ego_shape.length + sc.front_shape.length) + sc.front_gap0
+    v_f[0] = sc.front_v0
+    s_r[0] = -(0.5 * (sc.ego_shape.length + sc.rear_shape.length) + sc.rear_gap0)
+    v_r[0] = sc.rear_v0
+    y_r[0] = y_home
+
+    state = MISState()
+    delay_steps = max(int(round(sc.rear_reaction_delay / dt)), 0)
+    rear_cmds: list[float] = []
+    rear_prev_a = 0.0
+    ego_prev_a = 0.0
+    front_a = 0.0
+    inject_t: float | None = front_brake.t if front_brake else None
+
+    lc_start: float | None = None  # rear vehicle's cut-out instant
+    cutin_start: float | None = None
+    maneuver_end: float | None = None
+    phase = "approach"
+    braked_in_window = False
+    braked_in_overlap = False
+    min_rear_gap = math.inf
+    time_to_target = math.nan
+    target_rear_gap = math.nan
+    planned = 0.0
+
+    half_wid_er = 0.5 * (sc.ego_shape.width + sc.rear_shape.width)
+
+    for k in range(n):
+        tk = float(t_grid[k])
+        ego = CFState(s_e[k], v_e[k], ego_prev_a, sc.ego_shape.length)
+        front = CFState(s_f[k], v_f[k], front_a, sc.front_shape.length)
+        rear = CFState(s_r[k], v_r[k], rear_prev_a, sc.rear_shape.length)
+
+        thw_front[k] = _front_thw(ego, front)
+        d_r = _net_gap(rear, ego)
+        rear_gap[k] = d_r
+        overlap = abs(y_r[k] - y_home) < half_wid_er
+        if rear.s < ego.s and overlap:
+            min_rear_gap = min(min_rear_gap, d_r)
+
+        # --- rear vehicle: phase logic -------------------------------------
+        if phase == "approach":
+            rear_thw = (max(d_r, 0.0) / rear.v) if rear.v > 0.1 else math.inf
+            if rear_thw < sc.overtake_trigger_thw:
+                phase = "overtake"
+                lc_start = tk
+                if front_brake is not None and inject_t is None:
+                    inject_t = tk
+        if phase == "overtake" and lc_start is not None:
+            if cutin_start is None:
+                frac = min((tk - lc_start) / sc.lc_duration, 1.0)
+                y_r[k] = y_home + (y_left - y_home) * float(
+                    _logistic(10.0 * (frac - 0.5)))
+                if _net_gap(ego, rear) >= sc.cut_in_lead and frac >= 1.0:
+                    cutin_start = tk
+            else:
+                frac = min((tk - cutin_start) / sc.lc_duration, 1.0)
+                y_r[k] = y_left + (y_home - y_left) * float(
+                    _logistic(10.0 * (frac - 0.5)))
+                if frac >= 1.0 and maneuver_end is None:
+                    maneuver_end = tk
+                    phase = "done"
+
+        # rear longitudinal command (applied with reaction delay)
+        rear_lane_now = round(y_r[k] / w)
+        leader_r: CFState | None = None
+        if rear_lane_now == sc.lane:
+            if rear.s < ego.s:
+                leader_r = ego
+            elif rear.s < front.s:
+                leader_r = front
+        cmd = w99_accel(rear, leader_r, sc.rear_model)
+        rear_cmds.append(cmd)
+        a_r = rear_cmds[max(k - delay_steps, 0)]
+        rear_prev_a = a_r
+
+        # --- ego controller -------------------------------------------------
+        in_window = (lc_start is not None and tk >= lc_start
+                     and (maneuver_end is None or tk <= maneuver_end))
+        if mis_on and state.mode is MISMode.IDLE:
+            left_free = not sc.left_lane_blocked
+            rear_seen = rear if d_r <= cfg.rear_detect_range else None
+            if engagement_check(ego, front, rear_seen, left_free, cfg):
+                planned = plan_decel(ego, front, rear, cfg)
+                state.mode = MISMode.ENGAGED
+                state.commanded_decel = planned
+                state.engagement_time = tk
+                state.target_front_thw = thw_front[k] + cfg.thw_increase
+
+        if state.mode is MISMode.ENGAGED:
+            if thw_front[k] >= state.target_front_thw:
+                state.commanded_decel = 0.0
+                if math.isnan(time_to_target):
+                    time_to_target = tk - state.engagement_time
+                    target_rear_gap = d_r
+                a_cmd = 0.0
+            else:
+                a_cmd = -state.commanded_decel
+            if maneuver_end is not None:
+                state.mode = MISMode.COMPLETED
+        elif state.mode is MISMode.COMPLETED or not mis_on or state.mode is MISMode.IDLE:
+            gap = _net_gap(ego, front)
+            g_des = CRUISE_THW * ego.v + STANDSTILL_GAP
+            a_cmd = _clamp(0.25 * (gap - g_des) + 0.9 * (front.v - ego.v),
+                           -HARD_DECEL, ACCEL_CAP)
+
+        closing_front = ego.v - front.v
+        if (thw_front[k] < EMERGENCY_THW
+                or (thw_front[k] < AEB_THW and closing_front > AEB_CLOSING)):
+            a_cmd = -HARD_DECEL
+        if in_window and a_cmd < -1e-9:
+            braked_in_window = True
+            if rear.s < ego.s and overlap:
+                braked_in_overlap = True
+
+        a_e[k] = a_cmd
+        ego_prev_a = a_cmd
+        modes.append(state.mode.value)
+
+        # --- front vehicle script -------------------------------------------
+        front_a = 0.0
+        if front_brake is not None and inject_t is not None and tk >= inject_t:
+            front_a = -abs(front_brake.decel) if v_f[k] > 0.0 else 0.0
+
+        # --- integrate -------------------------------------------------------
+        if k + 1 < n:
+            s_e[k + 1] = s_e[k] + v_e[k] * dt
+            v_e[k + 1] = max(v_e[k] + a_e[k] * dt, 0.0)
+            s_f[k + 1] = s_f[k] + v_f[k] * dt
+            v_f[k + 1] = max(v_f[k] + front_a * dt, 0.0)
+            s_r[k + 1] = s_r[k] + v_r[k] * dt
+            v_r[k + 1] = max(v_r[k] + a_r * dt, 0.0)
+            y_r[k + 1] = y_r[k]
+
+    window = (float(lc_start) if lc_start is not None else math.nan,
+              float(maneuver_end) if maneuver_end is not None else float(t_grid[-1]))
+    min_rear = float(min_rear_gap) if math.isfinite(min_rear_gap) else math.nan
+    return MISEvalReport(
+        engaged=not math.isnan(state.engagement_time),
+        engagement_time=float(state.engagement_time),
+        planned_decel=float(planned),
+        time_to_target_thw=float(time_to_target),
+        target_reached_rear_gap=float(target_rear_gap),
+        braked_during_window=bool(braked_in_window),
+        braked_during_overlap=bool(braked_in_overlap),
+        min_rear_gap=min_rear,
+        rear_gap_violation=bool(not math.isnan(min_rear)
+                                and min_rear < REAR_GAP_VIOLATION),
+        collision=bool(not math.isnan(min_rear) and min_rear <= 0.0),
+        window=window,
+        t=t_grid,
+        a_ego=a_e,
+        thw_front=thw_front,
+        rear_gap=rear_gap,
+        mode=tuple(modes),
+    )

@@ -410,6 +410,34 @@ def test_mis_eval_boolean_spellings(tmp_path, capsys):
     assert "scenario key 'mis_on': expected boolean, got 'maybe'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("dt = 0\n", "dt must be positive"),
+    ("dt = -0.05\n", "dt must be positive"),
+    ("lc_duration = 0\n", "lc_duration must be positive"),
+    ("duration = -1\n", "duration must be >= 0"),
+    ("rear_reaction_delay = -1\n", "rear_reaction_delay must be >= 0"),
+], ids=["dt-zero", "dt-negative", "lc-duration-zero", "duration-negative", "delay-negative"])
+def test_mis_eval_rejects_bad_timing(tmp_path, capsys, text, message):
+    assert _mis_eval(tmp_path, "timing", text)[0] == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("dt = 0\n", "dt must be positive and <= 0.1 s"),
+    ("dt = -0.05\n", "dt must be positive and <= 0.1 s"),
+    ("duration = -5\n", "duration must be positive"),
+], ids=["dt-zero", "dt-negative", "duration-negative"])
+def test_sample_rejects_bad_timing(tmp_path, capsys, text, message):
+    from lanekit.io import write_trajectories
+    from lanekit.synth import overtake_scenario
+
+    write_trajectories(tmp_path / "scenario_traj.csv", overtake_scenario().trajectories)
+    scenario = tmp_path / "timing.cfg"
+    scenario.write_text("trajectories = scenario_traj.csv\nsubstituted_id = ego\n" + text)
+    assert run("sample", "--scenario", scenario, "--out", tmp_path / "sample") == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+
+
 def test_unknown_scenario_key(tmp_path, capsys):
     assert _mis_eval(tmp_path, "typo", "inject_front_brak = 4\n")[0] == 1
     err = capsys.readouterr().err
@@ -537,7 +565,9 @@ def test_malformed_vehicles_row_names_file_and_line(workdir, tmp_path, capsys, r
     (lambda f: f[:2] + ["soon"] + f[3:], "could not convert string to float: 'soon'"),
     (lambda f: f[:6] + ["up"] + f[7:], "'up' is not a valid Direction"),
     (lambda f: f[:9] + ["triple"], "'triple' is not a valid EventKind"),
-], ids=["short", "number", "direction", "kind"])
+    (lambda f: f[:4] + ["nan"] + f[5:], "t_end: expected a finite number, got 'nan'"),
+    (lambda f: f[:2] + ["-inf"] + f[3:], "t_start: expected a finite number, got '-inf'"),
+], ids=["short", "number", "direction", "kind", "nan-end", "infinite-start"])
 @pytest.mark.parametrize("command", ["stats", "criticality"])
 def test_malformed_events_row_names_file_and_line(workdir, tmp_path, capsys, command, edit,
                                                   message):

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from lanekit.io import write_json
 from lanekit.mis import (
     EngagementError,
     FrontBrakeInjection,
@@ -12,7 +14,10 @@ from lanekit.mis import (
     plan_decel,
     run_closed_loop,
 )
+from lanekit.trajectory import LaneLayout, VehicleShape
 from lanekit.wiedemann import CFState, W99Params
+
+from helpers import ref_mis_as_dict, ref_run_closed_loop
 
 CFG = MISConfig()
 L = 4.8
@@ -186,3 +191,70 @@ def test_headway_increase_met_at_reserve_distance(fig7_on):
     assert len(reached) > 0
     k = int(reached[0])
     assert fig7_on.thw_front[k] >= thw0 + CFG.thw_increase - 0.1
+
+
+# ---------------------------------------------------------------------------
+# scenario preconditions
+
+@pytest.mark.parametrize("change,message", [
+    ({"dt": 0.0}, "dt must be positive"),
+    ({"dt": -0.05}, "dt must be positive"),
+    ({"lc_duration": 0.0}, "lc_duration must be positive"),
+    ({"duration": -1.0}, "duration must be >= 0"),
+    ({"rear_reaction_delay": -1.0}, "rear_reaction_delay must be >= 0"),
+    ({"lane": 2}, "lane 2 has no lane to its left in a 3-lane layout"),
+    ({"lane": -1}, "lane -1 has no lane to its left in a 3-lane layout"),
+    ({"layout": LaneLayout(lane_count=1)}, "lane 0 has no lane to its left in a 1-lane layout"),
+], ids=["dt-zero", "dt-negative", "lc-duration-zero", "duration-negative",
+        "delay-negative", "leftmost-lane", "negative-lane", "one-lane"])
+def test_scenario_preconditions(change, message):
+    with pytest.raises(ValueError, match=message):
+        MISScenario(**change)
+
+
+def test_zero_duration_runs_one_step():
+    rep = run_closed_loop(MISScenario(duration=0.0, rear_reaction_delay=0.0), CFG)
+    assert rep.t.tolist() == [0.0]
+    assert rep.mode == ("idle",)
+
+
+# ---------------------------------------------------------------------------
+# the closed loop against its first version, byte for byte
+
+_BRAKES = {"no-brake": None, "brake-at-cut-out": FrontBrakeInjection(decel=4.0),
+           "brake-at-3s": FrontBrakeInjection(decel=4.0, t=3.0)}
+_VARIANTS = {"default": {}, "blocked": {"left_lane_blocked": True},
+             "lane1-gap8": {"lane": 1, "front_gap0": 8.0},
+             "no-delay": {"rear_reaction_delay": 0.0}}
+
+
+def _assert_report_matches_reference(tmp_path, sc, cfg, brake, mis_on):
+    # compared as written, so that -0.0 in a_ego and NaN fields count
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    write_json(got, run_closed_loop(sc, cfg, brake, mis_on).as_dict())
+    write_json(want, ref_mis_as_dict(ref_run_closed_loop(sc, cfg, brake, mis_on)))
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("rear_v,brake,mis_on,variant", [
+    pytest.param(v, b, on, var, id=f"v{v:g}-{b}-{'on' if on else 'off'}-{var}")
+    for v, b, on, var in itertools.product((34.0, 48.0), _BRAKES, (True, False), _VARIANTS)])
+def test_closed_loop_report_matches_reference(tmp_path, rear_v, brake, mis_on, variant):
+    sc = MISScenario(rear_v0=rear_v, rear_model=W99Params(cc1=0.2, v_desired=rear_v),
+                     **_VARIANTS[variant])
+    _assert_report_matches_reference(tmp_path, sc, CFG, _BRAKES[brake], mis_on)
+
+
+def test_closed_loop_report_matches_reference_on_exact_target(tmp_path):
+    # binary-exact speeds, lengths and step: braking at the 2 m/s^2 cap from
+    # 32 m/s brings the front headway from 0.5 s to exactly 0.5 + 4.375 s
+    # after 8 s, at 16 m/s
+    car = VehicleShape(4.0, 2.0)
+    sc = MISScenario(dt=0.25, duration=20.0, ego_shape=car, front_shape=car, rear_shape=car,
+                     ego_v0=32.0, front_v0=32.0, front_gap0=16.0, rear_v0=44.0, rear_gap0=60.0)
+    cfg = MISConfig(thw_increase=4.375, comfort_decel_cap=2.0)
+    rep = run_closed_loop(sc, cfg)
+    assert (rep.engagement_time, rep.planned_decel) == (0.0, 2.0)
+    assert rep.time_to_target_thw == 8.0
+    assert rep.thw_front[32] == 4.875
+    _assert_report_matches_reference(tmp_path, sc, cfg, None, True)

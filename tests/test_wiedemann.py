@@ -208,6 +208,17 @@ def test_dt_precondition():
         dataclasses.replace(solo_spec(), dt=0.2)
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"dt": 0.0}, "dt must be positive and <= 0.1 s"),
+    ({"dt": -0.05}, "dt must be positive and <= 0.1 s"),
+    ({"duration": -5.0}, "duration must be positive"),
+    ({"duration": 0.0}, "duration must be positive"),
+], ids=["dt-zero", "dt-negative", "duration-negative", "duration-zero"])
+def test_scenario_timing_preconditions(change, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(solo_spec(), **change)
+
+
 # ---------------------------------------------------------------------------
 # cc1 sampling
 
