@@ -39,7 +39,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .stats import BoxSummary, box_summary
-from .trajectory import LaneLayout, Trajectory, VehicleShape, continuous_lateral, time_overlap
+from .trajectory import (LaneLayout, Trajectory, VehicleShape, continuous_lateral, derivative,
+                         time_overlap)
 
 __all__ = [
     "Thresholds",
@@ -227,24 +228,20 @@ def nan_min(x: np.ndarray) -> np.ndarray:
     return np.fmin.reduce(x, axis=0, initial=np.nan)
 
 
-def _lateral(traj: Trajectory, layout: LaneLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous lateral position and its rate, computed once per vehicle.
-
-    Trajectories are immutable, so the result is memoised on the instance
-    (per layout) for every later call that meets the same vehicle.
-    """
-    memo = traj.__dict__.setdefault("_lateral_memo", {})
-    if layout not in memo:
-        y = continuous_lateral(traj, layout).y
-        memo[layout] = (y, np.gradient(y, traj.dt))
-    return memo[layout]
-
-
 def _records(opponents: Sequence[Trajectory],
              windows: Sequence[tuple[Trajectory, tuple[float, float], str]],
              layout: LaneLayout, thresholds: Thresholds | None) -> list[CriticalityRecord]:
     """One record per ``(ego, window, direction)``, against ``opponents``."""
     thresholds = thresholds or Thresholds()
+    lateral: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def lateral_of(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+        """y and its rate, once per vehicle (an ego is often an opponent too)."""
+        if id(traj) not in lateral:
+            y = continuous_lateral(traj, layout).y
+            lateral[id(traj)] = (y, derivative(y, traj.dt))
+        return lateral[id(traj)]
+
     # each ego, its windows and the samples inside any of them it is evaluated on
     egos: dict[str, tuple[Trajectory, list[int], np.ndarray]] = {}
     for i, (ego, window, _) in enumerate(windows):
@@ -264,7 +261,7 @@ def _records(opponents: Sequence[Trajectory],
     for opp, a, b, o in zip(opponents, lo.tolist(), hi.tolist(), (start + lo).tolist()):
         if b > a:
             g = grid[a:b]
-            y, vy = _lateral(opp, layout)
+            y, vy = lateral_of(opp)
             table[:, o:o + b - a] = (np.interp(g, opp.t, opp.s), np.interp(g, opp.t, y),
                                      np.interp(g, opp.t, opp.v), np.interp(g, opp.t, vy))
     ids = np.array([opp.vehicle_id for opp in opponents], dtype=object)
@@ -284,7 +281,7 @@ def _records(opponents: Sequence[Trajectory],
         covers = (cols >= lo[rival, None]) & (cols < hi[rival, None])
         s, y, v, vy = np.where(covers, table[:, np.where(covers, start[rival, None] + cols, 0)],
                                np.nan)
-        e_y, e_vy = _lateral(ego, layout)
+        e_y, e_vy = lateral_of(ego)
         m = _encounter(KinState(tt, ego.s[ix], e_y[ix], ego.v[ix], e_vy[ix]),
                        KinState(tt, s, y, v, vy),
                        0.5 * (ego.shape.length + length[rival, None]),

@@ -344,7 +344,7 @@ def settle_mask(y: np.ndarray, dy: np.ndarray, layout: LaneLayout, threshold: fl
     if not (0.0 < threshold < layout.lane_width / 2.0):
         raise ValueError("threshold must be in (0, lane_width/2)")
     nearest = layout.nearest_lane(y)
-    rests = ((np.abs(y - nearest * layout.lane_width) <= threshold)
+    rests = ((np.abs(y - layout.center(nearest)) <= threshold)
              & (np.abs(dy) <= settle_rate))
     return nearest, rests
 

@@ -135,7 +135,9 @@ class MISScenario:
     The rear vehicle follows with a short target time gap, starts a
     scripted left lane change once its headway falls below the trigger,
     passes, and cuts back in once it leads the ego.  ``left_lane_blocked``
-    only flips the engagement predicate; no traffic is placed there.
+    only flips the engagement predicate; no traffic is placed there.  The
+    speeds, net gaps, ``duration`` and ``rear_reaction_delay`` must be
+    finite and >= 0, so the footprints do not overlap at the start.
     """
 
     layout: LaneLayout = field(default_factory=LaneLayout)
@@ -161,8 +163,12 @@ class MISScenario:
         for name in ("dt", "lc_duration"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("duration", "rear_reaction_delay"):
-            if not getattr(self, name) >= 0.0:
+        for name in ("duration", "rear_reaction_delay", "ego_v0", "front_v0", "rear_v0",
+                     "front_gap0", "rear_gap0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            if value < 0.0:
                 raise ValueError(f"{name} must be >= 0")
         # the rear vehicle overtakes in the lane to the left of ``lane``
         if not 0 <= self.lane <= self.layout.lane_count - 2:
@@ -227,7 +233,7 @@ def run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
     n = int(round(sc.duration / dt)) + 1
     t_grid = np.arange(n) * dt
     w = sc.layout.lane_width
-    y_home, y_left = sc.lane * w, (sc.lane + 1) * w
+    y_home, y_left = sc.layout.center(sc.lane), sc.layout.center(sc.lane + 1)
     half_wid_er = 0.5 * (sc.ego_shape.width + sc.rear_shape.width)
     delay_steps = int(round(sc.rear_reaction_delay / dt))
 

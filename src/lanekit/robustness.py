@@ -37,6 +37,7 @@ from .trajectory import (  # noqa: F401 - lowpass, continuous_lateral: as detect
     _zero_phase,
     check_lane_range,
     continuous_lateral,
+    derivative,
     lowpass,
 )
 
@@ -158,7 +159,7 @@ def sweep(corpus: _CorpusLike, criterion: str | Sequence[str],
     vehicle is evaluated once on its stacked grid signal: its perturbed
     ``lat`` rows, one per distinct grid point, are filtered in one call,
     and the continuous lateral position, its derivative (one
-    ``np.gradient`` for all rows), the displacement and the settle mask
+    ``derivative`` call for all rows), the displacement and the settle mask
     are computed once for the stack; every criterion then runs its
     detector kernel on each row, sharing the derivative.  Grid points that
     perturb alike (no perturbation, or a repeated bias) are computed once
@@ -195,8 +196,8 @@ def sweep(corpus: _CorpusLike, criterion: str | Sequence[str],
         except (InsufficientSamplesError, LaneRangeError) as exc:
             skipped.append((traj.vehicle_id, str(exc)))
             continue
-        y = traj.lane * layout.lane_width + lat
-        dy = np.gradient(y, traj.dt, axis=-1)
+        y = layout.lateral(traj.lane, lat)
+        dy = derivative(y, traj.dt)
         if "peak" in criteria:
             disp = displacement(dy, traj.dt)
             rel_h = peak_rel_height(params, traj.shape, layout)

@@ -137,7 +137,7 @@ def generate_corpus(n: int = DEFAULT_N, seed: int = 0,
         lane0 = int(rng.integers(0, layout.lane_count))
 
         events = _draw_events(rng, record_len, lane0, layout.lane_count)
-        y = np.full_like(t, w * lane0)
+        y = np.full_like(t, layout.center(lane0))
         for t_mid, duration, step in events:
             y = y + logistic_transition(t, t_mid, duration, step * w)
         y = y + _jitter(rng, t)
@@ -149,8 +149,7 @@ def generate_corpus(n: int = DEFAULT_N, seed: int = 0,
         a_lon = np.gradient(v, 1.0 / RATE)
         a_lat = np.gradient(np.gradient(y, 1.0 / RATE), 1.0 / RATE)
 
-        lane = np.clip(np.rint(y / w), 0, layout.lane_count - 1).astype(int)
-        lat = y - w * lane
+        lane, lat = layout.split(y)
         d_left = w / 2.0 - lat - shape.width / 2.0
         d_right = w / 2.0 + lat - shape.width / 2.0
 
@@ -220,11 +219,11 @@ def overtake_scenario() -> ScenarioSpec:
 
     t_change, t_lc = 45.0, 4.0
     y_ego = w * logistic_transition(t, t_change, t_lc, 1.0)
-    lane_ego = np.clip(np.rint(y_ego / w), 0, layout.lane_count - 1).astype(int)
+    lane_ego, lat_ego = layout.split(y_ego)
     ego = Trajectory(
         vehicle_id="ego", shape=car, t=t,
         s=0.0 + 33.0 * t,
-        lane=lane_ego, lat=y_ego - w * lane_ego,
+        lane=lane_ego, lat=lat_ego,
         v=np.full(len(t), 33.0), a_lon=np.zeros(len(t)),
         a_lat=np.gradient(np.gradient(y_ego, 0.2), 0.2), rate=5.0,
     )

@@ -5,6 +5,11 @@ lateral position is split into an integer lane index (0 = rightmost lane)
 and a signed in-lane offset ``lat`` (positive toward the left); the derived
 channel ``y = lane * lane_width + lat`` is continuous across lane
 boundaries and is the signal all lane-change detectors operate on.
+
+This module is the one place that knows that frame: ``LaneLayout.center``,
+``lateral``, ``nearest_lane`` and ``split`` convert between ``(lane, lat)``
+and ``y``, ``held_lane`` reads a track's lane between its samples and
+``derivative`` gives every lateral rate.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ __all__ = [
     "ContinuousLateral",
     "InsufficientSamplesError",
     "LaneRangeError",
+    "held_lane",
     "resample",
     "lowpass",
     "check_lane_range",
@@ -63,9 +69,13 @@ class LaneLayout:
         if self.speed_limit <= 0.0:
             raise ValueError("speed_limit must be positive")
 
-    def center(self, lane: int) -> float:
+    def center(self, lane: int | np.ndarray) -> float | np.ndarray:
         """Global lateral position of a lane center [m]."""
         return lane * self.lane_width
+
+    def lateral(self, lane: int | np.ndarray, lat: float | np.ndarray) -> float | np.ndarray:
+        """Global lateral position ``y`` of the in-lane offset ``lat`` in ``lane`` [m]."""
+        return self.center(lane) + lat
 
     def boundaries(self) -> np.ndarray:
         """Global lateral positions of the lane markings between lanes."""
@@ -75,6 +85,12 @@ class LaneLayout:
         """Lane index whose center is closest to global lateral position y."""
         idx = np.rint(np.asarray(y, dtype=float) / self.lane_width)
         return np.clip(idx, 0, self.lane_count - 1).astype(int)
+
+    def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(lane, lat)`` of global lateral positions ``y``: the nearest lane
+        and the offset from its center, beyond the outer lanes too."""
+        lane = self.nearest_lane(y)
+        return lane, y - self.center(lane)
 
 
 @dataclass(frozen=True)
@@ -206,23 +222,33 @@ def _interp_with_rereference(t_new: np.ndarray, t_old: np.ndarray,
     of the nearer input sample is taken instead of a bogus average.
     """
     out = np.interp(t_new, t_old, values)
-    switches = np.nonzero(np.diff(lane_old) != 0)[0]
-    for i in switches:
-        mask = (t_new > t_old[i]) & (t_new < t_old[i + 1])
-        if not np.any(mask):
-            continue
+    for i in np.flatnonzero(np.diff(lane_old)):
+        # on a sample itself the nearer-sample rule gives what np.interp gave
+        k = time_overlap(t_new, t_old[i:i + 2])
         mid = 0.5 * (t_old[i] + t_old[i + 1])
-        out[mask] = np.where(t_new[mask] <= mid, values[i], values[i + 1])
+        out[k] = np.where(t_new[k] <= mid, values[i], values[i + 1])
     return out
+
+
+def held_lane(traj: Trajectory, t: np.ndarray) -> np.ndarray:
+    """Lane of ``traj`` held from each sample to the next, at times ``t``.
+
+    A time less than 1e-9 of the track's sampling step before a sample
+    reads that sample's lane, so float noise in a grid built on the same
+    clock does not move a lane switch by one grid step.  Before the first
+    sample the first lane holds.
+    """
+    i = np.searchsorted(traj.t, t + 1e-9 * traj.dt, side="right") - 1
+    return traj.lane[np.clip(i, 0, len(traj.t) - 1)]
 
 
 def resample(traj: Trajectory, target_rate: float) -> Trajectory:
     """Resample to a uniform grid of multiples of ``1/target_rate``.
 
     Continuous channels are linearly interpolated; the lane index is held
-    from the previous sample and lane-referenced channels are protected
-    from averaging across re-referencing jumps.  The covered time span is
-    preserved within one output period.
+    from the previous sample (``held_lane``) and lane-referenced channels
+    are protected from averaging across re-referencing jumps.  The covered
+    time span is preserved within one output period.
     """
     if target_rate <= 0.0:
         raise ValueError("target_rate must be positive")
@@ -233,11 +259,6 @@ def resample(traj: Trajectory, target_rate: float) -> Trajectory:
     if k1 < k0 + 1:
         raise InsufficientSamplesError("insufficient samples")
     t_new = np.arange(k0, k1 + 1) * dt
-
-    # integer lane: hold previous sample
-    idx = np.searchsorted(traj.t, t_new + eps, side="right") - 1
-    idx = np.clip(idx, 0, len(traj.t) - 1)
-    lane_new = traj.lane[idx]
 
     def lin(ch: np.ndarray) -> np.ndarray:
         return np.interp(t_new, traj.t, ch)
@@ -250,7 +271,7 @@ def resample(traj: Trajectory, target_rate: float) -> Trajectory:
         shape=traj.shape,
         t=t_new,
         s=lin(traj.s),
-        lane=lane_new,
+        lane=held_lane(traj, t_new),
         lat=ref(traj.lat),
         v=lin(traj.v),
         a_lon=lin(traj.a_lon),
@@ -300,7 +321,7 @@ def _zero_phase(traj: Trajectory, rows: np.ndarray, cutoff: float,
     else:
         if layout is None:
             raise ValueError("layout required to filter 'lat' across lane changes")
-        offset = traj.lane * layout.lane_width
+        offset = layout.center(traj.lane)
     return signal.sosfiltfilt(sos, rows + offset, axis=-1) - offset
 
 
@@ -328,17 +349,18 @@ def check_lane_range(traj: Trajectory, layout: LaneLayout) -> None:
 def continuous_lateral(traj: Trajectory, layout: LaneLayout) -> ContinuousLateral:
     """Build the continuous global lateral channel y = lane*width + lat."""
     check_lane_range(traj, layout)
-    y = traj.lane * layout.lane_width + traj.lat
+    y = layout.lateral(traj.lane, traj.lat)
     return ContinuousLateral(vehicle_id=traj.vehicle_id, t=traj.t, y=y,
                              rate=traj.rate, v=traj.v)
 
 
 def derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """Time derivative: central differences interior, one-sided at ends."""
+    """Time derivative along the last axis (of each row of a stack):
+    central differences interior, one-sided at ends."""
     values = np.asarray(values, dtype=float)
-    if len(values) < 2:
+    if values.shape[-1] < 2:
         raise InsufficientSamplesError("insufficient samples")
-    return np.gradient(values, dt)
+    return np.gradient(values, dt, axis=-1)
 
 
 def marking_residual(traj: Trajectory, layout: LaneLayout) -> float:

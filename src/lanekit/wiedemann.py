@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .criticality import KinState, encounter, nan_min
-from .trajectory import LaneLayout, Trajectory, time_overlap
+from .trajectory import LaneLayout, Trajectory, held_lane, time_overlap
 
 __all__ = [
     "W99Params",
@@ -191,12 +191,6 @@ class ScenarioSpec:
                      if t.vehicle_id != self.substituted_id)
 
 
-def _held_lane(traj: Trajectory, t: np.ndarray) -> np.ndarray:
-    """Recorded lane of ``traj`` held from each sample to the next, at times ``t``."""
-    i = np.searchsorted(traj.t, t + 1e-12, side="right") - 1
-    return traj.lane[np.clip(i, 0, len(traj.lane) - 1)]
-
-
 def simulate(spec: ScenarioSpec) -> Trajectory:
     """Forward-Euler rollout of the substituted vehicle.
 
@@ -204,11 +198,11 @@ def simulate(spec: ScenarioSpec) -> Trajectory:
     substituted vehicle's held recorded lane; of two replayed vehicles at
     the same position, the one listed first in the scenario leads.  The
     replayed traffic does not depend on the rollout, so it is tabulated on
-    the rollout grid once per call: the held lanes, and each opponent's
-    position where it is in view and in the substituted vehicle's lane
-    (``+inf`` elsewhere).  A step only picks its leader from that row and
-    interpolates the chosen leader's speed and acceleration.  Speeds are
-    clamped at zero; the result is deterministic.
+    the rollout grid once per call: the held lanes (``held_lane``), and
+    each opponent's position where it is in view and in the substituted
+    vehicle's lane (``+inf`` elsewhere).  A step only picks its leader from
+    that row and interpolates the chosen leader's speed and acceleration.
+    Speeds are clamped at zero; the result is deterministic.
 
     ``lat`` is interpolated linearly between the recorded samples, also
     across a lane switch, while ``lane`` is held; so ``lane * width + lat``
@@ -222,12 +216,12 @@ def simulate(spec: ScenarioSpec) -> Trajectory:
     n = int(round((t_end - t0) / spec.dt)) + 1
     t_grid = t0 + np.arange(n) * spec.dt
 
-    lane = _held_lane(rec, t_grid)
+    lane = held_lane(rec, t_grid)
     opp_s = np.full((n, len(others)), math.inf)
     for j, opp in enumerate(others):
         k = time_overlap(t_grid, opp.t)
         tk = t_grid[k]
-        opp_s[k, j] = np.where(_held_lane(opp, tk) == lane[k],
+        opp_s[k, j] = np.where(held_lane(opp, tk) == lane[k],
                                np.interp(tk, opp.t, opp.s), math.inf)
 
     s = np.empty(n)
@@ -292,14 +286,13 @@ class SampledScenarioSet:
 
 def _thw_trace(ego: Trajectory, opp: Trajectory, layout: LaneLayout) -> np.ndarray:
     """THW of ego against one replayed opponent on the ego time grid."""
-    w = layout.lane_width
     k = time_overlap(ego.t, opp.t)
     tt = ego.t[k]
     trace = np.full(len(ego.t), np.nan)
     trace[k] = encounter(
-        KinState(tt, ego.s[k], (ego.lane * w + ego.lat)[k], ego.v[k]),
+        KinState(tt, ego.s[k], layout.lateral(ego.lane[k], ego.lat[k]), ego.v[k]),
         KinState(tt, np.interp(tt, opp.t, opp.s),
-                 np.interp(tt, opp.t, opp.lane * w + opp.lat),
+                 np.interp(tt, opp.t, layout.lateral(opp.lane, opp.lat)),
                  np.interp(tt, opp.t, opp.v)),
         ego.shape, opp.shape).thw
     return trace

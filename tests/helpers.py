@@ -933,3 +933,44 @@ def ref_run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
         rear_gap=rear_gap,
         mode=tuple(modes),
     )
+
+
+# Verbatim copies of the lateral-frame code that ``lanekit.trajectory`` now
+# holds once: the W99 rollout's held lane (1e-12 s tolerance), resample's
+# lane lookup (1e-9 of the target step), synth's nearest lane and in-lane
+# offset, and resample's guard against averaging across a lane switch.
+# Test-only; held_lane, LaneLayout.split and _interp_with_rereference must
+# match them.
+
+def ref_wiedemann_held_lane(traj, t):
+    """Recorded lane of ``traj`` held from each sample to the next, at times ``t``."""
+    i = np.searchsorted(traj.t, t + 1e-12, side="right") - 1
+    return traj.lane[np.clip(i, 0, len(traj.lane) - 1)]
+
+
+def ref_resample_lane(traj, t_new, target_rate):
+    dt = 1.0 / target_rate
+    eps = 1e-9 * dt
+    # integer lane: hold previous sample
+    idx = np.searchsorted(traj.t, t_new + eps, side="right") - 1
+    idx = np.clip(idx, 0, len(traj.t) - 1)
+    return traj.lane[idx]
+
+
+def ref_synth_split(y, layout):
+    w = layout.lane_width
+    lane = np.clip(np.rint(y / w), 0, layout.lane_count - 1).astype(int)
+    lat = y - w * lane
+    return lane, lat
+
+
+def ref_interp_with_rereference(t_new, t_old, values, lane_old):
+    out = np.interp(t_new, t_old, values)
+    switches = np.nonzero(np.diff(lane_old) != 0)[0]
+    for i in switches:
+        mask = (t_new > t_old[i]) & (t_new < t_old[i + 1])
+        if not np.any(mask):
+            continue
+        mid = 0.5 * (t_old[i] + t_old[i + 1])
+        out[mask] = np.where(t_new[mask] <= mid, values[i], values[i + 1])
+    return out

@@ -416,10 +416,45 @@ def test_mis_eval_boolean_spellings(tmp_path, capsys):
     ("lc_duration = 0\n", "lc_duration must be positive"),
     ("duration = -1\n", "duration must be >= 0"),
     ("rear_reaction_delay = -1\n", "rear_reaction_delay must be >= 0"),
-], ids=["dt-zero", "dt-negative", "lc-duration-zero", "duration-negative", "delay-negative"])
+    ("duration = inf\n", "duration must be finite"),
+    ("rear_reaction_delay = inf\n", "rear_reaction_delay must be finite"),
+], ids=["dt-zero", "dt-negative", "lc-duration-zero", "duration-negative", "delay-negative",
+        "duration-infinite", "delay-infinite"])
 def test_mis_eval_rejects_bad_timing(tmp_path, capsys, text, message):
     assert _mis_eval(tmp_path, "timing", text)[0] == 1
     assert f"error: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("ego_v0 = nan\n", "ego_v0 must be finite"),
+    ("ego_v0 = -5\n", "ego_v0 must be >= 0"),
+    ("rear_v0 = inf\n", "rear_v0 must be finite"),
+    ("front_gap0 = inf\n", "front_gap0 must be finite"),
+    ("rear_gap0 = -3\n", "rear_gap0 must be >= 0"),
+], ids=["ego-speed-nan", "ego-speed-negative", "rear-speed-infinite", "front-gap-infinite",
+        "rear-gap-negative"])
+def test_mis_eval_rejects_bad_speeds_and_gaps(tmp_path, capsys, text, message):
+    rc, report = _mis_eval(tmp_path, "kinematics", text)
+    assert rc == 1 and not report.exists()
+    assert f"error: {message}\n" in capsys.readouterr().err
+
+
+def test_mis_eval_rejects_a_tagged_front_overlapping_the_ego(tmp_path, capsys):
+    # the gaps come from the tagged tracks: a front 3 m ahead of the ego
+    # overlaps it (two 4.8 m cars), a net gap of -1.8 m
+    import numpy as np
+    from lanekit.io import write_trajectories
+    from helpers import make_trajectory
+
+    t = np.arange(0.0, 10.0, 0.2)
+    write_trajectories(tmp_path / "roles.csv", [
+        make_trajectory(t, np.zeros(len(t)), v=v, vehicle_id=vid,
+                        markings=False).with_channels(s=s0 + v * t)
+        for vid, s0, v in (("e", 0.0, 30.0), ("f", 3.0, 30.0), ("r", -114.8, 42.0))])
+    scenario = tmp_path / "overlap.cfg"
+    scenario.write_text(ROLES_CSV + "role.e = ego\nrole.f = front\nrole.r = rear\n")
+    assert run("mis-eval", "--scenario", scenario, "--out", tmp_path / "mis") == 1
+    assert "error: front_gap0 must be >= 0\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text,message", [

@@ -550,6 +550,15 @@ def test_critical_records_edge_cases():
         critical_records([EGO], [("ghost", (1.0, 6.0), "left")], LAYOUT)
 
 
+def test_critical_records_leave_the_trajectories_as_they_were():
+    # y and its rate are worked out per call; nothing is stored on a track
+    trajectories = [span_track("e", T5, 0.0, 30.0), span_track("o", T5, 50.0, 25.0, 3.5)]
+    before = [dict(vars(traj)) for traj in trajectories]
+    critical_records(trajectories, [("e", (0.0, 9.8), "left"), ("o", (1.0, 5.0), "right")],
+                     LAYOUT)
+    assert [vars(traj) for traj in trajectories] == before
+
+
 # ---------------------------------------------------------------------------
 # the metric table
 

@@ -202,14 +202,30 @@ def test_headway_increase_met_at_reserve_distance(fig7_on):
     ({"lc_duration": 0.0}, "lc_duration must be positive"),
     ({"duration": -1.0}, "duration must be >= 0"),
     ({"rear_reaction_delay": -1.0}, "rear_reaction_delay must be >= 0"),
+    ({"duration": math.inf}, "duration must be finite"),
+    ({"rear_reaction_delay": math.inf}, "rear_reaction_delay must be finite"),
+    ({"ego_v0": math.nan}, "ego_v0 must be finite"),
+    ({"ego_v0": -5.0}, "ego_v0 must be >= 0"),
+    ({"front_v0": -math.inf}, "front_v0 must be finite"),
+    ({"rear_v0": -0.1}, "rear_v0 must be >= 0"),
+    ({"front_gap0": math.inf}, "front_gap0 must be finite"),
+    ({"rear_gap0": -3.0}, "rear_gap0 must be >= 0"),
     ({"lane": 2}, "lane 2 has no lane to its left in a 3-lane layout"),
     ({"lane": -1}, "lane -1 has no lane to its left in a 3-lane layout"),
     ({"layout": LaneLayout(lane_count=1)}, "lane 0 has no lane to its left in a 1-lane layout"),
 ], ids=["dt-zero", "dt-negative", "lc-duration-zero", "duration-negative",
-        "delay-negative", "leftmost-lane", "negative-lane", "one-lane"])
+        "delay-negative", "duration-infinite", "delay-infinite", "ego-speed-nan",
+        "ego-speed-negative", "front-speed-infinite", "rear-speed-negative",
+        "front-gap-infinite", "rear-gap-negative", "leftmost-lane", "negative-lane",
+        "one-lane"])
 def test_scenario_preconditions(change, message):
     with pytest.raises(ValueError, match=message):
         MISScenario(**change)
+
+
+def test_standing_start_at_zero_gaps_is_a_scenario():
+    # the lower ends of the ranges are allowed
+    MISScenario(ego_v0=0.0, front_v0=0.0, rear_v0=0.0, front_gap0=0.0, rear_gap0=0.0)
 
 
 def test_zero_duration_runs_one_step():

@@ -8,14 +8,25 @@ from lanekit.trajectory import (
     LaneLayout,
     Trajectory,
     VehicleShape,
+    _interp_with_rereference,
     continuous_lateral,
     derivative,
+    held_lane,
     lowpass,
     resample,
     time_overlap,
 )
 
-from helpers import CAR, LAYOUT, lane_keeping, make_trajectory
+from helpers import (
+    CAR,
+    LAYOUT,
+    lane_keeping,
+    make_trajectory,
+    ref_interp_with_rereference,
+    ref_resample_lane,
+    ref_synth_split,
+    ref_wiedemann_held_lane,
+)
 
 
 def ramp_trajectory(rate=100.0, record_len=4.0, slope=0.1):
@@ -301,6 +312,18 @@ def test_derivative_matches_analytic_cosine():
 def test_derivative_too_short():
     with pytest.raises(InsufficientSamplesError):
         derivative(np.array([1.0]), 0.2)
+    with pytest.raises(InsufficientSamplesError):
+        derivative(np.ones((3, 1)), 0.2)
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_derivative_of_a_stack_is_each_row_alone(rows):
+    # a one-point robustness grid stacks a single row: the samples, not the
+    # rows, must number at least two
+    stack = np.random.default_rng(3).normal(size=(rows, 30))
+    got = derivative(stack, 0.04)
+    for r in range(rows):
+        assert got[r].tobytes() == derivative(stack[r], 0.04).tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -327,3 +350,62 @@ def test_time_overlap_holds_the_samples_of_the_window(steps, t0, t1):
     # on a sample, reversed, outside the grid or NaN
     t = np.cumsum([0.0] + steps)
     np.testing.assert_array_equal(t[time_overlap(t, (t0, t1))], t[(t >= t0) & (t <= t1)])
+
+
+# ---------------------------------------------------------------------------
+# the lateral frame
+
+@settings(max_examples=300, deadline=None)
+@given(step=st.sampled_from([0.04, 0.05, 0.2, 1.0 / 3.0]), k0=st.integers(0, 300),
+       samples=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 2), st.booleans(),
+                                  st.floats(-1e-13, 1e-13), st.floats(0.0, 1.0)),
+                        min_size=2, max_size=30))
+def test_held_lane_matches_both_old_lookups(step, k0, samples):
+    # sample times on grid points up to float noise, or at least 1e-7 s (the
+    # 9 digits of the CSV files) away from them; the grid reaches past both ends
+    k = k0 + np.cumsum([gap for gap, *_ in samples])
+    offset = np.array([noise if on_grid else 1e-7 + frac * (step - 2e-7)
+                       for _, _, on_grid, noise, frac in samples])
+    t = k * step + offset
+    traj = Trajectory("v", CAR, t, np.zeros(len(t)), np.array([lane for _, lane, *_ in samples]),
+                      np.zeros(len(t)), np.zeros(len(t)), np.zeros(len(t)), np.zeros(len(t)),
+                      rate=1.0 / float(np.median(np.diff(t))))
+    grid = np.arange(k[0] - 2, k[-1] + 3) * step
+    got = held_lane(traj, grid)
+    np.testing.assert_array_equal(got, ref_resample_lane(traj, grid, 1.0 / step))
+    np.testing.assert_array_equal(got, ref_wiedemann_held_lane(traj, grid))
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=st.lists(st.floats(-12.0, 25.0), min_size=1, max_size=20),
+       lane_count=st.integers(1, 4), lane_width=st.sampled_from([2.9, 3.5, 3.75]))
+def test_split_is_the_nearest_lane_and_offset(y, lane_count, lane_width):
+    # beyond the outer lanes the lane is clipped and the offset grows
+    layout = LaneLayout(lane_count=lane_count, lane_width=lane_width)
+    y = np.array(y)
+    lane, lat = layout.split(y)
+    ref_lane, ref_lat = ref_synth_split(y, layout)
+    np.testing.assert_array_equal(lane, ref_lane)
+    assert lane.dtype == ref_lane.dtype and lat.tobytes() == ref_lat.tobytes()
+    np.testing.assert_allclose(layout.lateral(lane, lat), y, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.sampled_from([0.04, 0.2, 0.25, 1.0 / 3.0]), min_size=1, max_size=25),
+       lanes=st.lists(st.integers(0, 2), min_size=26, max_size=26),
+       values=st.lists(st.sampled_from([-1.6, -0.0, 0.0, 0.4, 1.75, -1.75, 2.0]),
+                       min_size=26, max_size=26),
+       step=st.sampled_from([0.05, 0.1, 0.2, 0.3]), start=st.floats(-0.5, 0.5),
+       on_samples=st.lists(st.integers(0, 25), max_size=8))
+def test_rereference_guard_matches_the_masked_loop(steps, lanes, values, step, start,
+                                                   on_samples):
+    # the slices of time_overlap include the two samples of a switch; there
+    # the nearer-sample rule gives what np.interp gave, bit for bit
+    t_old = np.cumsum([0.0] + steps)
+    n = len(t_old)
+    lane_old, v_old = np.array(lanes[:n]), np.array(values[:n])
+    grid = start + np.arange(0, int((t_old[-1] - start) / step) + 1) * step
+    t_new = np.unique(np.concatenate([grid[grid >= 0.0],
+                                      t_old[[i for i in on_samples if i < n]]]))
+    got = _interp_with_rereference(t_new, t_old, v_old, lane_old)
+    assert got.tobytes() == ref_interp_with_rereference(t_new, t_old, v_old, lane_old).tobytes()
