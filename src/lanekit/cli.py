@@ -209,13 +209,7 @@ def cmd_criticality(args) -> int:
     for r in records:
         rec_id = r.vehicle_id.split("v")[0]
         grouped.setdefault((rec_id, r.direction), []).append(r)
-    boxes = [
-        {"metric": st.metric, "direction": st.direction,
-         "per_recording": dict(st.per_recording),
-         "summary": st.summary.as_dict() if st.summary else None}
-        for st in direction_stats(grouped,
-                                  warn=lambda m: print(f"warning: {m}", file=sys.stderr))
-    ]
+    boxes = direction_stats(grouped, warn=lambda m: print(f"warning: {m}", file=sys.stderr))
     lkio.write_json(out / "direction_boxes.json", {"boxes": boxes})
     print(f"wrote {len(records)} criticality records to {out}")
     return 0
@@ -230,10 +224,8 @@ def cmd_stats(args) -> int:
         shapes = lkio.read_vehicles(args.vehicles)
         classes = {vid: sh.vclass for vid, sh in shapes.items()}
     summaries = event_stats(events, classes)
-    payload = {group: {name: box.as_dict() for name, box in entry.items()}
-               for group, entry in summaries.items()}
-    lkio.write_json(out / "stats.json", {"groups": payload})
-    print(f"wrote summaries for {len(payload)} groups to {out / 'stats.json'}")
+    lkio.write_json(out / "stats.json", {"groups": summaries})
+    print(f"wrote summaries for {len(summaries)} groups to {out / 'stats.json'}")
     return 0
 
 

@@ -51,7 +51,6 @@ __all__ = [
     "settle_mask",
     "distance_events",
     "classify_double",
-    "exceedance_predicate",
 ]
 
 DEFAULT_MIN_EXTENT = 2.5  # [m] minimum lateral extent of a reportable event
@@ -304,12 +303,6 @@ def _resolve_opposite_overlaps(candidates: list[_Candidate]) -> list[_Candidate]
                 continue
         kept.append(cand)
     return kept
-
-
-def exceedance_predicate(y: np.ndarray, center: float, threshold: float) -> np.ndarray:
-    """Per-sample distance-criterion predicate |y - center| > threshold."""
-    dev = np.asarray(y, dtype=float) - center
-    return (dev > threshold) | (dev < -threshold)
 
 
 def detect_distance(y: ContinuousLateral, layout: LaneLayout,

@@ -8,9 +8,10 @@ The marking-distance columns may be empty (aerial-style inputs).  Vehicle
 shapes are not part of the trajectory schema; they travel in a companion
 vehicles CSV (``vehicle_id,class,length,width``) or fall back to a
 configured default.  ``ingest`` parses a clean trajectory file
-column-wise with ``np.loadtxt`` in one streaming pass and any other file
-row by row with ``csv.reader``, the only reader that names a rejected row;
-both give the same report.
+column-wise with ``np.loadtxt`` in one streaming pass and any other file,
+a marked one with an empty marking among them, row by row with
+``csv.reader``, the only reader that names a rejected row; it splits
+either parser's rows by vehicle, so both give the same report.
 
 Configuration files are ``key = value`` lines with ``#`` comments.  JSON
 reports carry a top-level ``"schema": 1``.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from io import StringIO
 from itertools import chain, repeat
 from pathlib import Path
@@ -33,7 +34,7 @@ from .criticality import METRIC_NAMES, CriticalityRecord, Thresholds, record_fie
 from .detection import (DEFAULT_DISTANCE_THRESHOLD, DEFAULT_MIN_EXTENT, Direction,
                         EventKind, LaneChangeEvent, PeakParams)
 from .mis import MISConfig
-from .robustness import RobustnessReport
+from .robustness import Perturbation, RobustnessReport
 from .synth import DEFAULT_N, DEFAULT_TRUCK_FRACTION
 from .trajectory import DEFAULT_CUTOFF, LaneLayout, Trajectory, VehicleClass, VehicleShape
 from .wiedemann import SampledScenarioSet, ScenarioSpec, W99Params
@@ -135,16 +136,6 @@ def _unmarked(text: str) -> int:
     return text.count(",,\n") + text.count(",,\r") + text.endswith(",,")
 
 
-def _nan_markings(line: str) -> str:
-    """``line`` with ``nan`` in its empty ``d_left`` and ``d_right`` fields;
-    a line without ten fields is left for np.loadtxt to refuse."""
-    body = line.rstrip("\r\n")
-    if body.count(",") != 9:
-        return line
-    head, d_left, d_right = body.rsplit(",", 2)
-    return f"{head},{d_left or 'nan'},{d_right or 'nan'}{line[len(body):]}"
-
-
 def _scan_lines(fh, block: list[str], unmarked: bool,
                 runs: list[tuple[str, int]]) -> Iterator[list[str]]:
     """Blocks of data lines of an open trajectory CSV, ``block`` first.
@@ -157,8 +148,6 @@ def _scan_lines(fh, block: list[str], unmarked: bool,
     (loadtxt drops extra columns) and, with ``unmarked``, on a block with a
     line whose two last fields are not both empty.  As loadtxt refuses a
     line with fewer fields than it reads, every line it returns had ten.
-    Without ``unmarked``, empty ``d_left`` and ``d_right`` fields are
-    returned as ``nan``, which loadtxt reads as ``_parse_float`` reads "".
     """
     row = 0
     prefix = "\n,"  # starts no line: "\n" ends one
@@ -179,9 +168,6 @@ def _scan_lines(fh, block: list[str], unmarked: bool,
                     prefix = line[:end + 1]
                     runs.append((line[:end], row + i))
         row += n
-        if not unmarked and (",," in text or ",\n" in text or ",\r" in text
-                             or text.endswith(",")):
-            block = [_nan_markings(line) for line in block]
         yield block
         block = fh.readlines(_BLOCK_CHARS)
 
@@ -219,45 +205,45 @@ def ingest(path: str | Path,
     samples are rejected with a diagnostic.  A malformed header is a hard
     error.
 
-    A clean file is parsed in one streaming pass by ``np.loadtxt`` and its
-    rows are then split by vehicle, a vehicle's rows in file order even
-    where other vehicles' rows interleave.  Clean means no row would be
-    rejected: the header is exact, no line is blank or holds a quote,
-    every line has ten fields, the columns ``t``..``a_lat`` are finite and
-    every lane is integral; when the first line's markings are empty, so
-    are every line's.  Any other file goes through the row-by-row ``csv.reader``
-    parser, the only one that names a rejected row's line and reason.
-    Both give the same report, bit for bit: loadtxt and ``float()`` both
-    round correctly.
+    A clean file is parsed in one streaming pass by ``np.loadtxt``.  Clean
+    means no row would be rejected and no field is empty: the header is
+    exact, no line is blank or holds a quote, every line has ten fields,
+    the columns ``t``..``a_lat`` are finite and every lane is integral;
+    the one exception is a file whose first line has empty markings, where
+    every line's must be empty.  Any other file goes through the row-by-row
+    ``csv.reader`` parser, the only one that names a rejected row's line
+    and reason.  Either parser's rows are then split by vehicle here, a
+    vehicle's rows in file order even where other vehicles' rows
+    interleave.  Both give the same report, bit for bit: loadtxt and
+    ``float()`` both round correctly.
     """
     path = Path(path)
     default_shape = default_shape or VehicleShape()
+    report = IngestReport()
     try:
         with path.open(newline="") as fh:
             parsed = _parse_clean(fh)
     except UnicodeDecodeError:  # the row parser raises it again
         parsed = None
-    if parsed is None:
-        return _ingest_rows(path, shapes, default_shape)
-    data, runs = parsed
+    data, runs = parsed or _ingest_rows(path, report)
+    if not runs:
+        report.warnings.append(f"{path}: no data rows, empty corpus")
     spans: dict[str, list[tuple[int, int]]] = {}
     ends = [start for _, start in runs[1:]] + [len(data)]
     for (vid, start), end in zip(runs, ends):
         spans.setdefault(vid, []).append((start, end))
-    report = IngestReport()
     for vid, parts in spans.items():
         rows = np.concatenate([data[a:b] for a, b in parts])
         _add_vehicle(report, vid, rows, shapes, default_shape)
     return report
 
 
-def _ingest_rows(path: Path, shapes: Mapping[str, VehicleShape] | None,
-                 default_shape: VehicleShape) -> IngestReport:
-    """``ingest`` row by row with ``csv.reader``, naming every rejected row."""
-    report = IngestReport()
-    per_vehicle: dict[str, list[list[float]]] = {}
-    order: list[str] = []
-
+def _ingest_rows(path: Path, report: IngestReport) -> tuple[np.ndarray, list[tuple[str, int]]]:
+    """Columns t..d_right of the accepted rows of the file at ``path`` and
+    their id runs, as ``_parse_clean`` gives them, read row by row with
+    ``csv.reader``; each rejected row goes to ``report`` with its reason."""
+    rows: list[list[float]] = []
+    runs: list[tuple[str, int]] = []
     with path.open(newline="") as fh:
         for lineno, row in _data_rows(fh, path, TRAJECTORY_HEADER):
             if len(row) != len(TRAJECTORY_HEADER):
@@ -276,19 +262,10 @@ def _ingest_rows(path: Path, shapes: Mapping[str, VehicleShape] | None,
             if not values[2].is_integer():
                 report.rejected_rows.append((lineno, "non-integer lane"))
                 continue
-            if vid not in per_vehicle:
-                per_vehicle[vid] = []
-                order.append(vid)
-            per_vehicle[vid].append(values)
-
-    if not per_vehicle:
-        report.warnings.append(f"{path}: no data rows, empty corpus")
-        return report
-
-    for vid in order:
-        _add_vehicle(report, vid, np.array(per_vehicle[vid], dtype=float),
-                     shapes, default_shape)
-    return report
+            if not runs or runs[-1][0] != vid:
+                runs.append((vid, len(rows)))
+            rows.append(values)
+    return np.array(rows, dtype=float).reshape(-1, 9), runs
 
 
 def _add_vehicle(report: IngestReport, vid: str, rows: np.ndarray,
@@ -461,9 +438,10 @@ def write_json(path: str | Path, payload: dict) -> None:
     The bytes are those of ``json.dump(..., indent=1, sort_keys=True)``
     plus a final newline: keys sorted, one space of indent per level,
     strings ASCII with ``\\uXXXX`` escapes, a float as ``float.__repr__``
-    writes it and a non-finite one as ``null``.  Keys must be ``str``; a
-    value other than a dict, list, tuple, str, int, float, bool or None is
-    a TypeError.
+    writes it and a non-finite one as ``null``.  A dataclass instance is
+    written as the object of its fields.  Keys must be ``str``; a value
+    other than a dict, list, tuple, str, int, float, bool, None or
+    dataclass instance is a TypeError.
     """
     body = {"schema": 1}
     body.update(payload)
@@ -516,6 +494,8 @@ def _json_text(obj, newline: str, out: list[str]) -> None:
         out.append("false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        _json_text({f.name: getattr(obj, f.name) for f in fields(obj)}, newline, out)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -524,16 +504,21 @@ def _json_text(obj, newline: str, out: list[str]) -> None:
 # configuration
 
 def parse_keyvalues(path: str | Path) -> dict[str, str]:
-    """Flat ``key = value`` file with ``#`` comments."""
+    """Flat ``key = value`` file with ``#`` comments; a key set twice is a
+    ValueError."""
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = stripped.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in line_of:
+            raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {line_of[key]}")
+        line_of[key] = lineno
+        out[key] = value
     return out
 
 
@@ -582,7 +567,8 @@ class RunConfig:
     The sections ``layout``, ``peak``, ``thresholds``, ``w99`` (the model
     of ``sample``), ``mis`` and ``default_shape`` (the shape of a vehicle no
     vehicles file names) are the library's parameter dataclasses with their
-    own defaults; the other fields are the pipeline's settings.  A config
+    own defaults; the other fields are the pipeline's settings, whose
+    ranges ``__post_init__`` checks, each error naming the key.  A config
     key is the name of a field that ``field_types`` lists: a setting's, or a
     section field's after the section's prefix in ``_SECTIONS``.
     """
@@ -612,13 +598,32 @@ class RunConfig:
     marking_tolerance: float = 0.05  # [m] d_left + d_right consistency check
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("resample_rate", "lowpass_cutoff"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        for name in ("min_lateral_extent", "marking_tolerance"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not 0.0 <= self.truck_fraction <= 1.0:
+            raise ValueError("truck_fraction must be in [0, 1]")
+        if self.synth_n < 0:
+            raise ValueError("synth_n must be >= 0")
+        for name, kind in (("bias_grid", "bias"), ("brownian_grid", "brownian")):
+            for magnitude in getattr(self, name):
+                try:
+                    Perturbation(kind, magnitude)
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from None
+
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         return cls.from_dict(parse_keyvalues(path))
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, str]) -> "RunConfig":
-        """The config ``raw`` sets; each section's own checks run on it."""
+        """The config ``raw`` sets; each section's own checks and the
+        settings' range checks run on it."""
         cfg, raw, sections = cls(), dict(raw), {}
         for section, prefix in _SECTIONS.items():
             default = getattr(cfg, section)

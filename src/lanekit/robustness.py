@@ -9,6 +9,7 @@ number of detections per criterion against the true count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -66,6 +67,8 @@ class Perturbation:
     def __post_init__(self) -> None:
         if self.kind not in ("bias", "brownian"):
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
+        if not math.isfinite(self.magnitude):
+            raise ValueError("magnitude must be finite")
         if self.magnitude < 0.0:
             raise ValueError("magnitude must be >= 0")
 

@@ -29,18 +29,6 @@ class BoxSummary:
     outliers: tuple[float, ...]
     mean: float
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "median": self.median,
-            "q25": self.q25,
-            "q75": self.q75,
-            "whisker_low": self.whisker_low,
-            "whisker_high": self.whisker_high,
-            "outliers": list(self.outliers),
-            "mean": self.mean,
-        }
-
 
 def box_summary(values: Sequence[float] | np.ndarray) -> BoxSummary:
     """Five-number summary with the conventional 1.5 IQR outlier rule."""

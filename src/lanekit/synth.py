@@ -47,9 +47,6 @@ class SyntheticCorpus:
     def classes(self) -> dict[str, VehicleClass]:
         return {t.vehicle_id: t.shape.vclass for t in self.trajectories}
 
-    def recording_of(self, vehicle_id: str) -> str:
-        return vehicle_id.split("v")[0]
-
 
 def logistic_transition(t: np.ndarray, t_mid: float, duration: float,
                         amplitude: float) -> np.ndarray:

@@ -685,6 +685,27 @@ def ref_write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def ref_box_dict(box) -> dict:
+    """A ``BoxSummary`` as the report dict its hand-kept ``as_dict`` built."""
+    return {
+        "n": box.n,
+        "median": box.median,
+        "q25": box.q25,
+        "q75": box.q75,
+        "whisker_low": box.whisker_low,
+        "whisker_high": box.whisker_high,
+        "outliers": list(box.outliers),
+        "mean": box.mean,
+    }
+
+
+def ref_direction_box(stats) -> dict:
+    """A ``DirectionStats`` as the CLI built its ``direction_boxes.json`` entry."""
+    return {"metric": stats.metric, "direction": stats.direction,
+            "per_recording": dict(stats.per_recording),
+            "summary": ref_box_dict(stats.summary) if stats.summary else None}
+
+
 # ---------------------------------------------------------------------------
 # margin increase closed loop, frozen as first written: the ego mode in an
 # enum held by a mutable state record, the rear maneuver as a phase string

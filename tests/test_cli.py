@@ -384,12 +384,23 @@ def test_mis_eval_role_errors_name_file_and_key(tmp_path, roles_csv, capsys, tex
     assert not (tmp_path / "mis" / "mis_report.json").exists()
 
 
+def test_mis_eval_role_key_given_twice(tmp_path, roles_csv, capsys):
+    scenario = tmp_path / "twice.cfg"
+    scenario.write_text(ROLES_CSV + "role.e = ego\nrole.f = front\nrole.r = rear\nrole.f = front\n")
+    assert run("mis-eval", "--scenario", scenario, "--out", tmp_path / "mis") == 1
+    assert "twice.cfg:5: key 'role.f' already set on line 3" in capsys.readouterr().err
+
+
 MIS_FIXTURE = "ego_v0 = 30\nfront_v0 = 30\nrear_v0 = 42\nfront_gap0 = 29\nrear_gap0 = 110\n"
 
 
 def _mis_eval(tmp_path, name, text):
+    # ``text`` replaces the fixture's lines of the keys it sets: a key given twice is an error
+    keys = {line.split("=")[0].strip() for line in text.splitlines()}
+    fixture = [line for line in MIS_FIXTURE.splitlines(keepends=True)
+               if line.split("=")[0].strip() not in keys]
     scenario = tmp_path / f"{name}.cfg"
-    scenario.write_text(MIS_FIXTURE + text)
+    scenario.write_text("".join(fixture) + text)
     out = tmp_path / name
     return run("mis-eval", "--scenario", scenario, "--out", out), out / "mis_report.json"
 
@@ -525,8 +536,18 @@ def test_config_error_names_the_key(tmp_path, capsys):
     assert "error: config key 'lane_count': expected int, got '3.0'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line,message", [("thw_crit = -1", "thw_crit must be positive"),
-                                          ("lane_count = 0", "lane_count must be >= 1")])
+@pytest.mark.parametrize("line,message", [
+    ("thw_crit = -1", "thw_crit must be positive"),
+    ("lane_count = 0", "lane_count must be >= 1"),
+    ("resample_rate = nan", "resample_rate must be finite and positive"),
+    ("lowpass_cutoff = nan", "lowpass_cutoff must be finite and positive"),
+    ("min_lateral_extent = -1", "min_lateral_extent must be finite and >= 0"),
+    ("marking_tolerance = inf", "marking_tolerance must be finite and >= 0"),
+    ("truck_fraction = 1.5", "truck_fraction must be in [0, 1]"),
+    ("synth_n = -3", "synth_n must be >= 0"),
+    ("bias_grid = 0, nan", "bias_grid: magnitude must be finite"),
+    ("brownian_grid = 0, -0.01", "brownian_grid: magnitude must be >= 0"),
+])
 def test_out_of_range_config_fails_for_any_subcommand(workdir, tmp_path, capsys, line, message):
     config = tmp_path / "run.cfg"
     config.write_text(line + "\n")

@@ -13,7 +13,6 @@ from lanekit.detection import (
     detect_distance,
     detect_gradient,
     detect_peak,
-    exceedance_predicate,
     find_peaks,
     peak_width,
     rel_height_from_widths,
@@ -337,16 +336,6 @@ def test_peak_matches_reference_on_random_signals(y, min_extent, edge, sign, rel
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert_same_record(a, b)
-
-
-def test_exceedance_predicate_shift():
-    rng = np.random.default_rng(3)
-    y = rng.uniform(-1.5, 1.5, 200)
-    b = 0.4
-    shifted = exceedance_predicate(y + b, 0.0, 0.8)
-    # same predicate with the threshold window shifted by -b
-    manual = (y > 0.8 - b) | (y < -0.8 - b)
-    assert np.array_equal(shifted, manual)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanekit import io as lkio
-from lanekit.criticality import CriticalityRecord, Thresholds
+from lanekit.criticality import CriticalityRecord, DirectionStats, Thresholds
 from lanekit.detection import Direction, EventKind, LaneChangeEvent, PeakParams
 from lanekit.io import (
     RunConfig,
@@ -27,12 +27,13 @@ from lanekit.io import (
     write_vehicles,
 )
 from lanekit.mis import MISConfig
+from lanekit.stats import BoxSummary
 from lanekit.synth import generate_corpus
 from lanekit.trajectory import LaneLayout, Trajectory, VehicleShape
 from lanekit.wiedemann import SampledScenario, SampledScenarioSet, W99Params
 
-from helpers import (assert_same_ingest, ref_ingest, ref_write_json, ref_write_thw_traces,
-                     ref_write_trajectories)
+from helpers import (assert_same_ingest, ref_box_dict, ref_direction_box, ref_ingest,
+                     ref_write_json, ref_write_thw_traces, ref_write_trajectories)
 
 
 def test_fmt_nine_digits():
@@ -328,8 +329,8 @@ def test_ingest_marked_file_without_converter(tmp_path, case):
             mock.patch.object(lkio.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
         got = ingest(path)
     assert_same_ingest(got, ref_ingest(path))
-    # an empty s still takes the row parser, which names the row
-    assert rows.called == (case == "empty s")
+    # the row parser reads every file with an empty field
+    assert rows.called == (case != "fully marked")
     assert loadtxt.called and all("converters" not in c.kwargs
                                   for c in loadtxt.call_args_list)
 
@@ -426,6 +427,14 @@ def test_malformed_config_line(tmp_path):
     path.write_text("lane_width 3.5\n")
     with pytest.raises(ValueError, match="expected"):
         parse_keyvalues(path)
+
+
+def test_config_key_given_twice(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("lane_count = 3\n# two lanes after all\nlane_count = 2\n")
+    with pytest.raises(ValueError) as exc:
+        RunConfig.from_file(path)
+    assert str(exc.value) == f"{path}:3: key 'lane_count' already set on line 1"
 
 
 def test_config_helpers():
@@ -693,7 +702,32 @@ def test_write_json_edge_values(tmp_path):
             '  null\n ]') in text
 
 
-@pytest.mark.parametrize("bad", [np.int64(1), np.bool_(True), {1, 2}])
+BOX_SUMMARIES = st.builds(
+    BoxSummary, n=st.integers(0, 1000), outliers=st.lists(st.floats(), max_size=4).map(tuple),
+    **dict.fromkeys(("median", "q25", "q75", "whisker_low", "whisker_high", "mean"),
+                    st.floats()))
+DIRECTION_STATS = st.builds(
+    DirectionStats, metric=JSON_TEXT, direction=st.sampled_from(["left", "right"]),
+    per_recording=st.dictionaries(JSON_TEXT, st.floats(), max_size=4),
+    summary=st.none() | BOX_SUMMARIES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups=st.dictionaries(JSON_TEXT, st.dictionaries(
+           st.sampled_from(["duration", "speed"]), BOX_SUMMARIES), max_size=3),
+       boxes=st.lists(DIRECTION_STATS, max_size=4))
+def test_write_json_of_report_dataclasses_matches_their_dicts(groups, boxes):
+    # stats.json and direction_boxes.json as the hand-built dicts wrote them
+    def ref(path, payload):
+        ref_write_json(path, {
+            "groups": {g: {k: ref_box_dict(b) for k, b in entry.items()}
+                       for g, entry in payload["groups"].items()},
+            "boxes": [ref_direction_box(b) for b in payload["boxes"]]})
+
+    assert _same_bytes(lkio.write_json, ref, {"groups": groups, "boxes": boxes})
+
+
+@pytest.mark.parametrize("bad", [np.int64(1), np.bool_(True), {1, 2}, BoxSummary])
 @pytest.mark.parametrize("where", ["value", "list", "dict", "tuple"])
 def test_write_json_type_error_parity(tmp_path, bad, where):
     payload = {"value": bad, "list": [1.0, bad], "dict": {"k": bad}, "tuple": ("a", bad)}[where]
