@@ -49,10 +49,10 @@ from .wiedemann import ScenarioSpec, sample_cc1
 
 
 def _load_config(args) -> lkio.RunConfig:
+    """``--config``'s settings with ``--seed`` and ``--n`` over them, as ``RunConfig`` checks."""
     cfg = lkio.RunConfig.from_file(args.config) if args.config else lkio.RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
+    given = {"seed": getattr(args, "seed", None), "synth_n": getattr(args, "n", None)}
+    return dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
 
 
 def _outdir(args) -> Path:
@@ -98,8 +98,7 @@ def _preprocess(traj: Trajectory, cfg: lkio.RunConfig, layout: LaneLayout) -> Tr
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    n = args.n if args.n is not None else cfg.synth_n
-    corpus = generate_corpus(n=n, seed=cfg.seed, layout=cfg.layout,
+    corpus = generate_corpus(n=cfg.synth_n, seed=cfg.seed, layout=cfg.layout,
                              truck_fraction=cfg.truck_fraction)
     lkio.write_trajectories(out / "trajectories.csv", corpus.trajectories)
     lkio.write_vehicles(out / "vehicles.csv", corpus.trajectories)

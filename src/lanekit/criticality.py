@@ -39,8 +39,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .stats import BoxSummary, box_summary
-from .trajectory import (LaneLayout, Trajectory, VehicleShape, continuous_lateral, derivative,
-                         time_overlap)
+from .trajectory import (LaneLayout, Trajectory, VehicleShape, check_range, continuous_lateral,
+                         derivative, time_overlap)
 
 __all__ = [
     "Thresholds",
@@ -76,7 +76,8 @@ def record_field(metric: str) -> str:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Critical below: d, thw, dce, ttce; critical above: v, a_lon, a_lat."""
+    """Critical below: d, thw, dce, ttce; critical above: v, a_lon, a_lat.
+    Every threshold is finite and positive."""
 
     d_crit: float = 1.0  # [m]
     v_factor: float = 1.3  # critical above v_factor * speed limit
@@ -87,10 +88,7 @@ class Thresholds:
     ttce_gate: float = 2.6  # [s] DCE evaluated (and TTCE critical) below this
 
     def __post_init__(self) -> None:
-        for name in ("d_crit", "v_factor", "a_lon_crit", "a_lat_crit",
-                     "thw_crit", "dce_crit", "ttce_gate"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        check_range(self, positive=True)
 
     def limit(self, metric: str, speed_limit: float) -> float:
         """The threshold of ``metric``; that of ``v`` scales with ``speed_limit``."""

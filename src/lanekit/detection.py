@@ -28,6 +28,7 @@ from .trajectory import (
     LaneLayout,
     Trajectory,
     VehicleShape,
+    check_range,
     continuous_lateral,
     derivative,
     time_overlap,
@@ -92,13 +93,16 @@ class LaneChangeEvent:
 
 @dataclass(frozen=True)
 class PeakParams:
+    """Peak criterion settings: finite, ``prominence_min`` positive and a
+    given ``rel_height`` inside (0, 1)."""
+
     prominence_min: float = 0.15  # [m/s]
     min_peak_separation: float = 4.0  # [s]
     rel_height: float | None = None  # computed from widths when None
 
     def __post_init__(self) -> None:
-        if self.prominence_min <= 0.0:
-            raise ValueError("prominence_min must be positive")
+        check_range(self)
+        check_range(self, "prominence_min", positive=True)
         if self.rel_height is not None and not (0.0 < self.rel_height < 1.0):
             raise ValueError("rel_height must be in (0, 1)")
 
@@ -275,7 +279,6 @@ def _half_displacement_time(t: np.ndarray, disp: np.ndarray, t0: float,
     """Instant inside [t0, t1] where half the window displacement is done."""
     target = d0 + 0.5 * (d1 - d0)
     k = time_overlap(t, (t0, t1))
-    tt = t[k]
     sign = 1.0 if d1 >= d0 else -1.0
     gd = sign * disp[k]
     gt = sign * target
@@ -283,10 +286,7 @@ def _half_displacement_time(t: np.ndarray, disp: np.ndarray, t0: float,
     if len(hit) == 0:
         return fallback
     i = int(hit[0])
-    if gd[i + 1] == gd[i]:
-        return float(tt[i])
-    frac = (gt - gd[i]) / (gd[i + 1] - gd[i])
-    return float(tt[i] + frac * (tt[i + 1] - tt[i]))
+    return _cross_time(t[k], gd, i, i + 1, gt)
 
 
 def _resolve_opposite_overlaps(candidates: list[_Candidate]) -> list[_Candidate]:
@@ -434,17 +434,15 @@ def distance_events(vehicle_id: str, t: np.ndarray, y: np.ndarray, v: np.ndarray
 
 def _boundary_cross_time(t: np.ndarray, yy: np.ndarray, t0: float, t1: float,
                          boundary: float) -> float:
-    """First crossing of a lane boundary inside [t0, t1]; midpoint fallback."""
+    """First crossing of a lane boundary inside [t0, t1], a pair of samples
+    on a flat stretch not counting; midpoint fallback."""
     k = time_overlap(t, (t0, t1))
-    tt = t[k]
     vv = yy[k] - boundary
-    crossings = np.nonzero(vv[:-1] * vv[1:] <= 0.0)[0]
-    for i in crossings:
-        if vv[i] == vv[i + 1]:
-            continue
-        frac = -vv[i] / (vv[i + 1] - vv[i])
-        return float(tt[i] + frac * (tt[i + 1] - tt[i]))
-    return 0.5 * (t0 + t1)
+    crossings = np.flatnonzero((vv[:-1] * vv[1:] <= 0.0) & (vv[:-1] != vv[1:]))
+    if len(crossings) == 0:
+        return 0.5 * (t0 + t1)
+    i = int(crossings[0])
+    return _cross_time(t[k], vv, i, i + 1, 0.0)
 
 
 def detect_gradient(traj: Trajectory, layout: LaneLayout,

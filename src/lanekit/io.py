@@ -36,7 +36,8 @@ from .detection import (DEFAULT_DISTANCE_THRESHOLD, DEFAULT_MIN_EXTENT, Directio
 from .mis import MISConfig
 from .robustness import Perturbation, RobustnessReport
 from .synth import DEFAULT_N, DEFAULT_TRUCK_FRACTION
-from .trajectory import DEFAULT_CUTOFF, LaneLayout, Trajectory, VehicleClass, VehicleShape
+from .trajectory import (CHANNELS, DEFAULT_CUTOFF, MARKINGS, LaneLayout, Trajectory,
+                         VehicleClass, VehicleShape, check_range)
 from .wiedemann import SampledScenarioSet, ScenarioSpec, W99Params
 
 __all__ = [
@@ -60,8 +61,7 @@ __all__ = [
     "parse_fields",
 ]
 
-TRAJECTORY_HEADER = ["vehicle_id", "t", "s", "lane", "lat", "v",
-                     "a_lon", "a_lat", "d_left", "d_right"]
+TRAJECTORY_HEADER = ["vehicle_id", *CHANNELS, *MARKINGS]
 EVENT_HEADER = ["vehicle_id", "criterion", "t_start", "t_mid", "t_end",
                 "duration", "direction", "v_mid", "lateral_extent", "kind"]
 VEHICLE_HEADER = ["vehicle_id", "class", "length", "width"]
@@ -119,6 +119,7 @@ def _read_table(path: str | Path, header: list[str],
 
 
 _HEADER_LINE = ",".join(TRAJECTORY_HEADER)
+_LANE = CHANNELS.index("lane")  # its column in the rows of t..d_right
 _BLOCK_CHARS = 1 << 14  # size hint of the line blocks the columnar parse reads
 # Characters with which csv.reader or float() may read a line otherwise
 # than np.loadtxt does: a quote (csv.reader unquotes), a NUL (csv.reader
@@ -154,8 +155,8 @@ def _scan_lines(fh, block: list[str], unmarked: bool,
     while block:
         n = len(block)
         text = "".join(block)
-        if (text.count(",") != 9 * n or any(c in text for c in _UNSAFE)
-                or unmarked and _unmarked(text) != n):
+        if (text.count(",") != (len(TRAJECTORY_HEADER) - 1) * n
+                or any(c in text for c in _UNSAFE) or unmarked and _unmarked(text) != n):
             raise _Unclean
         # the block continues the run if its first line and every line
         # after a "\n" start with prefix ("\n" only ends a line)
@@ -183,14 +184,16 @@ def _parse_clean(fh) -> tuple[np.ndarray, list[tuple[str, int]]] | None:
     if not block:
         return None
     unmarked = _unmarked(block[0]) == 1
+    columns = CHANNELS if unmarked else CHANNELS + MARKINGS
     runs: list[tuple[str, int]] = []
     lines = chain.from_iterable(_scan_lines(fh, block, unmarked, runs))
     try:
-        data = np.loadtxt(lines, delimiter=",", usecols=range(1, 8 if unmarked else 10),
+        data = np.loadtxt(lines, delimiter=",", usecols=range(1, 1 + len(columns)),
                           comments=None, ndmin=2)
     except (_Unclean, ValueError):
         return None
-    if not (np.isfinite(data[:, :7]).all() and (np.floor(data[:, 2]) == data[:, 2]).all()):
+    lane = data[:, _LANE]
+    if not (np.isfinite(data[:, :len(CHANNELS)]).all() and (np.floor(lane) == lane).all()):
         return None
     return data, runs
 
@@ -255,17 +258,17 @@ def _ingest_rows(path: Path, report: IngestReport) -> tuple[np.ndarray, list[tup
             except ValueError:
                 report.rejected_rows.append((lineno, "unparseable number"))
                 continue
-            # t,s,lane,lat,v,a_lon,a_lat must be finite; markings may be empty
-            if not all(math.isfinite(v) for v in values[:7]):
+            # the CHANNELS must be finite; the MARKINGS may be empty
+            if not all(math.isfinite(v) for v in values[:len(CHANNELS)]):
                 report.rejected_rows.append((lineno, "non-finite value"))
                 continue
-            if not values[2].is_integer():
+            if not values[_LANE].is_integer():
                 report.rejected_rows.append((lineno, "non-integer lane"))
                 continue
             if not runs or runs[-1][0] != vid:
                 runs.append((vid, len(rows)))
             rows.append(values)
-    return np.array(rows, dtype=float).reshape(-1, 9), runs
+    return np.array(rows, dtype=float).reshape(-1, len(CHANNELS + MARKINGS)), runs
 
 
 def _add_vehicle(report: IngestReport, vid: str, rows: np.ndarray,
@@ -273,34 +276,23 @@ def _add_vehicle(report: IngestReport, vid: str, rows: np.ndarray,
                  default_shape: VehicleShape) -> None:
     """Append the vehicle of ``rows`` or its rejection.
 
-    ``rows`` holds columns t..d_right, or t..a_lat for a vehicle without
-    markings.
+    ``rows`` holds the columns ``CHANNELS`` and ``MARKINGS``, or the
+    ``CHANNELS`` only for a vehicle without markings; the markings count
+    only where they are all finite.
     """
-    t = rows[:, 0]
+    columns = dict(zip(CHANNELS + MARKINGS, rows.T))
+    t = columns["t"]
     if np.any(np.diff(t) <= 0.0):
         report.rejected_vehicles.append((vid, "non-monotone time"))
         return
     if len(t) < 2:
         report.rejected_vehicles.append((vid, "fewer than 2 samples"))
         return
-    shape = (shapes or {}).get(vid, default_shape)
-    has_marks = rows.shape[1] == 9 and bool(np.all(np.isfinite(rows[:, 7]))
-                                             and np.all(np.isfinite(rows[:, 8])))
-    dt = np.median(np.diff(t))
+    if not np.isfinite(rows[:, len(CHANNELS):]).all():
+        columns.update(dict.fromkeys(MARKINGS))
     report.trajectories.append(Trajectory(
-        vehicle_id=vid,
-        shape=shape,
-        t=t,
-        s=rows[:, 1],
-        lane=rows[:, 2].astype(int),
-        lat=rows[:, 3],
-        v=rows[:, 4],
-        a_lon=rows[:, 5],
-        a_lat=rows[:, 6],
-        rate=1.0 / float(dt),
-        d_left=rows[:, 7] if has_marks else None,
-        d_right=rows[:, 8] if has_marks else None,
-    ))
+        vehicle_id=vid, shape=(shapes or {}).get(vid, default_shape),
+        rate=1.0 / float(np.median(np.diff(t))), **columns))
 
 
 def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> None:
@@ -308,11 +300,9 @@ def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> 
     with Path(path).open("w", newline="") as fh:
         fh.write(_HEADER_LINE + "\r\n")
         for traj in trajectories:
-            rows = zip(
-                repeat(_csv_field(traj.vehicle_id)), _fmt_column(traj.t), _fmt_column(traj.s),
-                map(str, traj.lane.tolist()), _fmt_column(traj.lat), _fmt_column(traj.v),
-                _fmt_column(traj.a_lon), _fmt_column(traj.a_lat),
-                _fmt_column(traj.d_left), _fmt_column(traj.d_right))
+            rows = zip(repeat(_csv_field(traj.vehicle_id)), *(
+                map(str, traj.lane.tolist()) if name == "lane" else _fmt_column(getattr(traj, name))
+                for name in CHANNELS + MARKINGS))
             fh.write("\r\n".join(map(",".join, rows)) + "\r\n")  # a track has 2+ samples
 
 
@@ -567,8 +557,9 @@ class RunConfig:
     The sections ``layout``, ``peak``, ``thresholds``, ``w99`` (the model
     of ``sample``), ``mis`` and ``default_shape`` (the shape of a vehicle no
     vehicles file names) are the library's parameter dataclasses with their
-    own defaults; the other fields are the pipeline's settings, whose
-    ranges ``__post_init__`` checks, each error naming the key.  A config
+    own defaults and checks; the other fields are the pipeline's settings.
+    Every number of a section or setting must be finite; ``__post_init__``
+    checks the settings' ranges, each error naming the key.  A config
     key is the name of a field that ``field_types`` lists: a setting's, or a
     section field's after the section's prefix in ``_SECTIONS``.
     """
@@ -599,16 +590,11 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("resample_rate", "lowpass_cutoff"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        for name in ("min_lateral_extent", "marking_tolerance"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+        check_range(self)
+        check_range(self, "resample_rate", "lowpass_cutoff", positive=True)
+        check_range(self, "min_lateral_extent", "marking_tolerance", "synth_n", low=0.0)
         if not 0.0 <= self.truck_fraction <= 1.0:
             raise ValueError("truck_fraction must be in [0, 1]")
-        if self.synth_n < 0:
-            raise ValueError("synth_n must be >= 0")
         for name, kind in (("bias_grid", "bias"), ("brownian_grid", "brownian")):
             for magnitude in getattr(self, name):
                 try:

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .trajectory import LaneLayout, VehicleShape
+from .criticality import V_EGO_MIN
+from .trajectory import LaneLayout, VehicleShape, check_range
 from .wiedemann import CFState, W99Params, _clamp, w99_accel
 
 __all__ = [
@@ -58,17 +59,15 @@ REAR_GAP_VIOLATION = 1.0  # [m] violation when d_R falls below
 
 @dataclass(frozen=True)
 class MISConfig:
+    """Controller settings, each finite and positive."""
+
     rear_detect_range: float = 100.0  # [m]
     delta_v_min: float = 10.0 / 3.6  # [m/s] minimum closing speed
     thw_increase: float = 2.0  # [s]
     comfort_decel_cap: float = 1.5  # [m/s^2]
 
     def __post_init__(self) -> None:
-        if self.thw_increase <= 0.0:
-            raise ValueError("thw_increase must be positive")
-        for name in ("rear_detect_range", "delta_v_min", "comfort_decel_cap"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        check_range(self, positive=True)
 
 
 def _net_gap(behind: CFState, ahead: CFState) -> float:
@@ -76,7 +75,7 @@ def _net_gap(behind: CFState, ahead: CFState) -> float:
 
 
 def _front_thw(ego: CFState, front: CFState) -> float:
-    if ego.v < 0.1:
+    if ego.v < V_EGO_MIN:
         return math.inf
     return max(_net_gap(ego, front), 0.0) / ego.v
 
@@ -124,8 +123,13 @@ def plan_decel(ego: CFState, front: CFState, rear: CFState, cfg: MISConfig,
 
 @dataclass(frozen=True)
 class FrontBrakeInjection:
+    """Braking of the front vehicle at ``|decel|`` from ``t``; both finite."""
+
     decel: float  # [m/s^2]
     t: float | None = None  # None: inject when the rear vehicle starts its overtake
+
+    def __post_init__(self) -> None:
+        check_range(self)
 
 
 @dataclass(frozen=True)
@@ -135,9 +139,10 @@ class MISScenario:
     The rear vehicle follows with a short target time gap, starts a
     scripted left lane change once its headway falls below the trigger,
     passes, and cuts back in once it leads the ego.  ``left_lane_blocked``
-    only flips the engagement predicate; no traffic is placed there.  The
-    speeds, net gaps, ``duration`` and ``rear_reaction_delay`` must be
-    finite and >= 0, so the footprints do not overlap at the start.
+    only flips the engagement predicate; no traffic is placed there.  Every
+    number must be finite, ``dt`` and ``lc_duration`` positive and the
+    speeds, net gaps, ``duration`` and ``rear_reaction_delay`` >= 0, so the
+    footprints do not overlap at the start.
     """
 
     layout: LaneLayout = field(default_factory=LaneLayout)
@@ -160,16 +165,10 @@ class MISScenario:
     left_lane_blocked: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("dt", "lc_duration"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("duration", "rear_reaction_delay", "ego_v0", "front_v0", "rear_v0",
-                     "front_gap0", "rear_gap0"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            if value < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+        check_range(self)
+        check_range(self, "dt", "lc_duration", positive=True)
+        check_range(self, "duration", "rear_reaction_delay", "ego_v0", "front_v0", "rear_v0",
+                    "front_gap0", "rear_gap0", low=0.0)
         # the rear vehicle overtakes in the lane to the left of ``lane``
         if not 0 <= self.lane <= self.layout.lane_count - 2:
             raise ValueError(f"lane {self.lane} has no lane to its left in a "
@@ -268,7 +267,8 @@ def run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
 
         # --- rear vehicle: cut out below the trigger headway, cut back in
         # once it leads the ego by cut_in_lead -------------------------------
-        if lc_start is None and rear.v > 0.1 and max(d_r, 0.0) / rear.v < sc.overtake_trigger_thw:
+        if (lc_start is None and rear.v > V_EGO_MIN
+                and max(d_r, 0.0) / rear.v < sc.overtake_trigger_thw):
             lc_start = tk
         if lc_start is not None and maneuver_end is None:
             start, y0, y1 = ((lc_start, y_home, y_left) if cutin_start is None

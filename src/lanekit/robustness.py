@@ -9,7 +9,6 @@ number of detections per criterion against the true count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -37,6 +36,7 @@ from .trajectory import (  # noqa: F401 - lowpass, continuous_lateral: as detect
     Trajectory,
     _zero_phase,
     check_lane_range,
+    check_range,
     continuous_lateral,
     derivative,
     lowpass,
@@ -59,7 +59,8 @@ class GroundTruthError(ValueError):
 
 @dataclass(frozen=True)
 class Perturbation:
-    """One grid point: ``bias`` magnitude in m, ``brownian`` step std in m."""
+    """One grid point: ``bias`` magnitude in m, ``brownian`` step std in m;
+    finite and >= 0."""
 
     kind: str  # {"bias", "brownian"}
     magnitude: float
@@ -67,10 +68,7 @@ class Perturbation:
     def __post_init__(self) -> None:
         if self.kind not in ("bias", "brownian"):
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        if not math.isfinite(self.magnitude):
-            raise ValueError("magnitude must be finite")
-        if self.magnitude < 0.0:
-            raise ValueError("magnitude must be >= 0")
+        check_range(self, "magnitude", low=0.0)
 
 
 @dataclass(frozen=True)

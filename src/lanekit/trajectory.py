@@ -9,14 +9,16 @@ boundaries and is the signal all lane-change detectors operate on.
 This module is the one place that knows that frame: ``LaneLayout.center``,
 ``lateral``, ``nearest_lane`` and ``split`` convert between ``(lane, lat)``
 and ``y``, ``held_lane`` reads a track's lane between its samples and
-``derivative`` gives every lateral rate.
+``derivative`` gives every lateral rate.  ``CHANNELS`` and ``MARKINGS``
+name a trajectory's channels in the order of the trajectory CSV, and
+``check_range`` is the one range rule of every parameter dataclass.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterable
 
@@ -34,6 +36,9 @@ __all__ = [
     "resample",
     "lowpass",
     "check_lane_range",
+    "check_range",
+    "CHANNELS",
+    "MARKINGS",
     "continuous_lateral",
     "derivative",
     "time_overlap",
@@ -62,12 +67,8 @@ class LaneLayout:
     speed_limit: float = 120.0 / 3.6  # [m/s]
 
     def __post_init__(self) -> None:
-        if self.lane_count < 1:
-            raise ValueError("lane_count must be >= 1")
-        if self.lane_width <= 0.0:
-            raise ValueError("lane_width must be positive")
-        if self.speed_limit <= 0.0:
-            raise ValueError("speed_limit must be positive")
+        check_range(self, "lane_count", low=1)
+        check_range(self, "lane_width", "speed_limit", positive=True)
 
     def center(self, lane: int | np.ndarray) -> float | np.ndarray:
         """Global lateral position of a lane center [m]."""
@@ -95,12 +96,15 @@ class LaneLayout:
 
 @dataclass(frozen=True)
 class VehicleShape:
-    # the defaults are the car assumed where no vehicles file gives a shape
+    """Footprint of a vehicle, finite with ``0 < width < length``; the
+    defaults are the car assumed where no vehicles file gives a shape."""
+
     length: float = 4.8  # [m]
     width: float = 2.0  # [m]
     vclass: VehicleClass = VehicleClass.CAR
 
     def __post_init__(self) -> None:
+        check_range(self)
         if not (0.0 < self.width < self.length):
             raise ValueError("require 0 < width < length")
 
@@ -111,13 +115,18 @@ def _frozen(values: Iterable[float], dtype=float) -> np.ndarray:
     return arr
 
 
+CHANNELS = ("t", "s", "lane", "lat", "v", "a_lon", "a_lat")  # in trajectory CSV column order
+MARKINGS = ("d_left", "d_right")  # optional; the CSV's last columns
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled trajectory of one vehicle.
 
-    Channels are immutable numpy arrays of equal length; ``d_left`` /
-    ``d_right`` (distances from the vehicle sides to the referenced lane
-    markings) are optional and only present for in-car style inputs.
+    The ``CHANNELS`` are immutable numpy arrays of equal length, ``lane``
+    of ints; the ``MARKINGS`` ``d_left`` / ``d_right`` (distances from the
+    vehicle sides to the referenced lane markings) are optional and only
+    present for in-car style inputs.  ``rate`` is finite and positive.
     """
 
     vehicle_id: str
@@ -134,31 +143,19 @@ class Trajectory:
     d_right: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", _frozen(self.t))
-        object.__setattr__(self, "s", _frozen(self.s))
-        object.__setattr__(self, "lane", _frozen(self.lane, dtype=int))
-        object.__setattr__(self, "lat", _frozen(self.lat))
-        object.__setattr__(self, "v", _frozen(self.v))
-        object.__setattr__(self, "a_lon", _frozen(self.a_lon))
-        object.__setattr__(self, "a_lat", _frozen(self.a_lat))
-        if self.d_left is not None:
-            object.__setattr__(self, "d_left", _frozen(self.d_left))
-        if self.d_right is not None:
-            object.__setattr__(self, "d_right", _frozen(self.d_right))
+        present = CHANNELS + tuple(m for m in MARKINGS if getattr(self, m) is not None)
+        for name in present:
+            dtype = int if name == "lane" else float
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
         n = len(self.t)
         if n < 2:
             raise InsufficientSamplesError("insufficient samples")
-        for name in ("s", "lane", "lat", "v", "a_lon", "a_lat"):
+        for name in present:
             if len(getattr(self, name)) != n:
-                raise ValueError(f"channel {name!r} length mismatch")
-        for name in ("d_left", "d_right"):
-            ch = getattr(self, name)
-            if ch is not None and len(ch) != n:
                 raise ValueError(f"channel {name!r} length mismatch")
         if np.any(np.diff(self.t) <= 0.0):
             raise ValueError("time must be strictly increasing")
-        if self.rate <= 0.0:
-            raise ValueError("rate must be positive")
+        check_range(self, "rate", positive=True)
 
     @property
     def dt(self) -> float:
@@ -344,6 +341,25 @@ def check_lane_range(traj: Trajectory, layout: LaneLayout) -> None:
     """Raise LaneRangeError if a lane index of ``traj`` lies outside ``layout``."""
     if np.any(traj.lane < 0) or np.any(traj.lane >= layout.lane_count):
         raise LaneRangeError("lane index out of range for layout")
+
+
+def check_range(obj, *names: str, low: float = -math.inf, positive: bool = False) -> None:
+    """Raise ValueError, as ``<name> must be finite``, ``must be positive`` or
+    ``must be >= <low>``, at the first field ``names`` of the dataclass
+    ``obj`` (each number field when none is named) that is not None or a
+    finite number ``>= low``, and ``> 0`` where ``positive``."""
+    if not names:
+        names = tuple(f.name for f in fields(obj) if isinstance(getattr(obj, f.name), (int, float)))
+    for name in names:
+        value = getattr(obj, name)
+        if value is None:
+            continue
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        if positive and not value > 0.0:
+            raise ValueError(f"{name} must be positive")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low:g}")
 
 
 def continuous_lateral(traj: Trajectory, layout: LaneLayout) -> ContinuousLateral:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .criticality import KinState, encounter, nan_min
-from .trajectory import LaneLayout, Trajectory, held_lane, time_overlap
+from .trajectory import LaneLayout, Trajectory, check_range, held_lane, time_overlap
 
 __all__ = [
     "W99Params",
@@ -41,6 +41,9 @@ LOOK_AHEAD = 150.0  # [m] beyond this a leader is ignored
 
 @dataclass(frozen=True)
 class W99Params:
+    """Wiedemann99 parameters: finite, ``cc0``, ``cc1`` and ``cc8`` positive
+    and ``cc4 < 0 < cc5``."""
+
     cc0: float = 1.5  # [m] standstill gap
     cc1: float = 0.9  # [s] target time gap
     cc2: float = 4.0  # [m] following oscillation band
@@ -54,8 +57,8 @@ class W99Params:
     v_desired: float = 33.33  # [m/s]
 
     def __post_init__(self) -> None:
-        if self.cc0 <= 0.0 or self.cc1 <= 0.0 or self.cc8 <= 0.0:
-            raise ValueError("cc0, cc1 and cc8 must be positive")
+        check_range(self)
+        check_range(self, "cc0", "cc1", "cc8", positive=True)
         if not (self.cc4 < 0.0 < self.cc5):
             raise ValueError("require cc4 < 0 < cc5")
 
@@ -163,6 +166,7 @@ class ScenarioSpec:
 
     The substituted vehicle starts from its recorded first sample and keeps
     its recorded lane sequence; everything else is replayed verbatim.
+    ``0 < dt <= 0.1``; a given ``duration`` is finite and positive.
     """
 
     trajectories: tuple[Trajectory, ...]
@@ -175,8 +179,7 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.dt <= 0.1:
             raise ValueError("dt must be positive and <= 0.1 s")
-        if self.duration is not None and not self.duration > 0.0:
-            raise ValueError("duration must be positive")
+        check_range(self, "duration", positive=True)
         if all(t.vehicle_id != self.substituted_id for t in self.trajectories):
             raise ValueError(f"substituted vehicle {self.substituted_id!r} absent")
 
@@ -302,16 +305,15 @@ def sample_cc1(spec: ScenarioSpec, cc1_values: Sequence[float]) -> SampledScenar
     """One simulation per cc1 value plus THW traces against each opponent.
 
     Lower cc1 tightens the following gap of the substituted vehicle and
-    with it the headway to its leaders.
+    with it the headway to its leaders.  Every variant is built, and so
+    each cc1 checked by ``W99Params``, before the first rollout.
     """
     if len(cc1_values) == 0:
         raise ValueError("cc1_values must be non-empty")
-    if any(c <= 0.0 for c in cc1_values):
-        raise ValueError("cc1 values must be positive")
+    variants = [replace(spec, model=replace(spec.model, cc1=cc1)) for cc1 in cc1_values]
 
     scenarios = []
-    for cc1 in cc1_values:
-        variant = replace(spec, model=replace(spec.model, cc1=cc1))
+    for cc1, variant in zip(cc1_values, variants):
         ego = simulate(variant)
         traces = {opp.vehicle_id: _thw_trace(ego, opp, spec.layout)
                   for opp in spec.others()}

@@ -484,6 +484,35 @@ def test_sample_rejects_bad_timing(tmp_path, capsys, text, message):
     assert f"error: {message}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("cc1_values = 0.9, nan\n", "cc1 must be finite"),
+    ("cc1_values = 0.9, inf\n", "cc1 must be finite"),
+    ("duration = inf\n", "duration must be finite"),
+    ("v_desired = nan\n", "v_desired must be finite"),
+], ids=["cc1-nan", "cc1-infinite", "duration-infinite", "v-desired-nan"])
+def test_sample_rejects_non_finite_values(tmp_path, capsys, text, message):
+    from lanekit.io import write_trajectories
+    from lanekit.synth import overtake_scenario
+
+    write_trajectories(tmp_path / "scenario_traj.csv", overtake_scenario().trajectories)
+    scenario = tmp_path / "values.cfg"
+    scenario.write_text("trajectories = scenario_traj.csv\nsubstituted_id = ego\n" + text)
+    assert run("sample", "--scenario", scenario, "--out", tmp_path / "sample") == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert not any((tmp_path / "sample").iterdir())
+
+
+@pytest.mark.parametrize("text,message", [
+    ("inject_front_brake = nan\n", "decel must be finite"),
+    ("inject_front_brake = 4\ninject_t = nan\n", "t must be finite"),
+    ("overtake_trigger_thw = nan\n", "overtake_trigger_thw must be finite"),
+], ids=["brake-nan", "brake-time-nan", "trigger-nan"])
+def test_mis_eval_rejects_non_finite_values(tmp_path, capsys, text, message):
+    rc, report = _mis_eval(tmp_path, "values", text)
+    assert rc == 1 and not any(report.parent.iterdir())
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unknown_scenario_key(tmp_path, capsys):
     assert _mis_eval(tmp_path, "typo", "inject_front_brak = 4\n")[0] == 1
     err = capsys.readouterr().err
@@ -539,10 +568,10 @@ def test_config_error_names_the_key(tmp_path, capsys):
 @pytest.mark.parametrize("line,message", [
     ("thw_crit = -1", "thw_crit must be positive"),
     ("lane_count = 0", "lane_count must be >= 1"),
-    ("resample_rate = nan", "resample_rate must be finite and positive"),
-    ("lowpass_cutoff = nan", "lowpass_cutoff must be finite and positive"),
-    ("min_lateral_extent = -1", "min_lateral_extent must be finite and >= 0"),
-    ("marking_tolerance = inf", "marking_tolerance must be finite and >= 0"),
+    ("resample_rate = nan", "resample_rate must be finite\n"),
+    ("lowpass_cutoff = nan", "lowpass_cutoff must be finite\n"),
+    ("min_lateral_extent = -1", "min_lateral_extent must be >= 0\n"),
+    ("marking_tolerance = inf", "marking_tolerance must be finite\n"),
     ("truck_fraction = 1.5", "truck_fraction must be in [0, 1]"),
     ("synth_n = -3", "synth_n must be >= 0"),
     ("bias_grid = 0, nan", "bias_grid: magnitude must be finite"),
@@ -556,6 +585,40 @@ def test_out_of_range_config_fails_for_any_subcommand(workdir, tmp_path, capsys,
                "--out", tmp_path / "st") == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "st").exists()
+
+
+def _float_config_keys():
+    """(config key, field) of every float a config file can set, from the
+    sections and settings of ``RunConfig``."""
+    from lanekit.io import _SECTIONS, RunConfig, field_types
+
+    cfg = RunConfig()
+    keys = [(name, name) for name, kind in field_types(cfg).items() if kind is float]
+    for section, prefix in _SECTIONS.items():
+        keys += [(prefix + name, name) for name, kind in field_types(getattr(cfg, section)).items()
+                 if kind is float]
+    return keys
+
+
+FLOAT_CONFIG_KEYS = _float_config_keys()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key,name", FLOAT_CONFIG_KEYS, ids=[key for key, _ in FLOAT_CONFIG_KEYS])
+def test_non_finite_config_float_fails_for_any_subcommand(workdir, tmp_path, capsys, key, name,
+                                                          value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    assert run("stats", "--config", config, "--events", workdir / "truth_events.csv",
+               "--out", tmp_path / "st") == 1
+    assert capsys.readouterr().err == f"error: {name} must be finite\n"
+    assert not (tmp_path / "st").exists()
+
+
+def test_negative_synth_n_option_fails(tmp_path, capsys):
+    assert run("synth", "--n", "-3", "--out", tmp_path / "neg") == 1
+    assert capsys.readouterr().err == "error: synth_n must be >= 0\n"
+    assert not (tmp_path / "neg").exists()
 
 
 def test_readme_ini_blocks_parse(tmp_path):
@@ -614,6 +677,15 @@ def test_malformed_vehicles_row_names_file_and_line(workdir, tmp_path, capsys, r
     assert run("detect", "--traj", workdir / "trajectories.csv", "--vehicles", vehicles,
                "--out", tmp_path / "det") == 1
     assert f"error: {vehicles}:{line}: {message}" in capsys.readouterr().err
+
+
+def test_infinite_vehicle_length_fails_criticality(workdir, tmp_path, capsys):
+    vehicles = tmp_path / "vehicles.csv"
+    line = _with_row(workdir / "vehicles.csv", vehicles, "r00v0000,truck,inf,2.5")
+    assert run("criticality", "--traj", workdir / "trajectories.csv", "--vehicles", vehicles,
+               "--events", workdir / "truth_events.csv", "--out", tmp_path / "crit") == 1
+    assert capsys.readouterr().err == f"error: {vehicles}:{line}: length must be finite\n"
+    assert not any((tmp_path / "crit").iterdir())
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -223,6 +223,13 @@ def test_scenario_preconditions(change, message):
         MISScenario(**change)
 
 
+@pytest.mark.parametrize("decel,t,message", [(math.nan, None, "decel must be finite"),
+                                             (4.0, math.nan, "t must be finite")])
+def test_front_brake_injection_must_be_finite(decel, t, message):
+    with pytest.raises(ValueError, match=message):
+        FrontBrakeInjection(decel, t)
+
+
 def test_standing_start_at_zero_gaps_is_a_scenario():
     # the lower ends of the ranges are allowed
     MISScenario(ego_v0=0.0, front_v0=0.0, rear_v0=0.0, front_gap0=0.0, rear_gap0=0.0)

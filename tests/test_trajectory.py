@@ -47,6 +47,8 @@ def test_layout_validation():
 def test_shape_validation():
     with pytest.raises(ValueError):
         VehicleShape(length=2.0, width=2.5)
+    with pytest.raises(ValueError, match="length must be finite"):
+        VehicleShape(length=np.inf)
 
 
 def test_trajectory_requires_two_samples():
@@ -58,6 +60,12 @@ def test_trajectory_requires_monotone_time():
     with pytest.raises(ValueError, match="increasing"):
         Trajectory("v", CAR, [0.0, 0.0], [0.0, 1.0], [0, 0], [0.0, 0.0],
                    [30.0, 30.0], [0.0, 0.0], [0.0, 0.0], 5.0)
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf])
+def test_trajectory_rate_must_be_finite(rate):
+    with pytest.raises(ValueError, match="rate must be finite"):
+        lane_keeping().with_channels(rate=rate)
 
 
 def test_channels_are_immutable():
