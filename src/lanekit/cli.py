@@ -55,12 +55,6 @@ def _load_config(args) -> lkio.RunConfig:
     return dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _read_trajectories(traj: str | Path, vehicles: str | Path | None,
                        cfg: lkio.RunConfig) -> list[Trajectory]:
     """The vehicles ``ingest`` accepts from the trajectory file ``traj``,
@@ -95,9 +89,7 @@ def _preprocess(traj: Trajectory, cfg: lkio.RunConfig, layout: LaneLayout) -> Tr
     return traj
 
 
-def cmd_synth(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def cmd_synth(args, cfg: lkio.RunConfig, out: Path) -> int:
     corpus = generate_corpus(n=cfg.synth_n, seed=cfg.seed, layout=cfg.layout,
                              truck_fraction=cfg.truck_fraction)
     lkio.write_trajectories(out / "trajectories.csv", corpus.trajectories)
@@ -111,9 +103,7 @@ def cmd_synth(args) -> int:
 _CRITERIA = ("gradient", "peak", "distance")
 
 
-def cmd_detect(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def cmd_detect(args, cfg: lkio.RunConfig, out: Path) -> int:
     layout = cfg.layout
     criteria = args.criteria.split(",") if args.criteria else _CRITERIA
     for name in criteria:
@@ -144,9 +134,7 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_robustness(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def cmd_robustness(args, cfg: lkio.RunConfig, out: Path) -> int:
     layout = cfg.layout
     trajectories = _ingest_corpus(args, cfg)
     truth = lkio.read_events(args.truth)
@@ -164,9 +152,7 @@ def cmd_robustness(args) -> int:
     return 0
 
 
-def cmd_criticality(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def cmd_criticality(args, cfg: lkio.RunConfig, out: Path) -> int:
     layout = cfg.layout
     thresholds = cfg.thresholds
     trajectories = []
@@ -208,15 +194,13 @@ def cmd_criticality(args) -> int:
     for r in records:
         rec_id = r.vehicle_id.split("v")[0]
         grouped.setdefault((rec_id, r.direction), []).append(r)
-    boxes = direction_stats(grouped, warn=lambda m: print(f"warning: {m}", file=sys.stderr))
+    boxes = direction_stats(grouped)
     lkio.write_json(out / "direction_boxes.json", {"boxes": boxes})
     print(f"wrote {len(records)} criticality records to {out}")
     return 0
 
 
-def cmd_stats(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def cmd_stats(args, cfg: lkio.RunConfig, out: Path) -> int:
     events = lkio.read_events(args.events)
     classes = None
     if args.vehicles:
@@ -262,9 +246,7 @@ def _scenario_from_file(path: str, cfg: lkio.RunConfig) -> tuple[ScenarioSpec, l
     return spec, list(values.get("cc1_values", ())) or [spec.model.cc1]
 
 
-def cmd_sample(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def cmd_sample(args, cfg: lkio.RunConfig, out: Path) -> int:
     spec, cc1_values = _scenario_from_file(args.scenario, cfg)
     names = [f"simulated_cc1_{cc1:g}.csv" for cc1 in cc1_values]
     for j, name in enumerate(names):
@@ -338,19 +320,23 @@ def _mis_scenario_from_file(path: str, cfg: lkio.RunConfig):
                             - 0.5 * (ego.shape.length + rear.shape.length)),
             lane=int(ego.lane[0]),
         ) | values
-    if "rear_cc1" in run or "rear_v_desired" in run:
-        model = scenario.rear_model
-        values["rear_model"] = dataclasses.replace(
-            model, cc1=run.get("rear_cc1", model.cc1),
-            v_desired=run.get("rear_v_desired", values.get("rear_v0", model.v_desired)))
-    injection = (FrontBrakeInjection(decel=run["inject_front_brake"], t=run.get("inject_t"))
-                 if "inject_front_brake" in run else None)
+    # a range error names the key; the rear model's speed defaults to rear_v0
+    keys = {"cc1": "rear_cc1", "decel": "inject_front_brake", "t": "inject_t",
+            "v_desired": "rear_v_desired" if "rear_v_desired" in run else "rear_v0"}
+    try:
+        if "rear_cc1" in run or "rear_v_desired" in run:
+            model = scenario.rear_model
+            values["rear_model"] = dataclasses.replace(
+                model, cc1=run.get("rear_cc1", model.cc1),
+                v_desired=run.get("rear_v_desired", values.get("rear_v0", model.v_desired)))
+        injection = (FrontBrakeInjection(decel=run["inject_front_brake"], t=run.get("inject_t"))
+                     if "inject_front_brake" in run else None)
+    except ValueError as exc:
+        raise lkio.key_error(exc, keys) from None
     return dataclasses.replace(scenario, **values), injection, run.get("mis_on", True)
 
 
-def cmd_mis_eval(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def cmd_mis_eval(args, cfg: lkio.RunConfig, out: Path) -> int:
     scenario, injection, mis_on = _mis_scenario_from_file(args.scenario, cfg)
     report = run_closed_loop(scenario, cfg.mis, injection, mis_on)
     lkio.write_json(out / "mis_report.json", report.as_dict())
@@ -416,7 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load_config(args)  # before the output directory: a bad config creates none
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, cfg, out)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,7 +34,7 @@ threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -368,23 +368,18 @@ class DirectionStats:
     metric: str
     direction: str
     per_recording: Mapping[str, float]  # recording id -> percent critical
-    summary: BoxSummary | None
+    summary: BoxSummary
 
 
-def direction_stats(records: Mapping[tuple[str, str], Sequence[CriticalityRecord]],
-                    warn: Callable[[str], None] | None = None) -> list[DirectionStats]:
+def direction_stats(
+        records: Mapping[tuple[str, str], Sequence[CriticalityRecord]]) -> list[DirectionStats]:
     """Percentage of critical lane changes per metric, recording, direction.
 
     ``records`` maps (recording id, direction) to the event records of that
-    group; double lane changes must already be excluded.  Empty groups are
-    omitted (reported through ``warn`` when given).
+    group, at least one; double lane changes must already be excluded.
     """
     by_direction: dict[str, dict[str, Sequence[CriticalityRecord]]] = {}
     for (rec_id, direction), recs in records.items():
-        if len(recs) == 0:
-            if warn is not None:
-                warn(f"empty group ({rec_id}, {direction}) omitted")
-            continue
         by_direction.setdefault(direction, {})[rec_id] = recs
 
     out: list[DirectionStats] = []
@@ -394,6 +389,6 @@ def direction_stats(records: Mapping[tuple[str, str], Sequence[CriticalityRecord
                 rec_id: 100.0 * sum(r.flags[metric] for r in recs) / len(recs)
                 for rec_id, recs in sorted(groups.items())
             }
-            summary = box_summary(np.array(list(shares.values()))) if shares else None
+            summary = box_summary(np.array(list(shares.values())))
             out.append(DirectionStats(metric, direction, shares, summary))
     return out

@@ -16,7 +16,6 @@ the input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -50,6 +49,7 @@ __all__ = [
     "peak_rel_height",
     "peak_events",
     "settle_mask",
+    "check_distance_threshold",
     "distance_events",
     "classify_double",
 ]
@@ -234,7 +234,7 @@ def detect_peak(y: ContinuousLateral, shape: VehicleShape, layout: LaneLayout,
 
 
 def peak_events(vehicle_id: str, t: np.ndarray, dy: np.ndarray, disp: np.ndarray,
-                v: np.ndarray | None, rate: float, rel_h: float, params: PeakParams,
+                v: np.ndarray, rate: float, rel_h: float, params: PeakParams,
                 min_extent: float | None) -> list[LaneChangeEvent]:
     """The peak criterion on arrays: ``dy`` the lateral derivative on the
     sample times ``t`` and ``disp`` its ``displacement``; see detect_peak."""
@@ -252,7 +252,7 @@ def peak_events(vehicle_id: str, t: np.ndarray, dy: np.ndarray, disp: np.ndarray
                 continue
             t_mid = _half_displacement_time(t, disp, w.t_start, w.t_end,
                                             d0, d1, fallback=float(t[hit.index]))
-            v_mid = _interp_at(t, v, float(t[hit.index])) if v is not None else math.nan
+            v_mid = _interp_at(t, v, float(t[hit.index]))
             candidates.append(_Candidate(
                 LaneChangeEvent(
                     vehicle_id=vehicle_id,
@@ -334,12 +334,18 @@ def settle_mask(y: np.ndarray, dy: np.ndarray, layout: LaneLayout, threshold: fl
 
     Elementwise, so ``y`` and ``dy`` may hold one row per signal.
     """
-    if not (0.0 < threshold < layout.lane_width / 2.0):
-        raise ValueError("threshold must be in (0, lane_width/2)")
+    check_distance_threshold("threshold", threshold, layout)
     nearest = layout.nearest_lane(y)
     rests = ((np.abs(y - layout.center(nearest)) <= threshold)
              & (np.abs(dy) <= settle_rate))
     return nearest, rests
+
+
+def check_distance_threshold(name: str, threshold: float, layout: LaneLayout) -> None:
+    """Raise ValueError, as ``<name> must be in (0, lane_width/2)``, unless
+    the distance criterion's ``threshold`` lies strictly inside that range."""
+    if not (0.0 < threshold < layout.lane_width / 2.0):
+        raise ValueError(f"{name} must be in (0, lane_width/2)")
 
 
 def _next_index(idx: np.ndarray, start: int, n: int) -> int:
@@ -370,7 +376,7 @@ def _first_settle(t: np.ndarray, nearest: np.ndarray, away: np.ndarray, lo: int,
     return lo + int(run_start[k]), lo + k
 
 
-def distance_events(vehicle_id: str, t: np.ndarray, y: np.ndarray, v: np.ndarray | None,
+def distance_events(vehicle_id: str, t: np.ndarray, y: np.ndarray, v: np.ndarray,
                     nearest: np.ndarray, rests: np.ndarray, layout: LaneLayout,
                     threshold: float, settle_dwell: float) -> list[LaneChangeEvent]:
     """The distance criterion on arrays: ``nearest`` and ``rests`` as from
@@ -421,7 +427,7 @@ def distance_events(vehicle_id: str, t: np.ndarray, y: np.ndarray, v: np.ndarray
             t_end=t_settle,
             duration=t_settle - t_exceed,
             direction=direction,
-            v_mid=_interp_at(t, v, t_mid) if v is not None else math.nan,
+            v_mid=_interp_at(t, v, t_mid),
             # center-to-center displacement: the settle window clips the
             # transition tails, so the raw |dy| would under-measure
             lateral_extent=abs(lane - settled) * w,

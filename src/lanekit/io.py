@@ -32,13 +32,13 @@ import numpy as np
 
 from .criticality import METRIC_NAMES, CriticalityRecord, Thresholds, record_field
 from .detection import (DEFAULT_DISTANCE_THRESHOLD, DEFAULT_MIN_EXTENT, Direction,
-                        EventKind, LaneChangeEvent, PeakParams)
+                        EventKind, LaneChangeEvent, PeakParams, check_distance_threshold)
 from .mis import MISConfig
 from .robustness import Perturbation, RobustnessReport
 from .synth import DEFAULT_N, DEFAULT_TRUCK_FRACTION
 from .trajectory import (CHANNELS, DEFAULT_CUTOFF, MARKINGS, LaneLayout, Trajectory,
                          VehicleClass, VehicleShape, check_range)
-from .wiedemann import SampledScenarioSet, ScenarioSpec, W99Params
+from .wiedemann import SampledScenarioSet, ScenarioSpec, W99Params, check_dt
 
 __all__ = [
     "TRAJECTORY_HEADER",
@@ -59,6 +59,7 @@ __all__ = [
     "parse_keyvalues",
     "field_types",
     "parse_fields",
+    "key_error",
 ]
 
 TRAJECTORY_HEADER = ["vehicle_id", *CHANNELS, *MARKINGS]
@@ -532,6 +533,13 @@ def parse_fields(raw: Mapping[str, str], types: Mapping[str, type], what: str,
     return out
 
 
+def key_error(exc: ValueError, keys: Mapping[str, str]) -> ValueError:
+    """``exc`` naming the key ``keys`` gives for the field name that opens
+    its message, as ``check_range`` writes one; else ``exc`` as it is."""
+    name, sep, rest = str(exc).partition(" ")
+    return ValueError(keys[name] + sep + rest) if name in keys else exc
+
+
 _BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
              **dict.fromkeys(("false", "0", "no", "off"), False)}
 
@@ -593,6 +601,8 @@ class RunConfig:
         check_range(self)
         check_range(self, "resample_rate", "lowpass_cutoff", positive=True)
         check_range(self, "min_lateral_extent", "marking_tolerance", "synth_n", low=0.0)
+        check_distance_threshold("distance_threshold", self.distance_threshold, self.layout)
+        check_dt("sim_dt", self.sim_dt)
         if not 0.0 <= self.truck_fraction <= 1.0:
             raise ValueError("truck_fraction must be in [0, 1]")
         for name, kind in (("bias_grid", "bias"), ("brownian_grid", "brownian")):
@@ -616,8 +626,11 @@ class RunConfig:
             kinds = {prefix + name: kind for name, kind in field_types(default).items()}
             values = parse_fields({k: raw.pop(k) for k in kinds if k in raw}, kinds, "config key")
             if values:
-                sections[section] = replace(
-                    default, **{k[len(prefix):]: value for k, value in values.items()})
+                changes = {k[len(prefix):]: value for k, value in values.items()}
+                try:
+                    sections[section] = replace(default, **changes)
+                except ValueError as exc:
+                    raise key_error(exc, {name: prefix + name for name in changes}) from None
         return replace(cfg, **parse_fields(raw, field_types(cfg), "config key"), **sections)
 
 

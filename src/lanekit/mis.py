@@ -96,16 +96,15 @@ def engagement_check(ego: CFState, front: CFState | None, rear: CFState | None,
     return short_margin and in_range and closing and left_lane_free
 
 
-def plan_decel(ego: CFState, front: CFState, rear: CFState, cfg: MISConfig,
-               target_thw: float | None = None) -> float:
+def plan_decel(ego: CFState, front: CFState, rear: CFState, cfg: MISConfig) -> float:
     """Constant deceleration that grows the front headway in time.
 
-    The headway must have grown by ``thw_increase`` (or up to an absolute
-    ``target_thw``) before the rear vehicle is within ``REAR_RESERVE`` of
-    the ego, i.e. no later than the closest encounter.  Solving the
-    constant-speed front / constant-decel ego kinematics for that horizon
-    gives the braking value, clamped to the comfort cap.  Zero when the
-    front headway already meets the target.
+    The headway must have grown by ``thw_increase`` before the rear vehicle
+    is within ``REAR_RESERVE`` of the ego, i.e. no later than the closest
+    encounter.  Solving the constant-speed front / constant-decel ego
+    kinematics for that horizon gives the braking value, clamped to the
+    comfort cap.  Zero when the ego is stopped: its front headway is then
+    infinite.
     """
     closing = rear.v - ego.v
     if closing <= 0.0:
@@ -113,7 +112,7 @@ def plan_decel(ego: CFState, front: CFState, rear: CFState, cfg: MISConfig,
     horizon = max((_net_gap(rear, ego) - REAR_RESERVE) / closing, 0.5)
     g0 = _net_gap(ego, front)
     thw0 = _front_thw(ego, front)
-    target = target_thw if target_thw is not None else thw0 + cfg.thw_increase
+    target = thw0 + cfg.thw_increase
     if target <= thw0:
         return 0.0
     dv_front = ego.v - front.v

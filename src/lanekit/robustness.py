@@ -10,7 +10,7 @@ number of detections per criterion against the true count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .detection import (  # noqa: F401 - detect_*: perfbench/tracer.py wraps the
     DEFAULT_DISTANCE_THRESHOLD,
     DEFAULT_SETTLE_DWELL,
     DEFAULT_SETTLE_RATE,
-    LaneChangeEvent,
     PeakParams,
     detect_distance,
     detect_peak,
@@ -28,6 +27,7 @@ from .detection import (  # noqa: F401 - detect_*: perfbench/tracer.py wraps the
     peak_rel_height,
     settle_mask,
 )
+from .synth import SyntheticCorpus
 from .trajectory import (  # noqa: F401 - lowpass, continuous_lateral: as detect_* above
     DEFAULT_CUTOFF,
     InsufficientSamplesError,
@@ -46,15 +46,10 @@ __all__ = [
     "Perturbation",
     "RobustnessPoint",
     "RobustnessReport",
-    "GroundTruthError",
     "inject_bias",
     "inject_brownian",
     "sweep",
 ]
-
-
-class GroundTruthError(ValueError):
-    """Raised when a sweep corpus carries no ground-truth events."""
 
 
 @dataclass(frozen=True)
@@ -120,11 +115,6 @@ def inject_brownian(traj: Trajectory, step_std: float, seed: int) -> Trajectory:
     return traj.with_channels(lat=traj.lat + _brownian_walk(len(traj.t), step_std, seed))
 
 
-class _CorpusLike(Protocol):
-    trajectories: Sequence[Trajectory]
-    truth_events: Sequence[LaneChangeEvent] | None
-
-
 def _perturbed_lat(traj: Trajectory, pert: Perturbation, seed: int, gi: int,
                    ti: int) -> np.ndarray:
     """``lat`` of ``traj`` under one grid point, as inject_bias/inject_brownian."""
@@ -147,7 +137,7 @@ def _row_key(pert: Perturbation, gi: int) -> object:
     return ("brownian", gi)
 
 
-def sweep(corpus: _CorpusLike, criterion: str | Sequence[str],
+def sweep(corpus: SyntheticCorpus, criterion: str | Sequence[str],
           grid: Sequence[Perturbation], layout: LaneLayout,
           params: PeakParams | None = None, distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD,
           seed: int = 0, refilter: bool = True,
@@ -176,8 +166,6 @@ def sweep(corpus: _CorpusLike, criterion: str | Sequence[str],
     for name in criteria:
         if name not in ("peak", "distance"):
             raise ValueError(f"unknown criterion {name!r}")
-    if corpus.truth_events is None:
-        raise GroundTruthError("corpus has no ground-truth events")
     truth = len(corpus.truth_events)
     if not grid:
         return RobustnessReport(())

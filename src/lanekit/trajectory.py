@@ -183,13 +183,12 @@ class ContinuousLateral:
     t: np.ndarray
     y: np.ndarray
     rate: float
-    v: np.ndarray | None = None
+    v: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t", _frozen(self.t))
         object.__setattr__(self, "y", _frozen(self.y))
-        if self.v is not None:
-            object.__setattr__(self, "v", _frozen(self.v))
+        object.__setattr__(self, "v", _frozen(self.v))
         if len(self.t) != len(self.y):
             raise ValueError("t and y length mismatch")
 
@@ -296,7 +295,7 @@ def _butter_sos(cutoff: float, rate: float) -> np.ndarray:
 
 
 def _zero_phase(traj: Trajectory, rows: np.ndarray, cutoff: float,
-                layout: LaneLayout | None) -> np.ndarray:
+                layout: LaneLayout) -> np.ndarray:
     """Forward-backward Butterworth filter of ``lat`` rows along the last axis.
 
     ``rows`` holds one or more versions of the ``lat`` channel of ``traj``,
@@ -313,11 +312,9 @@ def _zero_phase(traj: Trajectory, rows: np.ndarray, cutoff: float,
     sos = _butter_sos(cutoff, traj.rate)
     if len(traj.t) < 10:  # shorter than the forward-backward pad
         raise InsufficientSamplesError("insufficient samples")
-    if np.all(traj.lane == traj.lane[0]):
+    if np.all(traj.lane == traj.lane[0]):  # adding and removing a center would move low bits
         offset = np.zeros(len(traj.t))
     else:
-        if layout is None:
-            raise ValueError("layout required to filter 'lat' across lane changes")
         offset = layout.center(traj.lane)
     return signal.sosfiltfilt(sos, rows + offset, axis=-1) - offset
 
@@ -325,14 +322,13 @@ def _zero_phase(traj: Trajectory, rows: np.ndarray, cutoff: float,
 DEFAULT_CUTOFF = 1.3  # [Hz] low-pass cutoff of the preprocessing
 
 
-def lowpass(traj: Trajectory, cutoff: float, layout: LaneLayout | None = None) -> Trajectory:
+def lowpass(traj: Trajectory, cutoff: float, layout: LaneLayout) -> Trajectory:
     """Zero-phase second-order Butterworth low-pass of the ``lat`` channel.
 
     ``lat`` is filtered in its continuous composite form
     ``lane * lane_width + lat`` so the re-referencing jumps at lane
-    boundaries do not produce ringing; this requires ``layout`` whenever
-    the lane index is not constant.  Forward-backward filtering keeps peak
-    locations unshifted for symmetric inputs.
+    boundaries do not produce ringing.  Forward-backward filtering keeps
+    peak locations unshifted for symmetric inputs.
     """
     return traj.with_channels(lat=_zero_phase(traj, traj.lat, cutoff, layout))
 

@@ -32,6 +32,7 @@ __all__ = [
     "w99_accel",
     "simulate",
     "sample_cc1",
+    "check_dt",
 ]
 
 V_CC9_REF = 80.0 / 3.6  # [m/s] speed at which cc9 applies
@@ -160,6 +161,13 @@ def w99_accel(follower: CFState, leader: CFState | None, p: W99Params) -> float:
     return _clamp(a, A_MIN, a_cap)
 
 
+def check_dt(name: str, dt: float) -> None:
+    """Raise ValueError, as ``<name> must be positive and <= 0.1 s``, unless
+    the rollout time step ``dt`` lies in that range."""
+    if not 0.0 < dt <= 0.1:
+        raise ValueError(f"{name} must be positive and <= 0.1 s")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Recorded trajectories with one vehicle handed to the model.
@@ -177,8 +185,7 @@ class ScenarioSpec:
     duration: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.dt <= 0.1:
-            raise ValueError("dt must be positive and <= 0.1 s")
+        check_dt("dt", self.dt)
         check_range(self, "duration", positive=True)
         if all(t.vehicle_id != self.substituted_id for t in self.trajectories):
             raise ValueError(f"substituted vehicle {self.substituted_id!r} absent")

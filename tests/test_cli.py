@@ -503,10 +503,14 @@ def test_sample_rejects_non_finite_values(tmp_path, capsys, text, message):
 
 
 @pytest.mark.parametrize("text,message", [
-    ("inject_front_brake = nan\n", "decel must be finite"),
-    ("inject_front_brake = 4\ninject_t = nan\n", "t must be finite"),
+    ("inject_front_brake = nan\n", "inject_front_brake must be finite"),
+    ("inject_front_brake = 4\ninject_t = nan\n", "inject_t must be finite"),
     ("overtake_trigger_thw = nan\n", "overtake_trigger_thw must be finite"),
-], ids=["brake-nan", "brake-time-nan", "trigger-nan"])
+    ("rear_cc1 = nan\n", "rear_cc1 must be finite"),
+    ("rear_v_desired = inf\n", "rear_v_desired must be finite"),
+    ("rear_cc1 = 0.5\nrear_v0 = nan\n", "rear_v0 must be finite"),
+], ids=["brake-nan", "brake-time-nan", "trigger-nan", "rear-cc1-nan", "rear-v-desired-infinite",
+        "rear-speed-nan"])
 def test_mis_eval_rejects_non_finite_values(tmp_path, capsys, text, message):
     rc, report = _mis_eval(tmp_path, "values", text)
     assert rc == 1 and not any(report.parent.iterdir())
@@ -576,6 +580,8 @@ def test_config_error_names_the_key(tmp_path, capsys):
     ("synth_n = -3", "synth_n must be >= 0"),
     ("bias_grid = 0, nan", "bias_grid: magnitude must be finite"),
     ("brownian_grid = 0, -0.01", "brownian_grid: magnitude must be >= 0"),
+    ("distance_threshold = 5", "distance_threshold must be in (0, lane_width/2)\n"),
+    ("sim_dt = 1", "sim_dt must be positive and <= 0.1 s\n"),
 ])
 def test_out_of_range_config_fails_for_any_subcommand(workdir, tmp_path, capsys, line, message):
     config = tmp_path / "run.cfg"
@@ -588,31 +594,49 @@ def test_out_of_range_config_fails_for_any_subcommand(workdir, tmp_path, capsys,
 
 
 def _float_config_keys():
-    """(config key, field) of every float a config file can set, from the
-    sections and settings of ``RunConfig``."""
+    """Every float key a config file can set, from the sections and
+    settings of ``RunConfig``."""
     from lanekit.io import _SECTIONS, RunConfig, field_types
 
     cfg = RunConfig()
-    keys = [(name, name) for name, kind in field_types(cfg).items() if kind is float]
+    keys = [name for name, kind in field_types(cfg).items() if kind is float]
     for section, prefix in _SECTIONS.items():
-        keys += [(prefix + name, name) for name, kind in field_types(getattr(cfg, section)).items()
+        keys += [prefix + name for name, kind in field_types(getattr(cfg, section)).items()
                  if kind is float]
     return keys
 
 
-FLOAT_CONFIG_KEYS = _float_config_keys()
-
-
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("key,name", FLOAT_CONFIG_KEYS, ids=[key for key, _ in FLOAT_CONFIG_KEYS])
-def test_non_finite_config_float_fails_for_any_subcommand(workdir, tmp_path, capsys, key, name,
-                                                          value):
+@pytest.mark.parametrize("key", _float_config_keys())
+def test_non_finite_config_float_fails_for_any_subcommand(workdir, tmp_path, capsys, key, value):
     config = tmp_path / "run.cfg"
     config.write_text(f"{key} = {value}\n")
     assert run("stats", "--config", config, "--events", workdir / "truth_events.csv",
                "--out", tmp_path / "st") == 1
-    assert capsys.readouterr().err == f"error: {name} must be finite\n"
+    assert capsys.readouterr().err == f"error: {key} must be finite\n"
     assert not (tmp_path / "st").exists()
+
+
+# each subcommand's required options; the files need not exist
+REQUIRED_ARGS = {
+    "synth": (),
+    "detect": ("--traj", "t.csv"),
+    "robustness": ("--traj", "t.csv", "--truth", "e.csv"),
+    "criticality": ("--traj", "t.csv", "--events", "e.csv"),
+    "stats": ("--events", "e.csv"),
+    "sample": ("--scenario", "s.cfg"),
+    "mis-eval": ("--scenario", "s.cfg"),
+}
+
+
+@pytest.mark.parametrize("command", REQUIRED_ARGS)
+def test_config_that_fails_to_load_creates_no_output(tmp_path, capsys, command):
+    config = tmp_path / "run.cfg"
+    config.write_text("thw_crit = -1\n")
+    assert run(command, *REQUIRED_ARGS[command], "--config", config,
+               "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == "error: thw_crit must be positive\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_synth_n_option_fails(tmp_path, capsys):

@@ -605,13 +605,6 @@ def test_seven_of_ten_left_events():
     assert thw_left.per_recording["r0"] == pytest.approx(70.0)
 
 
-def test_empty_group_omitted_with_warning():
-    warnings = []
-    stats = direction_stats({("r0", "left"): []}, warn=warnings.append)
-    assert stats == []
-    assert len(warnings) == 1
-
-
 def test_left_changes_far_more_thw_critical_than_right():
     # cut-out pattern: left changes close up on faster traffic at short
     # headway, right changes happen with room; the left critical share

@@ -80,9 +80,8 @@ def test_fast_closing_clamps_to_comfort_cap():
 
 
 def test_existing_margin_needs_no_braking():
-    # front THW already at or above the target: zero decel
-    roomy = CFState(200.0 + L, 30.0, 0.0, L)  # thw 6.67
-    assert plan_decel(ego(), roomy, rear(100.0, 42.0), CFG, target_thw=5.0) == 0.0
+    # a stopped ego has an infinite front THW, which already meets the target
+    assert plan_decel(ego(v=0.0), front(), rear(100.0, 12.0), CFG) == 0.0
 
 
 def test_not_closing_raises():

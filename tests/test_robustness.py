@@ -3,7 +3,6 @@ import pytest
 
 from lanekit.io import RunConfig
 from lanekit.robustness import (
-    GroundTruthError,
     Perturbation,
     inject_bias,
     inject_brownian,
@@ -90,12 +89,6 @@ def test_brownian_variance_grows_linearly():
 @pytest.fixture(scope="module")
 def corpus():
     return generate_corpus(n=40, seed=11)
-
-
-def test_sweep_requires_ground_truth(corpus):
-    naked = SyntheticCorpus(corpus.trajectories, None, corpus.layout, corpus.seed)
-    with pytest.raises(GroundTruthError):
-        sweep(naked, "peak", [Perturbation("bias", 0.0)], corpus.layout)
 
 
 def test_sweep_rejects_unknown_criterion(corpus):

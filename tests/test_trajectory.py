@@ -158,7 +158,7 @@ def test_resample_does_not_average_across_rereference():
 def amplitude_ratio(freq, cutoff=1.3, rate=25.0):
     t = np.arange(0.0, 60.0, 1.0 / rate)
     traj = make_trajectory(t, 0.5 * np.sin(2 * np.pi * freq * t), markings=False)
-    out = lowpass(traj, cutoff)
+    out = lowpass(traj, cutoff, LAYOUT)
     mid = slice(len(t) // 4, 3 * len(t) // 4)
     return float(np.max(np.abs(out.lat[mid]))) / 0.5
 
@@ -174,7 +174,7 @@ def test_lowpass_preserves_02hz():
 def test_lowpass_dc_invariance():
     t = np.arange(0.0, 20.0, 0.2)
     traj = make_trajectory(t, np.full_like(t, 0.4), markings=False)
-    out = lowpass(traj, 1.3)
+    out = lowpass(traj, 1.3, LAYOUT)
     assert np.allclose(out.lat, 0.4, atol=1e-9)
 
 
@@ -182,8 +182,8 @@ def test_lowpass_dc_invariance():
 def test_lowpass_double_application_never_amplifies(freq):
     t = np.arange(0.0, 120.0, 0.2)
     traj = make_trajectory(t, 0.5 * np.sin(2 * np.pi * freq * t), markings=False)
-    once = lowpass(traj, 1.3)
-    twice = lowpass(once, 1.3)
+    once = lowpass(traj, 1.3, LAYOUT)
+    twice = lowpass(once, 1.3, LAYOUT)
     mid = slice(len(t) // 4, 3 * len(t) // 4)
     amp_once = np.max(np.abs(once.lat[mid]))
     amp_twice = np.max(np.abs(twice.lat[mid]))
@@ -193,7 +193,7 @@ def test_lowpass_double_application_never_amplifies(freq):
 def test_lowpass_rejects_cutoff_at_nyquist():
     traj = lane_keeping(rate=5.0)
     with pytest.raises(ValueError, match="Nyquist"):
-        lowpass(traj, 2.5)
+        lowpass(traj, 2.5, LAYOUT)
 
 
 def test_lowpass_filters_composite_across_lane_change():
@@ -204,12 +204,6 @@ def test_lowpass_filters_composite_across_lane_change():
     y_in = traj.lane * LAYOUT.lane_width + traj.lat
     y_out = out.lane * LAYOUT.lane_width + out.lat
     assert np.max(np.abs(y_out - y_in)) < 0.05
-
-
-def test_lowpass_needs_layout_across_lane_changes():
-    from helpers import sigmoid_lane_change
-    with pytest.raises(ValueError, match="layout"):
-        lowpass(sigmoid_lane_change(), 1.3)
 
 
 @pytest.mark.parametrize("cutoff,rate", [(1.3, 5.0), (1.3, 25.0), (0.5, 10.0)])
@@ -251,8 +245,8 @@ def test_stacked_rows_filter_like_one_lowpass_each(rate):
 def test_lowpass_short_track_insufficient():
     t = np.arange(9) * 0.2  # one sample short of the filter's minimum
     with pytest.raises(InsufficientSamplesError, match="insufficient samples"):
-        lowpass(make_trajectory(t, np.zeros(9)), 1.3)
-    assert len(lowpass(make_trajectory(np.arange(10) * 0.2, np.zeros(10)), 1.3).t) == 10
+        lowpass(make_trajectory(t, np.zeros(9)), 1.3, LAYOUT)
+    assert len(lowpass(make_trajectory(np.arange(10) * 0.2, np.zeros(10)), 1.3, LAYOUT).t) == 10
 
 
 # ---------------------------------------------------------------------------
