@@ -34,14 +34,15 @@ from .mis import FrontBrakeInjection, MISScenario, run_closed_loop
 from .robustness import Perturbation, sweep
 from .stats import event_stats
 from .synth import SyntheticCorpus, generate_corpus
-from .trajectory import (
+from .trajectory import (  # noqa: F401 - lowpass: perfbench/tracer.py wraps it here
     InsufficientSamplesError,
-    LaneLayout,
     LaneRangeError,
     Trajectory,
     check_lane_range,
+    check_lowpass,
     continuous_lateral,
     lowpass,
+    lowpass_rows,
     marking_residual,
     resample,
 )
@@ -81,12 +82,35 @@ def _ingest_corpus(args, cfg) -> list[Trajectory]:
     return trajectories
 
 
-def _preprocess(traj: Trajectory, cfg: lkio.RunConfig, layout: LaneLayout) -> Trajectory:
-    if abs(traj.rate - cfg.resample_rate) > 1e-9:
-        traj = resample(traj, cfg.resample_rate)
-    if cfg.lowpass_aerial or traj.has_markings:
-        traj = lowpass(traj, cfg.lowpass_cutoff, layout)
-    return traj
+def _preprocess(trajectories: list[Trajectory],
+                cfg: lkio.RunConfig) -> list[tuple[Trajectory, Trajectory]]:
+    """``(vehicle, preprocessed)`` for each vehicle detection can run on:
+    resampled to ``resample_rate`` and, with markings or
+    ``lowpass_aerial``, low-passed, every such vehicle of the file in one
+    ``lowpass_rows`` call.  A vehicle too short to filter or with a lane
+    index outside the layout is skipped with a warning, in file order."""
+    layout = cfg.layout
+    kept, smooth = [], []
+    for traj in trajectories:
+        lowpassed = cfg.lowpass_aerial or traj.has_markings
+        try:
+            pre = traj
+            if abs(traj.rate - cfg.resample_rate) > 1e-9:
+                pre = resample(traj, cfg.resample_rate)
+            if lowpassed:
+                check_lowpass(pre, cfg.lowpass_cutoff)
+            check_lane_range(pre, layout)
+        except (InsufficientSamplesError, LaneRangeError) as exc:
+            print(f"warning: vehicle {traj.vehicle_id} skipped: {exc}", file=sys.stderr)
+            continue
+        if lowpassed:
+            smooth.append(len(kept))
+        kept.append((traj, pre))
+    pres = [kept[i][1] for i in smooth]
+    for i, lat in zip(smooth, lowpass_rows(pres, [pre.lat for pre in pres],
+                                           cfg.lowpass_cutoff, layout)):
+        kept[i] = (kept[i][0], kept[i][1].with_channels(lat=lat))
+    return kept
 
 
 def cmd_synth(args, cfg: lkio.RunConfig, out: Path) -> int:
@@ -109,16 +133,9 @@ def cmd_detect(args, cfg: lkio.RunConfig, out: Path) -> int:
     for name in criteria:
         if name not in _CRITERIA:
             raise ValueError(f"unknown criterion {name!r}")
-    trajectories = _ingest_corpus(args, cfg)
-
     all_events = []
-    for traj in trajectories:
-        try:
-            pre = _preprocess(traj, cfg, layout)
-            y = continuous_lateral(pre, layout)
-        except (InsufficientSamplesError, LaneRangeError) as exc:
-            print(f"warning: vehicle {traj.vehicle_id} skipped: {exc}", file=sys.stderr)
-            continue
+    for traj, pre in _preprocess(_ingest_corpus(args, cfg), cfg):
+        y = continuous_lateral(pre, layout)
         if "gradient" in criteria and traj.has_markings:
             ev = detect_gradient(traj, layout, cfg.peak)
             all_events.extend(classify_double(ev, layout))

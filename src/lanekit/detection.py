@@ -120,25 +120,108 @@ class PeakHit:
 
 
 def find_peaks(series: np.ndarray, rate: float, params: PeakParams) -> list[PeakHit]:
-    """Strict local maxima with topographic prominence >= prominence_min.
+    """Peaks with topographic prominence >= ``prominence_min``, at least
+    ``min_peak_separation`` apart.
 
-    Peaks closer than ``min_peak_separation`` keep only the higher one.
+    The peaks and prominences of ``scipy.signal.find_peaks(series,
+    prominence=prominence_min, distance=round(min_peak_separation *
+    rate))``, bit for bit and in the same order:
+
+    * a peak is the middle sample (rounded down) of a run of equal
+      samples whose neighbours on both sides are lower; a NaN sample is
+      a run of its own and never lower;
+    * of peaks closer than the distance, only the higher stays: peaks are
+      taken highest first, in the order ``np.argsort`` gives their
+      heights, so equal heights fall as in scipy;
+    * a peak's base on each side is the lowest sample between it and the
+      nearest sample on that side that is higher or NaN (else the series
+      end); its prominence is its height minus the higher base.
+
     A series whose range ``max - min`` is below ``prominence_min`` has no
-    peak and returns ``[]`` without calling scipy.  The pre-check is exact:
-    a peak's prominence is its height minus a sample of the series, at most
-    the range, and floating-point subtraction is monotone.  A NaN makes the
-    range NaN, so such a series still goes to scipy.
+    peak and returns ``[]`` before the search.  The check is exact: a
+    prominence is the peak's height minus a sample of the series, at most
+    the range, and floating-point subtraction is monotone.  A NaN makes
+    the range NaN, so such a series is searched.
     """
     series = np.asarray(series, dtype=float)
-    if series.size and np.ptp(series) < params.prominence_min:
+    if series.size == 0:
         return []
-    from scipy import signal  # deferred, as in trajectory._zero_phase
-
+    span = series.max() - series.min()
+    if span < params.prominence_min:
+        return []
+    # run k + 1 of equal samples is series[ends[k] + 1 : ends[k + 1] + 1]
+    ends = np.flatnonzero(series[1:] != series[:-1])
+    before, top = series[ends], series[1:][ends]
+    runs = np.flatnonzero((before[:-1] < top[:-1]) & (top[1:] < before[1:]))
+    if runs.size == 0:
+        return []
+    middle = (ends[runs] + ends[runs + 1] + 1) // 2
+    index, heights = middle.tolist(), series[middle]
     distance = max(1, int(round(params.min_peak_separation * rate)))
-    idx, props = signal.find_peaks(series, prominence=params.prominence_min,
-                                   distance=distance)
-    return [PeakHit(int(i), float(series[i]), float(p))
-            for i, p in zip(idx, props["prominences"])]
+    kept = _apart(index, heights, distance)
+    prominences = _prominences(series, index, heights.tolist(), kept, span != span)
+    return [PeakHit(index[j], h, p) for j, h, p in prominences if params.prominence_min <= p]
+
+
+def _apart(index: list[int], heights: np.ndarray, distance: int) -> list[int]:
+    """Positions in ``index`` of the peaks kept ``distance`` samples apart,
+    highest first, as scipy's ``_select_by_peak_distance``."""
+    m = len(index)
+    if all(b - a >= distance for a, b in zip(index, index[1:])):
+        return list(range(m))
+    keep = [True] * m
+    for j in np.argsort(heights)[::-1].tolist():
+        if keep[j]:
+            k = j - 1
+            while k >= 0 and index[j] - index[k] < distance:
+                keep[k] = False
+                k -= 1
+            k = j + 1
+            while k < m and index[k] - index[j] < distance:
+                keep[k] = False
+                k += 1
+    return [j for j in range(m) if keep[j]]
+
+
+def _prominences(series: np.ndarray, index: list[int], heights: list[float],
+                 kept: list[int], has_nan: bool) -> list[tuple[int, float, float]]:
+    """``(position in index, height, prominence)`` of each kept peak.
+
+    Call the peaks and the NaN samples stops.  The nearest sample on one
+    side of a peak that is higher or NaN lies at or beyond the nearest
+    stop on that side that is higher or NaN, and every sample between the
+    two is higher than the peak: from that sample away from the peak, the
+    samples rise to a peak or meet a NaN or the series end.  So a base is
+    the lowest of the gaps between consecutive stops up to that stop (a
+    stop passed on the way is a peak, above its neighbours in the gaps),
+    one ``np.minimum.reduceat`` gives every gap, and each kept peak walks
+    the stops, not the samples.
+    """
+    if has_nan:
+        stops = sorted(index + np.flatnonzero(np.isnan(series)).tolist())
+        at = [stops.index(i) for i in index]
+        level = series[stops].tolist()
+    else:
+        stops, at, level = index, range(len(index)), heights
+    bounds = [0]
+    for stop in stops:
+        bounds += (stop, stop + 1)
+    if bounds[-1] == series.size:
+        del bounds[-1]
+    gaps = np.minimum.reduceat(series, bounds)[::2].tolist()  # gaps[i] ends at stops[i]
+    out = []
+    for j in kept:
+        a, h = at[j], heights[j]
+        left, i = gaps[a], a - 1
+        while i >= 0 and level[i] <= h:
+            left = min(left, gaps[i])
+            i -= 1
+        right, i = gaps[a + 1], a + 1
+        while i < len(stops) and level[i] <= h:
+            i += 1
+            right = min(right, gaps[i])
+        out.append((j, h, h - max(left, right)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,13 @@ from .trajectory import (  # noqa: F401 - lowpass, continuous_lateral: as detect
     LaneLayout,
     LaneRangeError,
     Trajectory,
-    _zero_phase,
     check_lane_range,
+    check_lowpass,
     check_range,
     continuous_lateral,
     derivative,
     lowpass,
+    lowpass_rows,
 )
 
 __all__ = [
@@ -146,21 +147,22 @@ def sweep(corpus: SyntheticCorpus, criterion: str | Sequence[str],
 
     Perturbations are added to the lateral channel at the trajectories'
     own rate; with ``refilter`` the low-pass runs again afterwards,
-    modelling raw measurement error entering before preprocessing.  Each
-    vehicle is evaluated once on its stacked grid signal: its perturbed
-    ``lat`` rows, one per distinct grid point, are filtered in one call,
-    and the continuous lateral position, its derivative (one
-    ``derivative`` call for all rows), the displacement and the settle mask
-    are computed once for the stack; every criterion then runs its
-    detector kernel on each row, sharing the derivative.  Grid points that
-    perturb alike (no perturbation, or a repeated bias) are computed once
-    and their count reused.  Random streams are keyed by (seed, grid
-    index, trajectory index) so evaluation order does not change results.
-    The points come back per criterion in the given order, each in grid
-    order.  The peak criterion runs without the minimum lateral-extent
-    filter, counting raw detections.  A vehicle too short to filter or
-    with a lane index outside ``layout`` is left out and listed in
-    ``skipped`` with the reason.
+    modelling raw measurement error entering before preprocessing.  The
+    perturbed ``lat`` rows of every vehicle, one per distinct grid point,
+    are filtered in one ``lowpass_rows`` call.  Each vehicle is then
+    evaluated once on its stacked grid signal: the continuous lateral
+    position, its derivative (one ``derivative`` call for all rows), the
+    displacement and the settle mask are computed once for the stack;
+    every criterion then runs its detector kernel on each row, sharing
+    the derivative.  Grid points that perturb alike (no perturbation, or
+    a repeated bias) are computed once and their count reused.  Random
+    streams are keyed by (seed, grid index, trajectory index) so
+    evaluation order does not change results.  The points come back per
+    criterion in the given order, each in grid order.  The peak criterion
+    runs without the minimum lateral-extent filter, counting raw
+    detections.  A vehicle too short to filter or with a lane index
+    outside ``layout`` is left out and listed in ``skipped`` with the
+    reason.
     """
     criteria = (criterion,) if isinstance(criterion, str) else tuple(criterion)
     for name in criteria:
@@ -175,16 +177,22 @@ def sweep(corpus: SyntheticCorpus, criterion: str | Sequence[str],
     distinct = list(dict.fromkeys(keys))
     computed = [keys.index(key) for key in distinct]  # grid index of each row
     detected = {name: [0] * len(distinct) for name in criteria}
-    skipped = []
+    skipped, kept = [], []
     for ti, traj in enumerate(corpus.trajectories):
-        lat = np.stack([_perturbed_lat(traj, grid[gi], seed, gi, ti) for gi in computed])
         try:
             if refilter:
-                lat = _zero_phase(traj, lat, cutoff, layout)
+                check_lowpass(traj, cutoff)
             check_lane_range(traj, layout)
         except (InsufficientSamplesError, LaneRangeError) as exc:
             skipped.append((traj.vehicle_id, str(exc)))
             continue
+        kept.append((ti, traj))
+    lats = [np.stack([_perturbed_lat(traj, grid[gi], seed, gi, ti) for gi in computed])
+            for ti, traj in kept]
+    trajs = [traj for _, traj in kept]
+    if refilter:
+        lats = lowpass_rows(trajs, lats, cutoff, layout)
+    for traj, lat in zip(trajs, lats):
         y = layout.lateral(traj.lane, lat)
         dy = derivative(y, traj.dt)
         if "peak" in criteria:

@@ -16,11 +16,10 @@ name a trajectory's channels in the order of the trajectory CSV, and
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +34,8 @@ __all__ = [
     "held_lane",
     "resample",
     "lowpass",
+    "lowpass_rows",
+    "check_lowpass",
     "check_lane_range",
     "check_range",
     "CHANNELS",
@@ -278,45 +279,150 @@ def resample(traj: Trajectory, target_rate: float) -> Trajectory:
     )
 
 
-@functools.lru_cache(maxsize=32)
-def _butter_design(cutoff: float, rate: float) -> np.ndarray:
-    from scipy import signal  # deferred, as in _zero_phase
-
-    return signal.butter(2, cutoff, btype="low", fs=rate, output="sos")
+_PAD = 9  # samples of odd extension at each end of a filtered row (scipy's 3 * taps)
 
 
-def _butter_sos(cutoff: float, rate: float) -> np.ndarray:
-    """Second-order low-pass in SOS form, designed once per (cutoff, rate).
+def _butter(cutoff: float, rate: float) -> np.ndarray:
+    """Second-order Butterworth low-pass as ``(b0, b1, b2, a1, a2, zi0, zi1)``.
 
-    Each call gets its own copy: ``sosfiltfilt`` rejects a read-only array,
-    and a caller writing to it must not change the cached design.
+    The steps of ``scipy.signal.butter(2, cutoff, fs=rate, output="sos")``
+    and ``sosfilt_zi`` replayed with the same numpy operations, so the
+    coefficients and the steady state ``zi`` come out bit for bit: the
+    analog prototype's poles, the cutoff pre-warped for ``fs = 2``, the
+    bilinear transform and its gain, the conjugate pair averaged, the
+    denominator from ``np.convolve`` and ``zi`` from one 2x2
+    ``np.linalg.solve``.
     """
-    return _butter_design(cutoff, rate).copy()
+    wn = np.asarray(cutoff, dtype=float) / (float(rate) / 2)
+    wo = float(4.0 * np.tan(np.pi * wn / 2.0))
+    analog = wo * -np.exp(1j * np.pi * np.arange(-1, 2, 2, dtype=float) / 4)
+    gain = wo ** 2 * np.real(1.0 / np.prod(4.0 - analog))
+    poles = (4.0 + analog) / (4.0 - analog)
+    pole = ((poles[poles.imag > 0] + poles[poles.imag < 0].conj()) / 2)[0]
+    a = np.ones(1, dtype=complex)
+    for root in (pole, pole.conj()):
+        a = np.convolve(a, [1.0, -root])
+    a = np.real(a)
+    b = np.array([1.0, 2.0, 1.0]) * gain  # both zeros at -1
+    zi = np.linalg.solve(np.eye(2) - np.array([[-a[1], 1.0], [-a[2], 0.0]]),
+                         b[1:] - a[1:] * b[0])
+    return np.concatenate((b, a[1:], zi))
 
 
-def _zero_phase(traj: Trajectory, rows: np.ndarray, cutoff: float,
-                layout: LaneLayout) -> np.ndarray:
-    """Forward-backward Butterworth filter of ``lat`` rows along the last axis.
-
-    ``rows`` holds one or more versions of the ``lat`` channel of ``traj``,
-    filtered in the composite form ``lane * lane_width + lat`` and returned
-    as ``lat``.
-    """
-    # scipy.signal is imported here, not at module level: it costs about a
-    # second per process, and commands that never filter should not pay it
-    from scipy import signal
-
+def check_lowpass(traj: Trajectory, cutoff: float) -> None:
+    """Raise ValueError unless ``0 < cutoff`` < Nyquist of ``traj``, and
+    InsufficientSamplesError if ``traj`` is too short to filter."""
     nyquist = traj.rate / 2.0
     if cutoff >= nyquist:
         raise ValueError(f"cutoff {cutoff} Hz must be below Nyquist {nyquist} Hz")
-    sos = _butter_sos(cutoff, traj.rate)
-    if len(traj.t) < 10:  # shorter than the forward-backward pad
+    if not cutoff > 0.0:
+        raise ValueError(f"cutoff {cutoff} Hz must be positive")
+    if len(traj.t) <= _PAD:  # the pad needs one sample more
         raise InsufficientSamplesError("insufficient samples")
-    if np.all(traj.lane == traj.lane[0]):  # adding and removing a center would move low bits
-        offset = np.zeros(len(traj.t))
-    else:
-        offset = layout.center(traj.lane)
-    return signal.sosfiltfilt(sos, rows + offset, axis=-1) - offset
+
+
+def _recurse(x: np.ndarray, coef: np.ndarray, starts: list[tuple[int, slice]]) -> None:
+    """Run the filter down the columns of ``x`` in place.
+
+    Direct form II transposed, as scipy's ``sosfilt`` loop writes it:
+    ``y = b0 x + z0``, ``z0 = (b1 x - a1 y) + z1``, ``z1 = b2 x - a2 y``.
+    Each ``(step, cols)`` of ``starts`` sets the state of those columns to
+    ``zi`` times their sample at that step; what a column computes before
+    its start is overwritten there.  The products with ``x`` are taken a
+    chunk of steps at a time.
+    """
+    b0, b1, b2, a1, a2, zi0, zi1 = coef
+    z0, z1, tmp = np.zeros((3, x.shape[1]))
+    at: dict[int, list[slice]] = {}
+    for step, cols in starts:
+        at.setdefault(step, []).append(cols)
+    mul, add, sub = np.multiply, np.add, np.subtract
+    with np.errstate(all="ignore"):  # a compiled loop raises no floating-point warnings
+        for j0 in range(0, len(x), 16):
+            xs = x[j0:j0 + 16]
+            bx0, bx1, bx2 = b0 * xs, b1 * xs, b2 * xs
+            for j in range(len(xs)):
+                y = xs[j]
+                for cols in at.get(j0 + j, ()):
+                    mul(zi0[cols], y[cols], out=z0[cols])
+                    mul(zi1[cols], y[cols], out=z1[cols])
+                add(bx0[j], z0, out=y)
+                mul(a1, y, out=tmp)
+                sub(bx1[j], tmp, out=z0)
+                add(z0, z1, out=z0)
+                mul(a2, y, out=tmp)
+                sub(bx2[j], tmp, out=z1)
+
+
+def _filtfilt(batch: Sequence[tuple[Trajectory, np.ndarray, np.ndarray]],
+              cutoff: float) -> list[np.ndarray]:
+    """``lat + offset`` of each ``(traj, lat, offset)``, filtered forward
+    and backward along its last axis, as views into one time-major array.
+
+    Each row is a column: odd extension by ``_PAD`` samples at both ends,
+    the forward pass with every column aligned at its first sample, then
+    the backward pass up the same array, each column from its own last
+    sample, with the ``_butter`` design of its trajectory's rate.
+    """
+    shapes = [np.shape(lat) for _, lat, _ in batch]
+    widths = [math.prod(shape[:-1]) for shape in shapes]  # rows per trajectory
+    lengths = [len(traj.t) + 2 * _PAD for traj, _, _ in batch]
+    x = np.zeros((max(lengths), sum(widths)))
+    coef = np.empty((7, x.shape[1]))
+    designs: dict[float, np.ndarray] = {}
+    spans = []
+    col = 0
+    for (traj, lat, offset), k, m in zip(batch, widths, lengths):
+        cols = slice(col, col + k)
+        col += k
+        x[_PAD:m - _PAD, cols] = np.reshape(lat + offset, (k, -1)).T
+        if traj.rate not in designs:
+            designs[traj.rate] = _butter(cutoff, traj.rate)
+        coef[:, cols] = designs[traj.rate][:, None]
+        spans.append((cols, m))
+    x[:_PAD] = 2 * x[_PAD] - x[2 * _PAD:_PAD:-1]
+    last = np.repeat([m - _PAD - 1 for m in lengths], widths)
+    step = np.arange(1, _PAD + 1)[:, None]
+    every = np.arange(x.shape[1])
+    x[last + step, every] = 2 * x[last, every] - x[last - step, every]
+    _recurse(x, coef, [(0, slice(None))])
+    _recurse(x[::-1], coef, [(len(x) - m, cols) for cols, m in spans])
+    return [x[_PAD:m - _PAD, cols].T.reshape(shape) for (cols, m), shape in zip(spans, shapes)]
+
+
+def lowpass_rows(trajs: Sequence[Trajectory], rows: Sequence[np.ndarray], cutoff: float,
+                 layout: LaneLayout) -> Iterator[np.ndarray]:
+    """Zero-phase Butterworth low-pass of ``lat`` rows, in few recursions.
+
+    ``rows`` holds, for each of ``trajs`` in turn, its ``lat`` channel or
+    a stack of versions of it along the first axis; each comes back
+    filtered along its last axis, in the shape it came in, as the
+    iterator reaches it.  A row is filtered in the composite form
+    ``lane * lane_width + lat`` of its trajectory, so the re-referencing
+    jumps at lane boundaries do not ring, and comes back as ``lat``, bit
+    for bit as ``scipy.signal.sosfiltfilt`` filters it with
+    ``scipy.signal.butter(2, cutoff, fs=traj.rate, output="sos")``.
+    Rows run in batches, one recursion each: the longest trajectory left
+    and every one at least half as long, so no batch pads its rows to
+    more than about twice the samples they hold.
+    """
+    for traj in trajs:
+        check_lowpass(traj, cutoff)
+    # a track in one lane is filtered as it is: adding and removing its
+    # lane center would move low bits
+    offsets = [np.zeros(len(traj.t)) if np.all(traj.lane == traj.lane[0])
+               else layout.center(traj.lane) for traj in trajs]
+    batches: list[list[int]] = []
+    for i in sorted(range(len(trajs)), key=lambda i: len(trajs[i].t), reverse=True):
+        if not batches or 2 * len(trajs[i].t) < len(trajs[batches[-1][0]].t):
+            batches.append([])
+        batches[-1].append(i)
+    filtered: list[np.ndarray | None] = [None] * len(trajs)
+    for batch in batches:
+        outs = _filtfilt([(trajs[i], rows[i], offsets[i]) for i in batch], cutoff)
+        for i, out in zip(batch, outs):
+            filtered[i] = out
+    return (np.subtract(out, offset, order="C") for out, offset in zip(filtered, offsets))
 
 
 DEFAULT_CUTOFF = 1.3  # [Hz] low-pass cutoff of the preprocessing
@@ -328,9 +434,11 @@ def lowpass(traj: Trajectory, cutoff: float, layout: LaneLayout) -> Trajectory:
     ``lat`` is filtered in its continuous composite form
     ``lane * lane_width + lat`` so the re-referencing jumps at lane
     boundaries do not produce ringing.  Forward-backward filtering keeps
-    peak locations unshifted for symmetric inputs.
+    peak locations unshifted for symmetric inputs.  ``lowpass_rows``
+    filters many trajectories in one call.
     """
-    return traj.with_channels(lat=_zero_phase(traj, traj.lat, cutoff, layout))
+    (lat,) = lowpass_rows([traj], [traj.lat], cutoff, layout)
+    return traj.with_channels(lat=lat)
 
 
 def check_lane_range(traj: Trajectory, layout: LaneLayout) -> None:

@@ -42,8 +42,8 @@ LOOK_AHEAD = 150.0  # [m] beyond this a leader is ignored
 
 @dataclass(frozen=True)
 class W99Params:
-    """Wiedemann99 parameters: finite, ``cc0``, ``cc1`` and ``cc8`` positive
-    and ``cc4 < 0 < cc5``."""
+    """Wiedemann99 parameters: finite, ``cc0``, ``cc1``, ``cc8`` and
+    ``v_desired`` positive and ``cc4 < 0 < cc5``."""
 
     cc0: float = 1.5  # [m] standstill gap
     cc1: float = 0.9  # [s] target time gap
@@ -59,7 +59,7 @@ class W99Params:
 
     def __post_init__(self) -> None:
         check_range(self)
-        check_range(self, "cc0", "cc1", "cc8", positive=True)
+        check_range(self, "cc0", "cc1", "cc8", "v_desired", positive=True)
         if not (self.cc4 < 0.0 < self.cc5):
             raise ValueError("require cc4 < 0 < cc5")
 

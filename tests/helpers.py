@@ -239,6 +239,22 @@ def ref_lowpass_lat(traj, cutoff, layout):
     return traj.with_channels(lat=signal.sosfiltfilt(sos, traj.lat + offset) - offset)
 
 
+def ref_butter(cutoff, rate):
+    """scipy's second-order Butterworth low-pass and its ``sosfilt_zi``, as
+    ``(b0, b1, b2, a1, a2, zi0, zi1)``."""
+    from scipy import signal
+    sos = signal.butter(2, cutoff, btype="low", fs=rate, output="sos")
+    return np.concatenate((sos[0, :3], sos[0, 4:], signal.sosfilt_zi(sos)[0]))
+
+
+def same_bits(got, want) -> bool:
+    """Equal arrays of equal shape, signs of zero included; NaN matches NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(got)
+    return (got.shape == want.shape and np.array_equal(nan, np.isnan(want))
+            and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
+
+
 def ref_perturb(traj, pert, stream):
     if pert.magnitude == 0.0:
         return traj
@@ -249,7 +265,7 @@ def ref_perturb(traj, pert, stream):
     return traj.with_channels(lat=traj.lat + np.concatenate([[0.0], np.cumsum(steps)]))
 
 
-def _ref_find_peaks(series, rate, params):
+def ref_find_peaks(series, rate, params):
     """Strict local maxima by scipy, always called: no range pre-check."""
     from lanekit.detection import PeakHit
     from scipy import signal
@@ -354,7 +370,7 @@ def ref_detect_peak(y, shape, layout, params=None, min_extent=2.5):
     candidates = []
     for sign, direction in ((1.0, Direction.LEFT), (-1.0, Direction.RIGHT)):
         series = np.maximum(sign * dy, 0.0)
-        for hit in _ref_find_peaks(series, y.rate, params):
+        for hit in ref_find_peaks(series, y.rate, params):
             t_start, t_end, duration, truncated = _ref_peak_width(series, y.t, hit, rel_h)
             d0 = _ref_interp_at(y.t, disp, t_start)
             d1 = _ref_interp_at(y.t, disp, t_end)

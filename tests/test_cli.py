@@ -82,6 +82,21 @@ def test_detect_skips_short_track(workdir, tmp_path, capsys):
     assert len(events.splitlines()) > 1
 
 
+@pytest.mark.parametrize("command", ["detect", "robustness"])
+def test_file_of_skipped_vehicles_gives_empty_results(workdir, tmp_path, capsys, command):
+    # no vehicle reaches the low-pass, which then filters no rows at all
+    import numpy as np
+    from lanekit.io import write_trajectories
+    from helpers import make_trajectory
+
+    t = np.arange(0.0, 1.0, 0.2)
+    write_trajectories(tmp_path / "short.csv", [make_trajectory(t, np.zeros(len(t)),
+                                                                vehicle_id="short")])
+    truth = ("--truth", workdir / "truth_events.csv") if command == "robustness" else ()
+    assert run(command, "--traj", tmp_path / "short.csv", *truth, "--out", tmp_path / "out") == 0
+    assert "warning: vehicle short skipped: insufficient samples" in capsys.readouterr().err
+
+
 def test_detect_skips_lane_out_of_range(workdir, tmp_path, capsys):
     import numpy as np
     from lanekit.io import ingest, write_trajectories
@@ -442,8 +457,10 @@ def test_mis_eval_rejects_bad_timing(tmp_path, capsys, text, message):
     ("rear_v0 = inf\n", "rear_v0 must be finite"),
     ("front_gap0 = inf\n", "front_gap0 must be finite"),
     ("rear_gap0 = -3\n", "rear_gap0 must be >= 0"),
+    ("rear_v_desired = -1\n", "rear_v_desired must be positive"),
+    ("rear_cc1 = 0.5\nrear_v0 = 0\n", "rear_v0 must be positive"),
 ], ids=["ego-speed-nan", "ego-speed-negative", "rear-speed-infinite", "front-gap-infinite",
-        "rear-gap-negative"])
+        "rear-gap-negative", "rear-desired-speed-negative", "rear-desired-speed-from-rear-v0"])
 def test_mis_eval_rejects_bad_speeds_and_gaps(tmp_path, capsys, text, message):
     rc, report = _mis_eval(tmp_path, "kinematics", text)
     assert rc == 1 and not report.exists()
@@ -582,6 +599,7 @@ def test_config_error_names_the_key(tmp_path, capsys):
     ("brownian_grid = 0, -0.01", "brownian_grid: magnitude must be >= 0"),
     ("distance_threshold = 5", "distance_threshold must be in (0, lane_width/2)\n"),
     ("sim_dt = 1", "sim_dt must be positive and <= 0.1 s\n"),
+    ("v_desired = -1", "v_desired must be positive\n"),
 ])
 def test_out_of_range_config_fails_for_any_subcommand(workdir, tmp_path, capsys, line, message):
     config = tmp_path / "run.cfg"
@@ -751,19 +769,41 @@ def test_error_exit_code(tmp_path):
                "--out", tmp_path) == 1
 
 
-def test_stats_leaves_scipy_signal_unimported(workdir, tmp_path):
-    # a fresh process: this one has long imported scipy.signal
+def test_no_subcommand_imports_scipy(tmp_path):
+    # a fresh process runs every subcommand in turn: this one imports scipy
+    # for the reference tests
+    from lanekit.io import write_trajectories
+    from lanekit.synth import overtake_scenario
+
+    write_trajectories(tmp_path / "scene.csv", overtake_scenario().trajectories)
+    (tmp_path / "scene.cfg").write_text("trajectories = scene.csv\nsubstituted_id = ego\n"
+                                        "cc1_values = 0.9\nduration = 20\n")
+    (tmp_path / "mis.cfg").write_text(MIS_FIXTURE)
+    d = str(tmp_path)
+    commands = [
+        ["synth", "--n", "5", "--seed", "3", "--out", d],
+        ["detect", "--traj", f"{d}/trajectories.csv", "--vehicles", f"{d}/vehicles.csv",
+         "--out", d],
+        ["robustness", "--traj", f"{d}/trajectories.csv", "--truth", f"{d}/truth_events.csv",
+         "--out", d],
+        ["criticality", "--traj", f"{d}/trajectories.csv", "--events", f"{d}/events.csv",
+         "--out", d],
+        ["stats", "--events", f"{d}/events.csv", "--vehicles", f"{d}/vehicles.csv", "--out", d],
+        ["sample", "--scenario", f"{d}/scene.cfg", "--out", d],
+        ["mis-eval", "--scenario", f"{d}/mis.cfg", "--out", d],
+    ]
+    assert [c[0] for c in commands] == list(REQUIRED_ARGS)
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "import lanekit.cli\n"
-        "rc = lanekit.cli.main(['stats', '--events', sys.argv[1], '--vehicles',"
-        " sys.argv[2], '--out', sys.argv[3]])\n"
-        "print(rc, 'scipy.signal' in sys.modules)\n"
+        "codes = [lanekit.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, 'scipy' in sys.modules)\n"
     )
     src = str(Path(lanekit.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(workdir / "truth_events.csv"),
-         str(workdir / "vehicles.csv"), str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
-    assert done.stdout.splitlines()[-1] == "0 False", done.stderr
-    assert (tmp_path / "stats.json").exists()
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=300)
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] False", done.stderr
+    for name in ("events.csv", "robustness.csv", "criticality_records.csv", "stats.json",
+                 "thw_traces.csv", "mis_report.json"):
+        assert (tmp_path / name).exists()

@@ -29,6 +29,8 @@ from helpers import (
     make_trajectory,
     ref_detect_distance,
     ref_detect_peak,
+    ref_find_peaks,
+    same_float,
     sigmoid_lane_change,
     sigmoid_profile,
 )
@@ -89,6 +91,41 @@ def test_range_equal_to_prominence_min_still_finds_the_peak():
     hits = find_peaks(sig, 5.0, PeakParams(prominence_min=0.15))
     assert hits == [PeakHit(2, 0.15, 0.15)]
     assert find_peaks(sig, 5.0, PeakParams(prominence_min=np.nextafter(0.15, 1.0))) == []
+
+
+@st.composite
+def peak_series(draw):
+    """Series of a few levels, so plateaus, equal peak heights and both
+    signs of zero are common, with NaN among them now and then."""
+    levels = draw(st.lists(st.sampled_from([0.0, -0.0, 0.15, 0.5, 1.0, np.nan])
+                           | st.floats(-2.0, 2.0, width=16), min_size=1, max_size=5))
+    return np.array(draw(st.lists(st.sampled_from(levels), max_size=150)), dtype=float)
+
+
+def assert_same_hits(got, want):
+    assert [h.index for h in got] == [h.index for h in want]
+    for a, b in zip(got, want):
+        assert same_float(a.height, b.height) and same_float(a.prominence, b.prominence)
+
+
+@settings(max_examples=600, deadline=None)
+@given(peak_series(), st.sampled_from([0.01, 0.15, 0.5]),
+       st.sampled_from([0.0, 0.2, 0.6, 2.0, 10.0]))
+def test_find_peaks_matches_scipy(series, prominence, separation):
+    params = PeakParams(prominence_min=prominence, min_peak_separation=separation)
+    assert_same_hits(find_peaks(series, 5.0, params), ref_find_peaks(series, 5.0, params))
+
+
+def test_find_peaks_breaks_ties_of_height_as_scipy():
+    # 60 peaks of two heights, 3 samples apart, 5 apart required: which
+    # survive depends on the order np.argsort gives equal heights, and
+    # that order is not the peaks' order
+    heights = np.random.default_rng(0).choice([1.0, 2.0], 60)
+    assert not np.array_equal(np.argsort(heights), np.argsort(heights, kind="stable"))
+    series = np.zeros(180)
+    series[1::3] = heights
+    params = PeakParams(prominence_min=0.5, min_peak_separation=1.0)
+    assert_same_hits(find_peaks(series, 5.0, params), ref_find_peaks(series, 5.0, params))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,35 +208,104 @@ def test_lowpass_filters_composite_across_lane_change():
     assert np.max(np.abs(y_out - y_in)) < 0.05
 
 
+# sampling rates as ingest derives them: nominal, or float noise off it
+RATES = (st.sampled_from([5.0, 25.0, 4.999999999999929, 5.000000000000018])
+         | st.builds(lambda base, ulps: base * (1.0 + ulps * 2.0 ** -52),
+                     st.sampled_from([5.0, 10.0, 25.0, 30.0]), st.integers(-100, 100))
+         | st.floats(2.7, 200.0))
+
+
 @pytest.mark.parametrize("cutoff,rate", [(1.3, 5.0), (1.3, 25.0), (0.5, 10.0)])
 def test_cached_filter_design_matches_butter(cutoff, rate):
+    # the nominal rates, against scipy.signal.butter itself, twice over
     from scipy import signal
-    from lanekit.trajectory import _butter_sos
-    want = signal.butter(2, cutoff, btype="low", fs=rate, output="sos")
-    for _ in range(2):  # the miss, then the hit
-        assert np.array_equal(_butter_sos(cutoff, rate), want)
+    from helpers import same_bits
+    from lanekit.trajectory import _butter
+    sos = signal.butter(2, cutoff, btype="low", fs=rate, output="sos")
+    for _ in range(2):
+        got = _butter(cutoff, rate)
+        assert same_bits(got[:3], sos[0, :3])
+        assert same_bits(got[3:5], sos[0, 4:])
+        assert same_bits(got[5:], signal.sosfilt_zi(sos)[0])
 
 
-def test_mutating_returned_filter_leaves_cache_intact():
-    from helpers import ref_lowpass_lat, sigmoid_lane_change
-    from lanekit.trajectory import _butter_sos
-    traj = sigmoid_lane_change(rate=25.0)
-    want = ref_lowpass_lat(traj, 1.3, LAYOUT).lat
-    sos = _butter_sos(1.3, 25.0)
-    sos[:] = 0.0
-    assert np.array_equal(lowpass(traj, 1.3, LAYOUT).lat, want)
+@settings(max_examples=400, deadline=None)
+@given(rate=RATES, share=st.none() | st.floats(0.001, 0.99))
+def test_filter_design_matches_butter(rate, share):
+    from helpers import ref_butter, same_bits
+    from lanekit.trajectory import _butter
+    cutoff = 1.3 if share is None else share * rate / 2.0
+    assert same_bits(_butter(cutoff, rate), ref_butter(cutoff, rate))
+
+
+@st.composite
+def lat_stacks(draw):
+    """Trajectories at noisy rates, each with its ``lat`` or a stack of
+    versions of it: ragged lengths, rows of exactly 10 samples, lane
+    changes and rows holding NaN."""
+    trajs, rows = [], []
+    for k in range(draw(st.integers(1, 4))):
+        n = draw(st.sampled_from([10, 10, 11]) | st.integers(10, 120))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        y = draw(st.sampled_from([0.0, 3.5, 5.0])) + np.cumsum(
+            rng.normal(0.0, draw(st.sampled_from([0.0, 0.05, 1.0])), n))
+        traj = make_trajectory(np.arange(n) * 0.2, y, vehicle_id=f"v{k}")
+        traj = dataclasses.replace(traj, rate=draw(RATES))
+        lat = traj.lat + rng.normal(0.0, 0.1, (draw(st.integers(1, 4)), n))
+        for row in lat[:draw(st.integers(0, 2))]:
+            row[rng.integers(0, n)] = np.nan
+        trajs.append(traj)
+        rows.append(lat if draw(st.booleans()) else lat[0])
+    return trajs, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(lat_stacks())
+def test_filtered_rows_match_sosfiltfilt(stacks):
+    # every row of every trajectory in one call, against scipy row by row
+    from helpers import ref_lowpass_lat, same_bits
+    from lanekit.trajectory import lowpass_rows
+    trajs, rows = stacks
+    got = list(lowpass_rows(trajs, rows, 1.3, LAYOUT))
+    assert len(got) == len(trajs)
+    for traj, lat, out in zip(trajs, rows, got):
+        assert out.shape == lat.shape
+        for row, filtered in zip(np.atleast_2d(lat), np.atleast_2d(out)):
+            assert same_bits(filtered, ref_lowpass_lat(traj.with_channels(lat=row), 1.3,
+                                                       LAYOUT).lat)
+
+
+def test_a_long_track_does_not_pad_the_short_ones():
+    # one time-major array for all rows would hold 100 short stacks at the
+    # long track's length: 5018 x 404 samples, 16 MB
+    import tracemalloc
+    from lanekit.trajectory import lowpass_rows
+    trajs = [make_trajectory(np.arange(n) * 0.2, np.zeros(n), vehicle_id=str(k))
+             for k, n in enumerate([100] * 100 + [5000])]
+    stacks = [np.stack([traj.lat] * 4) for traj in trajs]
+    tracemalloc.start()
+    try:
+        out = list(lowpass_rows(trajs, stacks, 1.3, LAYOUT))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [o.shape for o in out] == [s.shape for s in stacks]
+    assert peak < 4e6, peak
 
 
 @pytest.mark.parametrize("rate", [5.0, 25.0])
 def test_stacked_rows_filter_like_one_lowpass_each(rate):
-    # the sweep filters all grid points of a vehicle in one call
+    # the sweep filters all grid points of all vehicles in one call
     from helpers import ref_lowpass_lat, sigmoid_lane_change
-    from lanekit.trajectory import _zero_phase
+    from lanekit.trajectory import lowpass_rows
     rng = np.random.default_rng(4)
-    for traj in (sigmoid_lane_change(rate=rate), lane_keeping(rate=rate, lane=1)):
+    trajs = [sigmoid_lane_change(rate=rate), lane_keeping(rate=rate, lane=1)]
+    stacks = []
+    for traj in trajs:
         rows = traj.lat + np.cumsum(rng.normal(0.0, 0.02, (6, len(traj.t))), axis=1)
         rows[0] = traj.lat
-        got = _zero_phase(traj, rows, 1.3, LAYOUT)
+        stacks.append(rows)
+    for traj, rows, got in zip(trajs, stacks, lowpass_rows(trajs, stacks, 1.3, LAYOUT)):
         for row, lat in zip(got, rows):
             want = ref_lowpass_lat(traj.with_channels(lat=lat), 1.3, LAYOUT).lat
             assert np.array_equal(row, want)
