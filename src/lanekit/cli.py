@@ -46,7 +46,7 @@ from .trajectory import (  # noqa: F401 - lowpass: perfbench/tracer.py wraps it 
     marking_residual,
     resample,
 )
-from .wiedemann import ScenarioSpec, sample_cc1
+from .wiedemann import CFState, ScenarioSpec, net_gap, sample_cc1
 
 
 def _load_config(args) -> lkio.RunConfig:
@@ -155,7 +155,7 @@ def cmd_robustness(args, cfg: lkio.RunConfig, out: Path) -> int:
     layout = cfg.layout
     trajectories = _ingest_corpus(args, cfg)
     truth = lkio.read_events(args.truth)
-    corpus = SyntheticCorpus(tuple(trajectories), tuple(truth), layout, cfg.seed)
+    corpus = SyntheticCorpus(tuple(trajectories), tuple(truth), layout)
 
     grid = ([Perturbation("bias", b) for b in cfg.bias_grid]
             + [Perturbation("brownian", s) for s in cfg.brownian_grid])
@@ -327,15 +327,13 @@ def _mis_scenario_from_file(path: str, cfg: lkio.RunConfig):
                                "scenario key", path)
     run = {k: values.pop(k) for k in _MIS_RUN_KEYS if k in values}
     if roles is not None:
-        ego, front, rear = roles["ego"], roles["front"], roles["rear"]
+        ego, front, rear = (CFState(float(t.s[0]), float(t.v[0]), length=t.shape.length)
+                            for t in (roles["ego"], roles["front"], roles["rear"]))
         values = dict(
-            ego_shape=ego.shape, front_shape=front.shape, rear_shape=rear.shape,
-            ego_v0=float(ego.v[0]), front_v0=float(front.v[0]), rear_v0=float(rear.v[0]),
-            front_gap0=float(front.s[0] - ego.s[0]
-                             - 0.5 * (front.shape.length + ego.shape.length)),
-            rear_gap0=float(ego.s[0] - rear.s[0]
-                            - 0.5 * (ego.shape.length + rear.shape.length)),
-            lane=int(ego.lane[0]),
+            ego_shape=roles["ego"].shape, front_shape=roles["front"].shape,
+            rear_shape=roles["rear"].shape, ego_v0=ego.v, front_v0=front.v, rear_v0=rear.v,
+            front_gap0=net_gap(ego, front), rear_gap0=net_gap(rear, ego),
+            lane=int(roles["ego"].lane[0]),
         ) | values
     # a range error names the key; the rear model's speed defaults to rear_v0
     keys = {"cc1": "rear_cc1", "decel": "inject_front_brake", "t": "inject_t",

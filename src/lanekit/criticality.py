@@ -103,7 +103,6 @@ class KinState:
     corresponding velocity components.  Each field is a float for one
     instant or an array for a series of instants."""
 
-    t: float | np.ndarray
     s: float | np.ndarray
     y: float | np.ndarray
     vs: float | np.ndarray
@@ -280,8 +279,8 @@ def _records(opponents: Sequence[Trajectory],
         s, y, v, vy = np.where(covers, table[:, np.where(covers, start[rival, None] + cols, 0)],
                                np.nan)
         e_y, e_vy = lateral_of(ego)
-        m = _encounter(KinState(tt, ego.s[ix], e_y[ix], ego.v[ix], e_vy[ix]),
-                       KinState(tt, s, y, v, vy),
+        m = _encounter(KinState(ego.s[ix], e_y[ix], ego.v[ix], e_vy[ix]),
+                       KinState(s, y, v, vy),
                        0.5 * (ego.shape.length + length[rival, None]),
                        0.5 * (ego.shape.width + width[rival, None]))
         # a NaN-padded entry reads as ttce = 0, so TTCE is kept where covered

@@ -46,7 +46,6 @@ __all__ = [
     "detect_distance",
     "detect_gradient",
     "displacement",
-    "peak_rel_height",
     "peak_events",
     "settle_mask",
     "check_distance_threshold",
@@ -93,22 +92,19 @@ class LaneChangeEvent:
 
 @dataclass(frozen=True)
 class PeakParams:
-    """Peak criterion settings: finite, ``prominence_min`` positive and a
-    given ``rel_height`` inside (0, 1)."""
+    """Peak criterion settings: finite, ``prominence_min`` positive."""
 
     prominence_min: float = 0.15  # [m/s]
     min_peak_separation: float = 4.0  # [s]
-    rel_height: float | None = None  # computed from widths when None
 
     def __post_init__(self) -> None:
         check_range(self)
         check_range(self, "prominence_min", positive=True)
-        if self.rel_height is not None and not (0.0 < self.rel_height < 1.0):
-            raise ValueError("rel_height must be in (0, 1)")
 
 
 def rel_height_from_widths(width_obj: float, width_lane: float) -> float:
-    """Relative evaluation height for the peak width measurement."""
+    """Relative evaluation height for the peak width measurement, from the
+    vehicle width ``width_obj`` and the lane width."""
     return 1.0 - (width_obj / width_lane) / 2.0
 
 
@@ -290,13 +286,6 @@ def displacement(dy: np.ndarray, dt: float) -> np.ndarray:
     return np.concatenate([np.zeros(steps.shape[:-1] + (1,)), steps], axis=-1)
 
 
-def peak_rel_height(params: PeakParams, shape: VehicleShape, layout: LaneLayout) -> float:
-    """The configured relative height, else the one derived from the widths."""
-    if params.rel_height is not None:
-        return params.rel_height
-    return rel_height_from_widths(shape.width, layout.lane_width)
-
-
 def detect_peak(y: ContinuousLateral, shape: VehicleShape, layout: LaneLayout,
                 params: PeakParams | None = None,
                 min_extent: float | None = DEFAULT_MIN_EXTENT) -> list[LaneChangeEvent]:
@@ -313,7 +302,8 @@ def detect_peak(y: ContinuousLateral, shape: VehicleShape, layout: LaneLayout,
     params = params or PeakParams()
     dy = derivative(y.y, y.dt)
     return peak_events(y.vehicle_id, y.t, dy, displacement(dy, y.dt), y.v, y.rate,
-                       peak_rel_height(params, shape, layout), params, min_extent)
+                       rel_height_from_widths(shape.width, layout.lane_width), params,
+                       min_extent)
 
 
 def peak_events(vehicle_id: str, t: np.ndarray, dy: np.ndarray, disp: np.ndarray,
@@ -389,25 +379,24 @@ def _resolve_opposite_overlaps(candidates: list[_Candidate]) -> list[_Candidate]
 
 
 def detect_distance(y: ContinuousLateral, layout: LaneLayout,
-                    threshold: float = DEFAULT_DISTANCE_THRESHOLD,
-                    settle_rate: float = DEFAULT_SETTLE_RATE,
-                    settle_dwell: float = DEFAULT_SETTLE_DWELL) -> list[LaneChangeEvent]:
+                    threshold: float = DEFAULT_DISTANCE_THRESHOLD) -> list[LaneChangeEvent]:
     """Distance criterion: displacement from lane center beyond ``threshold``.
 
     An event opens at the first exceedance against the currently settled
     lane and is emitted once the vehicle settles in a different lane:
     within ``threshold`` of the new center, laterally at rest (rate below
-    ``settle_rate``), sustained for ``settle_dwell``.  Consecutive
-    exceedances toward the same crossing merge into one event; a vehicle
-    that returns to its original lane produces no event.
+    ``DEFAULT_SETTLE_RATE``), sustained for ``DEFAULT_SETTLE_DWELL``.
+    Consecutive exceedances toward the same crossing merge into one event;
+    a vehicle that returns to its original lane produces no event.
 
     Unlike the peak criterion this detector compares against absolute lane
     geometry, so a constant lateral bias displaces both the exceedance
     predicate and the settle band.
     """
-    nearest, rests = settle_mask(y.y, derivative(y.y, y.dt), layout, threshold, settle_rate)
+    nearest, rests = settle_mask(y.y, derivative(y.y, y.dt), layout, threshold,
+                                 DEFAULT_SETTLE_RATE)
     return distance_events(y.vehicle_id, y.t, y.y, y.v, nearest, rests, layout,
-                           threshold, settle_dwell)
+                           threshold, DEFAULT_SETTLE_DWELL)
 
 
 def settle_mask(y: np.ndarray, dy: np.ndarray, layout: LaneLayout, threshold: float,

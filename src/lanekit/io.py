@@ -37,7 +37,7 @@ from .mis import MISConfig
 from .robustness import Perturbation, RobustnessReport
 from .synth import DEFAULT_N, DEFAULT_TRUCK_FRACTION
 from .trajectory import (CHANNELS, DEFAULT_CUTOFF, MARKINGS, LaneLayout, Trajectory,
-                         VehicleClass, VehicleShape, check_range)
+                         VehicleClass, VehicleShape, check_range, fmt)
 from .wiedemann import SampledScenarioSet, ScenarioSpec, W99Params, check_dt
 
 __all__ = [
@@ -68,13 +68,6 @@ EVENT_HEADER = ["vehicle_id", "criterion", "t_start", "t_mid", "t_end",
 VEHICLE_HEADER = ["vehicle_id", "class", "length", "width"]
 RECORD_HEADER = ["vehicle_id", "t_start", "t_end", "direction",
                  *map(record_field, METRIC_NAMES), *("flag_" + m for m in METRIC_NAMES)]
-
-
-def fmt(x: float) -> str:
-    """Decimal serialization at 9 significant digits; empty for nan."""
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    return f"{x:.9g}"
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from .criticality import V_EGO_MIN
 from .trajectory import LaneLayout, VehicleShape, check_range
-from .wiedemann import CFState, W99Params, _clamp, w99_accel
+from .wiedemann import CFState, W99Params, _clamp, net_gap, w99_accel
 
 __all__ = [
     "MISConfig",
@@ -70,14 +70,10 @@ class MISConfig:
         check_range(self, positive=True)
 
 
-def _net_gap(behind: CFState, ahead: CFState) -> float:
-    return ahead.s - behind.s - 0.5 * (ahead.length + behind.length)
-
-
 def _front_thw(ego: CFState, front: CFState) -> float:
     if ego.v < V_EGO_MIN:
         return math.inf
-    return max(_net_gap(ego, front), 0.0) / ego.v
+    return max(net_gap(ego, front), 0.0) / ego.v
 
 
 def engagement_check(ego: CFState, front: CFState | None, rear: CFState | None,
@@ -91,7 +87,7 @@ def engagement_check(ego: CFState, front: CFState | None, rear: CFState | None,
     if front is None or rear is None:
         return False
     short_margin = _front_thw(ego, front) < CRUISE_THW + ENGAGE_SLACK
-    in_range = _net_gap(rear, ego) <= cfg.rear_detect_range
+    in_range = net_gap(rear, ego) <= cfg.rear_detect_range
     closing = (rear.v - ego.v) >= cfg.delta_v_min
     return short_margin and in_range and closing and left_lane_free
 
@@ -109,8 +105,8 @@ def plan_decel(ego: CFState, front: CFState, rear: CFState, cfg: MISConfig) -> f
     closing = rear.v - ego.v
     if closing <= 0.0:
         raise EngagementError("engagement precondition violated")
-    horizon = max((_net_gap(rear, ego) - REAR_RESERVE) / closing, 0.5)
-    g0 = _net_gap(ego, front)
+    horizon = max((net_gap(rear, ego) - REAR_RESERVE) / closing, 0.5)
+    g0 = net_gap(ego, front)
     thw0 = _front_thw(ego, front)
     target = thw0 + cfg.thw_increase
     if target <= thw0:
@@ -199,7 +195,7 @@ class MISEvalReport:
     def as_dict(self) -> dict:
         out = {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
         trace = {name: out.pop(name) for name in _TRACE}
-        return {"schema": 1, **out, "trace": trace}
+        return {**out, "trace": trace}
 
 
 def _logistic(x: np.ndarray | float) -> np.ndarray | float:
@@ -259,7 +255,7 @@ def run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
         front = CFState(s_f, v_f, a_f, sc.front_shape.length)
         rear = CFState(s_r, v_r, a_r, sc.rear_shape.length)
         thw = thw_front[k] = _front_thw(ego, front)
-        d_r = rear_gap[k] = _net_gap(rear, ego)
+        d_r = rear_gap[k] = net_gap(rear, ego)
         behind = rear.s < ego.s and abs(y_r - y_home) < half_wid_er
         if behind:
             min_rear_gap = min(min_rear_gap, d_r)
@@ -276,7 +272,7 @@ def run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
             y_r = y0 + (y1 - y0) * float(_logistic(10.0 * (frac - 0.5)))
             if frac >= 1.0 and cutin_start is not None:
                 maneuver_end = tk
-            elif frac >= 1.0 and _net_gap(ego, rear) >= sc.cut_in_lead:
+            elif frac >= 1.0 and net_gap(ego, rear) >= sc.cut_in_lead:
                 cutin_start = tk
 
         # rear longitudinal command (applied with reaction delay)
@@ -304,7 +300,7 @@ def run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
                 mode = "completed"
         else:
             g_des = CRUISE_THW * ego.v + STANDSTILL_GAP
-            a_cmd = _clamp(0.25 * (_net_gap(ego, front) - g_des) + 0.9 * (front.v - ego.v),
+            a_cmd = _clamp(0.25 * (net_gap(ego, front) - g_des) + 0.9 * (front.v - ego.v),
                            -HARD_DECEL, ACCEL_CAP)
         if thw < EMERGENCY_THW or (thw < AEB_THW and ego.v - front.v > AEB_CLOSING):
             a_cmd = -HARD_DECEL

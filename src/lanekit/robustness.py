@@ -24,7 +24,7 @@ from .detection import (  # noqa: F401 - detect_*: perfbench/tracer.py wraps the
     displacement,
     distance_events,
     peak_events,
-    peak_rel_height,
+    rel_height_from_widths,
     settle_mask,
 )
 from .synth import SyntheticCorpus
@@ -197,7 +197,7 @@ def sweep(corpus: SyntheticCorpus, criterion: str | Sequence[str],
         dy = derivative(y, traj.dt)
         if "peak" in criteria:
             disp = displacement(dy, traj.dt)
-            rel_h = peak_rel_height(params, traj.shape, layout)
+            rel_h = rel_height_from_widths(traj.shape.width, layout.lane_width)
         if "distance" in criteria:
             nearest, rests = settle_mask(y, dy, layout, distance_threshold,
                                          DEFAULT_SETTLE_RATE)

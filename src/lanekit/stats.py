@@ -7,6 +7,7 @@ within 1.5 IQR of the quartiles, and the remaining points as outliers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -56,12 +57,13 @@ def box_summary(values: Sequence[float] | np.ndarray) -> BoxSummary:
 
 def event_stats(events: Sequence[LaneChangeEvent],
                 classes: Mapping[str, VehicleClass] | None = None
-                ) -> dict[str, dict[str, BoxSummary]]:
+                ) -> dict[str, dict[str, BoxSummary | None]]:
     """Duration and crossing-speed summaries per class and direction.
 
     ``classes`` maps vehicle id to its class; events of unknown vehicles
     fall back to "car".  Double lane changes and truncated events are
-    excluded from the statistics.
+    excluded from the statistics.  A group whose events all lack a
+    ``v_mid`` (NaN) has the speed summary None.
     """
     usable = [e for e in events if e.kind is EventKind.SINGLE and not e.truncated]
 
@@ -77,12 +79,12 @@ def event_stats(events: Sequence[LaneChangeEvent],
         groups.setdefault(e.direction.value, []).append(e)
         groups.setdefault(f"{cls(e)}/{e.direction.value}", []).append(e)
 
-    out: dict[str, dict[str, BoxSummary]] = {}
+    out: dict[str, dict[str, BoxSummary | None]] = {}
     for name, evs in sorted(groups.items()):
         durations = [e.duration for e in evs]
         speeds = [e.v_mid for e in evs]
         out[name] = {
             "duration": box_summary(durations),
-            "speed": box_summary(speeds),
+            "speed": None if all(math.isnan(v) for v in speeds) else box_summary(speeds),
         }
     return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import Direction, LaneChangeEvent
-from .trajectory import LaneLayout, Trajectory, VehicleClass, VehicleShape
+from .trajectory import LaneLayout, Trajectory, VehicleClass, VehicleShape, fmt
 from .wiedemann import ScenarioSpec, W99Params
 
 __all__ = ["SyntheticCorpus", "generate_corpus", "logistic_transition",
@@ -41,11 +41,6 @@ class SyntheticCorpus:
     trajectories: tuple[Trajectory, ...]
     truth_events: tuple[LaneChangeEvent, ...]
     layout: LaneLayout
-    seed: int
-
-    @property
-    def classes(self) -> dict[str, VehicleClass]:
-        return {t.vehicle_id: t.shape.vclass for t in self.trajectories}
 
 
 def logistic_transition(t: np.ndarray, t_mid: float, duration: float,
@@ -56,7 +51,8 @@ def logistic_transition(t: np.ndarray, t_mid: float, duration: float,
 
 
 def _quantize9(arr: np.ndarray) -> np.ndarray:
-    return np.array([float(f"{x:.9g}") for x in arr])
+    """``arr`` as the trajectory CSV writes and reads it back."""
+    return np.array([float(fmt(x)) for x in arr.tolist()])
 
 
 def _draw_events(rng: np.random.Generator, record_len: float, lane0: int,
@@ -178,7 +174,7 @@ def generate_corpus(n: int = DEFAULT_N, seed: int = 0,
                 criterion="truth",
             ))
 
-    return SyntheticCorpus(tuple(trajectories), tuple(truth), layout, seed)
+    return SyntheticCorpus(tuple(trajectories), tuple(truth), layout)
 
 
 def _plain_trajectory(vid: str, shape: VehicleShape, t: np.ndarray,

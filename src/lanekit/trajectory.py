@@ -10,8 +10,9 @@ This module is the one place that knows that frame: ``LaneLayout.center``,
 ``lateral``, ``nearest_lane`` and ``split`` convert between ``(lane, lat)``
 and ``y``, ``held_lane`` reads a track's lane between its samples and
 ``derivative`` gives every lateral rate.  ``CHANNELS`` and ``MARKINGS``
-name a trajectory's channels in the order of the trajectory CSV, and
-``check_range`` is the one range rule of every parameter dataclass.
+name a trajectory's channels in the order of the trajectory CSV, ``fmt``
+is the text of every number the CSV files hold, and ``check_range`` is
+the one range rule of every parameter dataclass.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "check_range",
     "CHANNELS",
     "MARKINGS",
+    "fmt",
     "continuous_lateral",
     "derivative",
     "time_overlap",
@@ -118,6 +120,13 @@ def _frozen(values: Iterable[float], dtype=float) -> np.ndarray:
 
 CHANNELS = ("t", "s", "lane", "lat", "v", "a_lon", "a_lat")  # in trajectory CSV column order
 MARKINGS = ("d_left", "d_right")  # optional; the CSV's last columns
+
+
+def fmt(x: float) -> str:
+    """Decimal serialization at 9 significant digits; empty for nan."""
+    if x is None or (isinstance(x, float) and math.isnan(x)):
+        return ""
+    return f"{x:.9g}"
 
 
 @dataclass(frozen=True)

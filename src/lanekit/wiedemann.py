@@ -2,9 +2,10 @@
 
 The psycho-physical regime logic (free driving / closing / following /
 emergency) with the conventional cc0..cc9 parameter set; cc1 is the target
-time gap to the leader, so the desired following distance at speed v is
-cc0 + cc1 * v.  The stochastic perception terms of common implementations
-are dropped: identical inputs give bit-identical trajectories.
+time gap to the leader in the desired following distance
+``W99Params.desired_gap``.  The stochastic perception terms of common
+implementations are dropped: identical inputs give bit-identical
+trajectories.
 
 A scenario replays recorded trajectories verbatim except for one
 substituted vehicle, which keeps its recorded lane sequence but is driven
@@ -26,6 +27,7 @@ from .trajectory import LaneLayout, Trajectory, check_range, held_lane, time_ove
 __all__ = [
     "W99Params",
     "CFState",
+    "net_gap",
     "ScenarioSpec",
     "SampledScenario",
     "SampledScenarioSet",
@@ -81,6 +83,11 @@ class CFState:
     length: float = 4.5
 
 
+def net_gap(behind: CFState, ahead: CFState) -> float:
+    """Bumper-to-bumper gap from ``behind`` to ``ahead`` [m]."""
+    return ahead.s - behind.s - 0.5 * (ahead.length + behind.length)
+
+
 def _clamp(x: float, lo: float, hi: float) -> float:
     """``x`` limited to [lo, hi], as ``float(np.clip(x, lo, hi))``.
 
@@ -115,7 +122,7 @@ def w99_accel(follower: CFState, leader: CFState | None, p: W99Params) -> float:
     if leader is None:
         return _clamp(toward_desired(), A_MIN, a_cap)
 
-    dx = leader.s - follower.s - 0.5 * (leader.length + follower.length)
+    dx = net_gap(follower, leader)
     if dx > LOOK_AHEAD:
         return _clamp(toward_desired(), A_MIN, a_cap)
 
@@ -127,7 +134,7 @@ def w99_accel(follower: CFState, leader: CFState | None, p: W99Params) -> float:
         sdxc = p.cc0
     else:
         v_slow = v if (dv >= 0.0 or al < -1.0) else vl
-        sdxc = p.cc0 + p.cc1 * v_slow
+        sdxc = p.desired_gap(v_slow)
     sdxo = sdxc + p.cc2  # upper edge of the following band
     sdxv = sdxo + p.cc3 * (dv - p.cc4)  # perception distance for closing
     sdv = p.cc6 * 1e-4 * dx * dx
@@ -300,8 +307,8 @@ def _thw_trace(ego: Trajectory, opp: Trajectory, layout: LaneLayout) -> np.ndarr
     tt = ego.t[k]
     trace = np.full(len(ego.t), np.nan)
     trace[k] = encounter(
-        KinState(tt, ego.s[k], layout.lateral(ego.lane[k], ego.lat[k]), ego.v[k]),
-        KinState(tt, np.interp(tt, opp.t, opp.s),
+        KinState(ego.s[k], layout.lateral(ego.lane[k], ego.lat[k]), ego.v[k]),
+        KinState(np.interp(tt, opp.t, opp.s),
                  np.interp(tt, opp.t, layout.lateral(opp.lane, opp.lat)),
                  np.interp(tt, opp.t, opp.v)),
         ego.shape, opp.shape).thw

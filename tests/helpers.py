@@ -129,9 +129,9 @@ def ref_pairwise_samples(ego, opp, layout, window) -> list[tuple]:
     out = []
     for i, when in enumerate(tt):
         j = np.nonzero(t == when)[0][0]
-        e = KinState(float(when), float(e_s[j]), float(e_y[j]),
+        e = KinState(float(e_s[j]), float(e_y[j]),
                      float(e_vs[j]), float(e_vy[j]))
-        o = KinState(float(when), float(o_s[i]), float(o_y[i]),
+        o = KinState(float(o_s[i]), float(o_y[i]),
                      float(o_vs[i]), float(o_vy[i]))
         tc, dc = ref_ttce_dce(e, o, ego.shape, opp.shape)
         out.append((float(when), ref_distance(e, o, ego.shape, opp.shape),
@@ -197,8 +197,8 @@ def ref_thw_trace(ego, opp, layout) -> np.ndarray:
     for i, tk in enumerate(ego.t):
         if tk < opp.t[0] or tk > opp.t[-1]:
             continue
-        e = KinState(float(tk), float(ego.s[i]), float(e_y[i]), float(ego.v[i]))
-        o = KinState(float(tk), float(np.interp(tk, opp.t, opp.s)),
+        e = KinState(float(ego.s[i]), float(e_y[i]), float(ego.v[i]))
+        o = KinState(float(np.interp(tk, opp.t, opp.s)),
                      float(np.interp(tk, opp.t, o_y)),
                      float(np.interp(tk, opp.t, opp.v)))
         trace[i] = ref_thw(e, o, ego.shape, opp.shape)
@@ -362,9 +362,7 @@ def ref_detect_peak(y, shape, layout, params=None, min_extent=2.5):
     )
     from lanekit.trajectory import derivative
     params = params or PeakParams()
-    rel_h = params.rel_height
-    if rel_h is None:
-        rel_h = rel_height_from_widths(shape.width, layout.lane_width)
+    rel_h = rel_height_from_widths(shape.width, layout.lane_width)
     dy = derivative(y.y, y.dt)
     disp = np.concatenate([[0.0], np.cumsum(0.5 * (dy[1:] + dy[:-1]) * y.dt)])
     candidates = []
@@ -789,11 +787,10 @@ def ref_run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
         MISEvalReport,
         _front_thw,
         _logistic,
-        _net_gap,
         engagement_check,
         plan_decel,
     )
-    from lanekit.wiedemann import CFState, _clamp, w99_accel
+    from lanekit.wiedemann import CFState, _clamp, net_gap, w99_accel
 
     cfg = cfg or MISConfig()
     sc = scenario
@@ -848,7 +845,7 @@ def ref_run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
         rear = CFState(s_r[k], v_r[k], rear_prev_a, sc.rear_shape.length)
 
         thw_front[k] = _front_thw(ego, front)
-        d_r = _net_gap(rear, ego)
+        d_r = net_gap(rear, ego)
         rear_gap[k] = d_r
         overlap = abs(y_r[k] - y_home) < half_wid_er
         if rear.s < ego.s and overlap:
@@ -867,7 +864,7 @@ def ref_run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
                 frac = min((tk - lc_start) / sc.lc_duration, 1.0)
                 y_r[k] = y_home + (y_left - y_home) * float(
                     _logistic(10.0 * (frac - 0.5)))
-                if _net_gap(ego, rear) >= sc.cut_in_lead and frac >= 1.0:
+                if net_gap(ego, rear) >= sc.cut_in_lead and frac >= 1.0:
                     cutin_start = tk
             else:
                 frac = min((tk - cutin_start) / sc.lc_duration, 1.0)
@@ -915,7 +912,7 @@ def ref_run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
             if maneuver_end is not None:
                 state.mode = MISMode.COMPLETED
         elif state.mode is MISMode.COMPLETED or not mis_on or state.mode is MISMode.IDLE:
-            gap = _net_gap(ego, front)
+            gap = net_gap(ego, front)
             g_des = CRUISE_THW * ego.v + STANDSTILL_GAP
             a_cmd = _clamp(0.25 * (gap - g_des) + 0.9 * (front.v - ego.v),
                            -HARD_DECEL, ACCEL_CAP)

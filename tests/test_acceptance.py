@@ -159,8 +159,8 @@ def test_criterion_5_oracle():
                   else rng.uniform(0.0, 40.0))
         ps, py = ms - t_star * vs, my - t_star * vy
 
-        tc, dc = ttce_dce(KinState(0, 0, 0, 0, 0),
-                          KinState(0, ps, py, vs, vy), point, point)
+        tc, dc = ttce_dce(KinState(0, 0, 0, 0),
+                          KinState(ps, py, vs, vy), point, point)
         d = np.hypot(ps + grid * vs, py + grid * vy)
         i = int(np.argmin(d))
         assert abs(tc - grid[i]) <= 1e-3

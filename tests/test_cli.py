@@ -284,6 +284,24 @@ def test_criticality_and_stats(workdir, tmp_path):
     assert {"duration", "speed"} <= set(payload["groups"]["all"].keys())
 
 
+@pytest.mark.parametrize("v_mids,null_speed", [
+    (("", ""), {"all", "car", "car/left", "car/right", "left", "right"}),
+    (("", "30"), {"car/left", "left"}),
+], ids=["all-empty", "mixed"])
+def test_stats_speed_is_null_where_no_event_has_v_mid(tmp_path, v_mids, null_speed):
+    events = tmp_path / "events.csv"
+    events.write_text(
+        "vehicle_id,criterion,t_start,t_mid,t_end,duration,direction,v_mid,lateral_extent,kind\n"
+        f"a,peak,1,3,5,4,left,{v_mids[0]},3.5,single\n"
+        f"b,peak,2,5,8,6,right,{v_mids[1]},3.5,single\n")
+    assert run("stats", "--events", events, "--out", tmp_path / "st") == 0
+    groups = json.loads((tmp_path / "st" / "stats.json").read_text())["groups"]
+    assert {name for name, g in groups.items() if g["speed"] is None} == null_speed
+    for g in groups.values():
+        assert g["duration"]["n"] >= 1
+        assert g["speed"] is None or (g["speed"]["n"], g["speed"]["median"]) == (1, 30.0)
+
+
 def test_sample_scenario(tmp_path):
     from lanekit.io import write_trajectories, write_vehicles
     from lanekit.synth import overtake_scenario
@@ -375,6 +393,15 @@ duration = 45
     assert run("mis-eval", "--scenario", scenario, "--out", out) == 0
     report = json.loads((out / "mis_report.json").read_text())
     assert report["engaged"] is True
+    # the initial net gaps of the tagged tracks, as the loop measures gaps
+    from lanekit.cli import _mis_scenario_from_file
+    from lanekit.io import RunConfig
+    from lanekit.wiedemann import CFState, net_gap
+    sc, _, _ = _mis_scenario_from_file(str(scenario), RunConfig())
+    ego, front, rear = (CFState(s0, v0, length=4.8)
+                        for s0, v0 in ((0.0, 30.0), (33.8, 30.0), (-114.8, 42.0)))
+    assert (sc.front_gap0, sc.rear_gap0) == (net_gap(ego, front), net_gap(rear, ego))
+    assert (sc.front_gap0, sc.rear_gap0) == pytest.approx((29.0, 110.0))
 
 
 ROLES_CSV = "trajectories = roles.csv\n"

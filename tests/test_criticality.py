@@ -41,7 +41,7 @@ V_LIM = LAYOUT.speed_limit  # 33.33 m/s
 
 
 def state(s=0.0, y=0.0, vs=0.0, vy=0.0):
-    return KinState(0.0, s, y, vs, vy)
+    return KinState(s, y, vs, vy)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def test_dce_never_exceeds_current_gap():
     rng = np.random.default_rng(17)
     for _ in range(500):
         ego = state(vs=rng.uniform(0, 40))
-        opp = KinState(0.0, rng.uniform(-100, 100), rng.uniform(-10, 10),
+        opp = KinState(rng.uniform(-100, 100), rng.uniform(-10, 10),
                        rng.uniform(0, 40), rng.uniform(-2, 2))
         now = euclidean_distance(ego, opp, CAR, CAR)
         _, dc = ttce_dce(ego, opp, CAR, CAR)
@@ -166,7 +166,7 @@ def test_matches_brute_force_oracle_sample():
     rng = np.random.default_rng(42)
     for _ in range(100):
         ps, py, vs, vy = draw_pair(rng)
-        tc, dc = ttce_dce(state(), KinState(0.0, ps, py, vs, vy), POINT, POINT)
+        tc, dc = ttce_dce(state(), KinState(ps, py, vs, vy), POINT, POINT)
         tg, dg = brute_force_encounter(ps, py, vs, vy)
         assert tc == pytest.approx(tg, abs=1e-3)
         assert dc == pytest.approx(dg, abs=1e-3)
@@ -263,9 +263,9 @@ def test_scalar_wrappers_match_reference():
               (state(vs=30.0), state(-20.0)),
               (state(), state(-10.0, vs=1e-200))]          # v2 underflows to 0
     for _ in range(300):
-        states.append((KinState(0.0, rng.uniform(-50, 50), rng.uniform(-8, 8),
+        states.append((KinState(rng.uniform(-50, 50), rng.uniform(-8, 8),
                                 rng.uniform(-1, 40), rng.uniform(-2, 2)),
-                       KinState(0.0, rng.uniform(-50, 50), rng.uniform(-8, 8),
+                       KinState(rng.uniform(-50, 50), rng.uniform(-8, 8),
                                 rng.uniform(-1, 40), rng.uniform(-2, 2))))
     for ego, opp in states:
         for a, b in ((CAR, CAR), (CAR, TRUCK)):
@@ -277,13 +277,13 @@ def test_scalar_wrappers_match_reference():
 
 
 def test_kernel_broadcasts_over_arrays():
-    ego = KinState(0.0, np.zeros(3), np.zeros(3), np.full(3, 30.0))
-    opp = KinState(0.0, np.array([23.0, -20.0, 0.0]), np.array([0.0, 0.0, 3.5]),
+    ego = KinState(np.zeros(3), np.zeros(3), np.full(3, 30.0))
+    opp = KinState(np.array([23.0, -20.0, 0.0]), np.array([0.0, 0.0, 3.5]),
                    np.array([30.0, 30.0, 35.0]))
     m = encounter(ego, opp, CAR, CAR)
     for i in range(3):
-        e = KinState(0.0, 0.0, 0.0, 30.0)
-        o = KinState(0.0, float(opp.s[i]), float(opp.y[i]), float(opp.vs[i]))
+        e = KinState(0.0, 0.0, 30.0)
+        o = KinState(float(opp.s[i]), float(opp.y[i]), float(opp.vs[i]))
         assert same_float(float(m.d[i]), ref_distance(e, o, CAR, CAR))
         assert same_float(float(m.thw[i]), ref_thw(e, o, CAR, CAR))
         tc, dc = ref_ttce_dce(e, o, CAR, CAR)
@@ -363,9 +363,9 @@ def test_kernel_with_per_sample_sizes_matches_per_opponent_calls():
     rng = np.random.default_rng(11)
     shapes = [CAR, TRUCK, POINT, VehicleShape(4.2, 1.8)]
     owner = rng.integers(0, len(shapes), 400)
-    ego = KinState(0.0, rng.uniform(-50, 50, 400), rng.uniform(-8, 8, 400),
+    ego = KinState(rng.uniform(-50, 50, 400), rng.uniform(-8, 8, 400),
                    rng.uniform(-1, 40, 400), rng.uniform(-2, 2, 400))
-    opp = KinState(0.0, rng.uniform(-50, 50, 400), rng.uniform(-8, 8, 400),
+    opp = KinState(rng.uniform(-50, 50, 400), rng.uniform(-8, 8, 400),
                    rng.uniform(-1, 40, 400), rng.uniform(-2, 2, 400))
     opp.s[:40] = ego.s[:40]   # alongside: ps = 0
     opp.vs[40:80] = ego.vs[40:80]
@@ -375,8 +375,8 @@ def test_kernel_with_per_sample_sizes_matches_per_opponent_calls():
     got = _encounter(ego, opp, half_len, half_wid)
     for k, shape in enumerate(shapes):
         sel = owner == k
-        want = encounter(KinState(0.0, ego.s[sel], ego.y[sel], ego.vs[sel], ego.vy[sel]),
-                         KinState(0.0, opp.s[sel], opp.y[sel], opp.vs[sel], opp.vy[sel]),
+        want = encounter(KinState(ego.s[sel], ego.y[sel], ego.vs[sel], ego.vy[sel]),
+                         KinState(opp.s[sel], opp.y[sel], opp.vs[sel], opp.vy[sel]),
                          CAR, shape)
         for name in ("d", "thw", "ttce", "dce"):
             assert same_array(getattr(got, name)[sel], getattr(want, name)), (shape, name)

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanekit.detection import (
+    DEFAULT_SETTLE_DWELL,
+    DEFAULT_SETTLE_RATE,
     Direction,
     EventKind,
     LaneChangeEvent,
@@ -13,12 +15,14 @@ from lanekit.detection import (
     detect_distance,
     detect_gradient,
     detect_peak,
+    distance_events,
     find_peaks,
     peak_width,
     rel_height_from_widths,
+    settle_mask,
 )
 from lanekit.io import fmt
-from lanekit.trajectory import ContinuousLateral
+from lanekit.trajectory import ContinuousLateral, VehicleShape, derivative
 
 from helpers import (
     CAR,
@@ -51,9 +55,7 @@ def test_rel_height_car_in_standard_lane():
                                                              abs=1e-12)
 
 
-def test_rel_height_bounds():
-    with pytest.raises(ValueError):
-        PeakParams(rel_height=1.2)
+def test_peak_params_bounds():
     with pytest.raises(ValueError):
         PeakParams(prominence_min=0.0)
 
@@ -256,12 +258,21 @@ def lateral(y, rate=4.0):
     return ContinuousLateral("veh", t, y, rate, v=30.0 + 0.1 * t)
 
 
-def assert_distance_like_reference(y, **kwargs):
-    got = detect_distance(y, LAYOUT, **kwargs)
-    want = ref_detect_distance(y, LAYOUT, **kwargs)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert_same_record(a, b)
+def assert_distance_like_reference(y, threshold=0.8, settle_rate=DEFAULT_SETTLE_RATE,
+                                   settle_dwell=DEFAULT_SETTLE_DWELL):
+    """The distance kernels at these settle values, against the reference;
+    at the default ones ``detect_distance`` too."""
+    nearest, rests = settle_mask(y.y, derivative(y.y, y.dt), LAYOUT, threshold, settle_rate)
+    got = distance_events(y.vehicle_id, y.t, y.y, y.v, nearest, rests, LAYOUT, threshold,
+                          settle_dwell)
+    want = ref_detect_distance(y, LAYOUT, threshold, settle_rate, settle_dwell)
+    runs = [got]
+    if (settle_rate, settle_dwell) == (DEFAULT_SETTLE_RATE, DEFAULT_SETTLE_DWELL):
+        runs.append(detect_distance(y, LAYOUT, threshold))
+    for events in runs:
+        assert len(events) == len(want)
+        for a, b in zip(events, want):
+            assert_same_record(a, b)
     return got
 
 
@@ -357,8 +368,9 @@ def peak_signals(draw):
 @settings(max_examples=300, deadline=None)
 @given(peak_signals(), st.sampled_from([None, 0.0, 2.5]),
        st.sampled_from(["below", "at", "above", "default"]), st.sampled_from([1.0, -1.0]),
-       st.sampled_from([None, 0.3, 0.7]))
-def test_peak_matches_reference_on_random_signals(y, min_extent, edge, sign, rel_height):
+       # relative heights 1 - width / 7: the car's, about 0.3 and 0.7
+       st.sampled_from([CAR, VehicleShape(16.0, 4.9), VehicleShape(4.8, 2.1)]))
+def test_peak_matches_reference_on_random_signals(y, min_extent, edge, sign, shape):
     # prominence_min just below, exactly at or just above the largest peak
     # of one rectified derivative, where the range pre-check decides
     top = float(np.ptp(np.maximum(sign * np.gradient(y.y, y.dt), 0.0)))
@@ -367,9 +379,9 @@ def test_peak_matches_reference_on_random_signals(y, min_extent, edge, sign, rel
     else:
         prominence = {"below": np.nextafter(top, 0.0), "at": top,
                       "above": np.nextafter(top, np.inf)}[edge]
-    params = PeakParams(prominence_min=float(prominence), rel_height=rel_height)
-    got = detect_peak(y, CAR, LAYOUT, params, min_extent=min_extent)
-    want = ref_detect_peak(y, CAR, LAYOUT, params, min_extent=min_extent)
+    params = PeakParams(prominence_min=float(prominence))
+    got = detect_peak(y, shape, LAYOUT, params, min_extent=min_extent)
+    want = ref_detect_peak(y, shape, LAYOUT, params, min_extent=min_extent)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert_same_record(a, b)

@@ -1,3 +1,4 @@
+import ast
 import math
 import tempfile
 import warnings
@@ -40,6 +41,35 @@ def test_fmt_nine_digits():
     assert fmt(1.0 / 3.0) == "0.333333333"
     assert fmt(float("nan")) == ""
     assert fmt(None) == ""
+
+
+def _spelled(match) -> set[tuple[str, str]]:
+    """(module, innermost enclosing function, "" at module level) of each
+    string constant of ``src/lanekit`` that ``match`` accepts, f-string
+    format specs included."""
+    found = set()
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Constant) and isinstance(child.value, str) \
+                    and match(child.value):
+                found.add((module, where))
+            visit(child, module, where)
+
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "lanekit").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def test_csv_number_text_is_spelled_once():
+    assert _spelled(lambda text: ".9g" in text) == {("trajectory", "fmt")}
+
+
+def test_json_schema_stamp_is_spelled_once():
+    assert _spelled(lambda text: text == "schema") == {("io", "write_json")}
 
 
 def test_record_schema(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -162,11 +163,15 @@ def test_no_engagement_when_rear_never_closes():
     assert np.min(rep.a_ego) > -0.2
 
 
-def test_report_serializes(fig7_on):
+def test_report_serializes(tmp_path, fig7_on):
     payload = fig7_on.as_dict()
-    assert payload["schema"] == 1
+    assert "schema" not in payload  # write_json stamps it
     assert payload["engaged"] is True
     assert len(payload["trace"]["t"]) == len(payload["trace"]["a_ego"])
+    write_json(tmp_path / "mis_report.json", payload)
+    written = json.loads((tmp_path / "mis_report.json").read_text())
+    assert written["schema"] == 1
+    assert written["engaged"] is True
 
 
 def test_speed_never_negative_under_hard_injection():

@@ -166,7 +166,7 @@ def sample():
          + np.cumsum(np.random.default_rng(4).normal(0.0, 0.002, len(t))))
     fast = make_trajectory(t, y, vehicle_id="fast", markings=False)
     return SyntheticCorpus((*corpus.trajectories, fast), corpus.truth_events,
-                           corpus.layout, corpus.seed)
+                           corpus.layout)
 
 
 @pytest.mark.parametrize("refilter", [True, False])
@@ -199,7 +199,7 @@ def test_sweep_skips_short_track(corpus):
     t = np.arange(8) * 0.2  # 8 samples: too short to low-pass
     short = make_trajectory(t, np.full(len(t), 3.6), vehicle_id="short")
     mixed = SyntheticCorpus((corpus.trajectories[0], short, *corpus.trajectories[1:]),
-                            corpus.truth_events, corpus.layout, corpus.seed)
+                            corpus.truth_events, corpus.layout)
     grid = [Perturbation("bias", 0.5), Perturbation("brownian", 0.01)]
     got = sweep(mixed, ("peak", "distance"), grid, corpus.layout)
     assert got.skipped == (("short", "insufficient samples"),)
@@ -217,7 +217,7 @@ def test_sweep_skips_lane_out_of_range(corpus, refilter):
     wide = make_trajectory(t, np.zeros(len(t)), vehicle_id="wide")
     wide = wide.with_channels(lane=np.where(t < 10.0, 2, 3))  # lane 3 of lanes 0-2
     mixed = SyntheticCorpus((corpus.trajectories[0], wide, *corpus.trajectories[1:]),
-                            corpus.truth_events, corpus.layout, corpus.seed)
+                            corpus.truth_events, corpus.layout)
     grid = [Perturbation("bias", 0.0), Perturbation("bias", 0.5)]
     got = sweep(mixed, ("peak", "distance"), grid, corpus.layout, refilter=refilter)
     assert got.skipped == (("wide", "lane index out of range for layout"),)

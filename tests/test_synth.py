@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from lanekit.io import ingest, write_trajectories
 from lanekit.synth import generate_corpus
-from lanekit.trajectory import VehicleClass
+from lanekit.trajectory import VehicleClass, fmt
 
 from helpers import LAYOUT
 
@@ -66,7 +67,7 @@ def test_event_spacing(corpus):
 
 
 def test_both_classes_present(corpus):
-    classes = set(corpus.classes.values())
+    classes = {t.shape.vclass for t in corpus.trajectories}
     assert classes == {VehicleClass.CAR, VehicleClass.TRUCK}
 
 
@@ -74,6 +75,23 @@ def test_channels_are_9_digit_clean(corpus):
     traj = corpus.trajectories[0]
     for ch in (traj.t, traj.lat, traj.v, traj.d_left):
         assert all(float(f"{x:.9g}") == x for x in ch)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_channels_are_the_csv_text_and_round_trip_bit_for_bit(tmp_path, seed):
+    corpus = generate_corpus(n=12, seed=seed)
+    path = tmp_path / "traj.csv"
+    write_trajectories(path, corpus.trajectories)
+    back = ingest(path, shapes={t.vehicle_id: t.shape for t in corpus.trajectories})
+    assert not back.rejected_rows and not back.rejected_vehicles
+    assert len(back.trajectories) == len(corpus.trajectories)
+    for orig, read in zip(corpus.trajectories, back.trajectories):
+        for name in ("t", "s", "lat", "v", "a_lon", "a_lat", "d_left", "d_right"):
+            values = getattr(orig, name)
+            bits = values.view(np.int64)
+            assert np.array_equal(np.array([float(fmt(x)) for x in values.tolist()])
+                                  .view(np.int64), bits), name
+            assert np.array_equal(getattr(read, name).view(np.int64), bits), name
 
 
 def test_recording_ids(corpus):

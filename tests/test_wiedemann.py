@@ -15,6 +15,7 @@ from lanekit.wiedemann import (
     sample_cc1,
     _clamp,
     _thw_trace,
+    net_gap,
     simulate,
     w99_accel,
 )
@@ -63,6 +64,18 @@ def test_emergency_regime_strong_deceleration():
     assert a <= -2.0
     # frozen regression of the fixture
     assert a == pytest.approx(-2.67589375, abs=1e-9)
+
+
+@pytest.mark.parametrize("lengths", [(4.5, 4.5), (4.8, 14.0)])
+@pytest.mark.parametrize("gap", [29.0, 30.5, 32.0])
+def test_following_steers_the_net_gap_to_the_band_middle(gap, lengths):
+    # equal speeds and a net gap inside [cc0 + cc1 v, cc0 + cc1 v + cc2]:
+    # the following regime's command is 0.15 * (net gap - band middle)
+    p = W99Params()
+    follower = CFState(0.0, 30.0, 0.0, lengths[0])
+    leader = CFState(gap + 0.5 * sum(lengths), 30.0, 0.0, lengths[1])
+    middle = p.desired_gap(30.0) + 0.5 * p.cc2
+    assert w99_accel(follower, leader, p) == 0.15 * (net_gap(follower, leader) - middle)
 
 
 def test_acceleration_clamped():
