@@ -23,27 +23,26 @@ from .criticality import (  # noqa: F401 - most_critical: perfbench/tracer.py wr
     direction_stats,
     most_critical,
 )
-from .detection import (
+from .detection import (  # noqa: F401 - detect_peak, detect_distance: as most_critical
     EventKind,
     classify_double,
     detect_distance,
     detect_gradient,
     detect_peak,
+    detect_rows,
 )
 from .mis import FrontBrakeInjection, MISScenario, run_closed_loop
 from .robustness import Perturbation, sweep
 from .stats import event_stats
 from .synth import SyntheticCorpus, generate_corpus
-from .trajectory import (  # noqa: F401 - lowpass: perfbench/tracer.py wraps it here
-    InsufficientSamplesError,
+from .trajectory import (  # noqa: F401 - resample, lowpass, continuous_lateral: as most_critical
     LaneRangeError,
     Trajectory,
     check_lane_range,
-    check_lowpass,
     continuous_lateral,
     lowpass,
-    lowpass_rows,
     marking_residual,
+    preprocess,
     resample,
 )
 from .wiedemann import CFState, ScenarioSpec, net_gap, sample_cc1
@@ -82,35 +81,9 @@ def _ingest_corpus(args, cfg) -> list[Trajectory]:
     return trajectories
 
 
-def _preprocess(trajectories: list[Trajectory],
-                cfg: lkio.RunConfig) -> list[tuple[Trajectory, Trajectory]]:
-    """``(vehicle, preprocessed)`` for each vehicle detection can run on:
-    resampled to ``resample_rate`` and, with markings or
-    ``lowpass_aerial``, low-passed, every such vehicle of the file in one
-    ``lowpass_rows`` call.  A vehicle too short to filter or with a lane
-    index outside the layout is skipped with a warning, in file order."""
-    layout = cfg.layout
-    kept, smooth = [], []
-    for traj in trajectories:
-        lowpassed = cfg.lowpass_aerial or traj.has_markings
-        try:
-            pre = traj
-            if abs(traj.rate - cfg.resample_rate) > 1e-9:
-                pre = resample(traj, cfg.resample_rate)
-            if lowpassed:
-                check_lowpass(pre, cfg.lowpass_cutoff)
-            check_lane_range(pre, layout)
-        except (InsufficientSamplesError, LaneRangeError) as exc:
-            print(f"warning: vehicle {traj.vehicle_id} skipped: {exc}", file=sys.stderr)
-            continue
-        if lowpassed:
-            smooth.append(len(kept))
-        kept.append((traj, pre))
-    pres = [kept[i][1] for i in smooth]
-    for i, lat in zip(smooth, lowpass_rows(pres, [pre.lat for pre in pres],
-                                           cfg.lowpass_cutoff, layout)):
-        kept[i] = (kept[i][0], kept[i][1].with_channels(lat=lat))
-    return kept
+def _warn_skipped(skipped: list[tuple[str, str]]) -> None:
+    for vid, reason in skipped:
+        print(f"warning: vehicle {vid} skipped: {reason}", file=sys.stderr)
 
 
 def cmd_synth(args, cfg: lkio.RunConfig, out: Path) -> int:
@@ -133,19 +106,19 @@ def cmd_detect(args, cfg: lkio.RunConfig, out: Path) -> int:
     for name in criteria:
         if name not in _CRITERIA:
             raise ValueError(f"unknown criterion {name!r}")
+    trajectories = _ingest_corpus(args, cfg)
+    kept, skipped = preprocess(trajectories, layout, cfg.resample_rate, cfg.lowpass_cutoff)
+    _warn_skipped(skipped)
+    pres = [pre for _, pre in kept]
+    found = detect_rows(pres, [pre.lat[None] for pre in pres], layout, criteria, cfg.peak,
+                        cfg.distance_threshold, cfg.lowpass_cutoff, cfg.min_lateral_extent)
     all_events = []
-    for traj, pre in _preprocess(_ingest_corpus(args, cfg), cfg):
-        y = continuous_lateral(pre, layout)
+    for (i, _), rows in zip(kept, found):
+        traj = trajectories[i]
         if "gradient" in criteria and traj.has_markings:
-            ev = detect_gradient(traj, layout, cfg.peak)
-            all_events.extend(classify_double(ev, layout))
-        if "peak" in criteria:
-            ev = detect_peak(y, traj.shape, layout, cfg.peak,
-                             min_extent=cfg.min_lateral_extent)
-            all_events.extend(classify_double(ev, layout))
-        if "distance" in criteria:
-            ev = detect_distance(y, layout, cfg.distance_threshold)
-            all_events.extend(classify_double(ev, layout))
+            all_events.extend(classify_double(detect_gradient(traj, layout, cfg.peak), layout))
+        for events in rows.values():  # peak, then distance
+            all_events.extend(classify_double(events[0], layout))
     lkio.write_events(out / "events.csv", all_events)
     print(f"wrote {len(all_events)} events to {out / 'events.csv'}")
     return 0
@@ -161,9 +134,8 @@ def cmd_robustness(args, cfg: lkio.RunConfig, out: Path) -> int:
             + [Perturbation("brownian", s) for s in cfg.brownian_grid])
     report = sweep(corpus, ("peak", "distance"), grid, layout, cfg.peak,
                    distance_threshold=cfg.distance_threshold, seed=cfg.seed,
-                   refilter=cfg.sweep_refilter, cutoff=cfg.lowpass_cutoff)
-    for vid, reason in report.skipped:
-        print(f"warning: vehicle {vid} skipped: {reason}", file=sys.stderr)
+                   cutoff=cfg.lowpass_cutoff, rate=cfg.resample_rate)
+    _warn_skipped(report.skipped)
     lkio.write_robustness(out / "robustness.csv", out / "robustness_plot.json", report)
     print(f"wrote {len(report.points)} grid points to {out / 'robustness.csv'}")
     return 0
@@ -176,10 +148,9 @@ def cmd_criticality(args, cfg: lkio.RunConfig, out: Path) -> int:
     for traj in _ingest_corpus(args, cfg):
         try:
             check_lane_range(traj, layout)
+            trajectories.append(traj)
         except LaneRangeError as exc:  # dropped as ego and as opponent
-            print(f"warning: vehicle {traj.vehicle_id} skipped: {exc}", file=sys.stderr)
-            continue
-        trajectories.append(traj)
+            _warn_skipped([(traj.vehicle_id, str(exc))])
     known = {t.vehicle_id for t in trajectories}
     windows, missing = [], []
     for ev in lkio.read_events(args.events):

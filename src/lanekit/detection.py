@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .trajectory import (
+    DEFAULT_CUTOFF,
     ContinuousLateral,
     LaneLayout,
     Trajectory,
@@ -30,6 +31,7 @@ from .trajectory import (
     check_range,
     continuous_lateral,
     derivative,
+    lowpass_rows,
     time_overlap,
 )
 
@@ -50,6 +52,7 @@ __all__ = [
     "settle_mask",
     "check_distance_threshold",
     "distance_events",
+    "detect_rows",
     "classify_double",
 ]
 
@@ -521,6 +524,45 @@ def _boundary_cross_time(t: np.ndarray, yy: np.ndarray, t0: float, t1: float,
         return 0.5 * (t0 + t1)
     i = int(crossings[0])
     return _cross_time(t[k], vv, i, i + 1, 0.0)
+
+
+def detect_rows(trajs: Sequence[Trajectory], rows: Sequence[np.ndarray], layout: LaneLayout,
+                criteria: Sequence[str], params: PeakParams | None = None,
+                distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD,
+                cutoff: float | None = DEFAULT_CUTOFF,
+                min_extent: float | None = DEFAULT_MIN_EXTENT,
+                ) -> Iterator[dict[str, list[list[LaneChangeEvent]]]]:
+    """The peak and distance criteria on stacks of ``lat`` rows.
+
+    ``rows`` holds, for each of ``trajs`` in turn, a stack of versions of
+    its ``lat`` channel along the first axis.  With a ``cutoff`` every
+    stack is low-passed first, all in one ``lowpass_rows`` call.  Each
+    stack then takes one ``derivative`` and, as the ``criteria`` need,
+    one ``displacement`` and one ``settle_mask``, and each criterion runs
+    its kernel on every row: ``peak`` as ``detect_peak`` with
+    ``min_extent``, ``distance`` as ``detect_distance``.  Yields, for each
+    vehicle in turn, ``{criterion: [events of each row]}``.
+    """
+    params = params or PeakParams()
+    if cutoff is not None:
+        rows = lowpass_rows(trajs, rows, cutoff, layout)
+    for traj, lat in zip(trajs, rows):
+        y = layout.lateral(traj.lane, lat)
+        dy = derivative(y, traj.dt)
+        found = {}
+        if "peak" in criteria:
+            disp = displacement(dy, traj.dt)
+            rel_h = rel_height_from_widths(traj.shape.width, layout.lane_width)
+            found["peak"] = [peak_events(traj.vehicle_id, traj.t, dy[r], disp[r], traj.v,
+                                         traj.rate, rel_h, params, min_extent)
+                             for r in range(len(y))]
+        if "distance" in criteria:
+            nearest, rests = settle_mask(y, dy, layout, distance_threshold, DEFAULT_SETTLE_RATE)
+            found["distance"] = [distance_events(traj.vehicle_id, traj.t, y[r], traj.v,
+                                                 nearest[r], rests[r], layout,
+                                                 distance_threshold, DEFAULT_SETTLE_DWELL)
+                                 for r in range(len(y))]
+        yield found
 
 
 def detect_gradient(traj: Trajectory, layout: LaneLayout,

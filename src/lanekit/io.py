@@ -8,10 +8,11 @@ The marking-distance columns may be empty (aerial-style inputs).  Vehicle
 shapes are not part of the trajectory schema; they travel in a companion
 vehicles CSV (``vehicle_id,class,length,width``) or fall back to a
 configured default.  ``ingest`` parses a clean trajectory file
-column-wise with ``np.loadtxt`` in one streaming pass and any other file,
-a marked one with an empty marking among them, row by row with
-``csv.reader``, the only reader that names a rejected row; it splits
-either parser's rows by vehicle, so both give the same report.
+column-wise with ``np.loadtxt`` in one streaming pass, a chunk of rows
+per call, and any other file, a marked one with an empty marking among
+them, row by row with ``csv.reader``, the only reader that names a
+rejected row; it splits either parser's rows by vehicle, so both give
+the same report.
 
 Configuration files are ``key = value`` lines with ``#`` comments.  JSON
 reports carry a top-level ``"schema": 1``.
@@ -22,9 +23,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from io import StringIO
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -36,8 +38,8 @@ from .detection import (DEFAULT_DISTANCE_THRESHOLD, DEFAULT_MIN_EXTENT, Directio
 from .mis import MISConfig
 from .robustness import Perturbation, RobustnessReport
 from .synth import DEFAULT_N, DEFAULT_TRUCK_FRACTION
-from .trajectory import (CHANNELS, DEFAULT_CUTOFF, MARKINGS, LaneLayout, Trajectory,
-                         VehicleClass, VehicleShape, check_range, fmt)
+from .trajectory import (CHANNELS, DEFAULT_CUTOFF, DEFAULT_RATE, MARKINGS, LaneLayout,
+                         Trajectory, VehicleClass, VehicleShape, check_range, fmt)
 from .wiedemann import SampledScenarioSet, ScenarioSpec, W99Params, check_dt
 
 __all__ = [
@@ -115,6 +117,11 @@ def _read_table(path: str | Path, header: list[str],
 _HEADER_LINE = ",".join(TRAJECTORY_HEADER)
 _LANE = CHANNELS.index("lane")  # its column in the rows of t..d_right
 _BLOCK_CHARS = 1 << 14  # size hint of the line blocks the columnar parse reads
+# Rows per array of the columnar parse, a few hundred kB.  One array of a
+# whole large file, freed as ingest returns, leaves a heap hole that the
+# next ingest's array may or may not fit in, so a long-lived process's peak
+# memory would depend on what it ran before.
+_CHUNK_ROWS = 1 << 13
 # Characters with which csv.reader or float() may read a line otherwise
 # than np.loadtxt does: a quote (csv.reader unquotes), a NUL (csv.reader
 # refuses it before Python 3.11), and the separators U+001C..U+001F, which
@@ -167,10 +174,11 @@ def _scan_lines(fh, block: list[str], unmarked: bool,
         block = fh.readlines(_BLOCK_CHARS)
 
 
-def _parse_clean(fh) -> tuple[np.ndarray, list[tuple[str, int]]] | None:
-    """Columns t..d_right of a clean file (see ``ingest``) as one array,
-    plus its id runs; None for any other file.  When the first line has
-    empty markings the array holds columns t..a_lat only.
+def _parse_clean(fh) -> tuple[list[np.ndarray], list[tuple[str, int]]] | None:
+    """Columns t..d_right of a clean file (see ``ingest``) as arrays of
+    ``_CHUNK_ROWS`` rows (the last one shorter), plus its id runs; None
+    for any other file.  When the first line has empty markings the
+    arrays hold columns t..a_lat only.
     """
     if fh.readline().rstrip("\r\n") != _HEADER_LINE:
         return None
@@ -181,15 +189,19 @@ def _parse_clean(fh) -> tuple[np.ndarray, list[tuple[str, int]]] | None:
     columns = CHANNELS if unmarked else CHANNELS + MARKINGS
     runs: list[tuple[str, int]] = []
     lines = chain.from_iterable(_scan_lines(fh, block, unmarked, runs))
+    chunks = []
     try:
-        data = np.loadtxt(lines, delimiter=",", usecols=range(1, 1 + len(columns)),
-                          comments=None, ndmin=2)
+        for first in lines:  # loadtxt reads no line past max_rows
+            data = np.loadtxt(chain([first], lines), delimiter=",", max_rows=_CHUNK_ROWS,
+                              usecols=range(1, 1 + len(columns)), comments=None, ndmin=2)
+            lane = data[:, _LANE]
+            if not (np.isfinite(data[:, :len(CHANNELS)]).all()
+                    and (np.floor(lane) == lane).all()):
+                return None
+            chunks.append(data)
     except (_Unclean, ValueError):
         return None
-    lane = data[:, _LANE]
-    if not (np.isfinite(data[:, :len(CHANNELS)]).all() and (np.floor(lane) == lane).all()):
-        return None
-    return data, runs
+    return chunks, runs
 
 
 def ingest(path: str | Path,
@@ -202,12 +214,13 @@ def ingest(path: str | Path,
     samples are rejected with a diagnostic.  A malformed header is a hard
     error.
 
-    A clean file is parsed in one streaming pass by ``np.loadtxt``.  Clean
-    means no row would be rejected and no field is empty: the header is
-    exact, no line is blank or holds a quote, every line has ten fields,
-    the columns ``t``..``a_lat`` are finite and every lane is integral;
-    the one exception is a file whose first line has empty markings, where
-    every line's must be empty.  Any other file goes through the row-by-row
+    A clean file is parsed in one streaming pass by ``np.loadtxt``, a
+    chunk of ``_CHUNK_ROWS`` rows per call.  Clean means no row would be
+    rejected and no field is empty: the header is exact, no line is blank
+    or holds a quote, every line has ten fields, the columns ``t``..``a_lat``
+    are finite and every lane is integral; the one exception is a file
+    whose first line has empty markings, where every line's must be
+    empty.  Any other file goes through the row-by-row
     ``csv.reader`` parser, the only one that names a rejected row's line
     and reason.  Either parser's rows are then split by vehicle here, a
     vehicle's rows in file order even where other vehicles' rows
@@ -222,23 +235,35 @@ def ingest(path: str | Path,
             parsed = _parse_clean(fh)
     except UnicodeDecodeError:  # the row parser raises it again
         parsed = None
-    data, runs = parsed or _ingest_rows(path, report)
+    chunks, runs = parsed or _ingest_rows(path, report)
     if not runs:
         report.warnings.append(f"{path}: no data rows, empty corpus")
+    firsts = [0, *accumulate(len(c) for c in chunks)]  # each chunk's first row, then the end
     spans: dict[str, list[tuple[int, int]]] = {}
-    ends = [start for _, start in runs[1:]] + [len(data)]
+    ends = [start for _, start in runs[1:]] + [firsts[-1]]
     for (vid, start), end in zip(runs, ends):
         spans.setdefault(vid, []).append((start, end))
     for vid, parts in spans.items():
-        rows = np.concatenate([data[a:b] for a, b in parts])
+        rows = np.concatenate([piece for a, b in parts for piece in _rows(chunks, firsts, a, b)])
         _add_vehicle(report, vid, rows, shapes, default_shape)
     return report
 
 
-def _ingest_rows(path: Path, report: IngestReport) -> tuple[np.ndarray, list[tuple[str, int]]]:
-    """Columns t..d_right of the accepted rows of the file at ``path`` and
-    their id runs, as ``_parse_clean`` gives them, read row by row with
-    ``csv.reader``; each rejected row goes to ``report`` with its reason."""
+def _rows(chunks: list[np.ndarray], firsts: list[int], a: int, b: int) -> Iterator[np.ndarray]:
+    """Rows ``a`` to ``b`` of the concatenated ``chunks``, a view of each chunk they span."""
+    i = bisect_right(firsts, a) - 1
+    while a < b:
+        end = min(b, firsts[i + 1])
+        yield chunks[i][a - firsts[i]:end - firsts[i]]
+        a, i = end, i + 1
+
+
+def _ingest_rows(path: Path,
+                 report: IngestReport) -> tuple[list[np.ndarray], list[tuple[str, int]]]:
+    """Columns t..d_right of the accepted rows of the file at ``path``, in
+    one array, and their id runs, as ``_parse_clean`` gives them, read row
+    by row with ``csv.reader``; each rejected row goes to ``report`` with
+    its reason."""
     rows: list[list[float]] = []
     runs: list[tuple[str, int]] = []
     with path.open(newline="") as fh:
@@ -262,7 +287,7 @@ def _ingest_rows(path: Path, report: IngestReport) -> tuple[np.ndarray, list[tup
             if not runs or runs[-1][0] != vid:
                 runs.append((vid, len(rows)))
             rows.append(values)
-    return np.array(rows, dtype=float).reshape(-1, len(CHANNELS + MARKINGS)), runs
+    return [np.array(rows, dtype=float).reshape(-1, len(CHANNELS + MARKINGS))], runs
 
 
 def _add_vehicle(report: IngestReport, vid: str, rows: np.ndarray,
@@ -346,10 +371,12 @@ def write_events(path: str | Path, events: Iterable[LaneChangeEvent]) -> None:
             ])
 
 
-def _finite_event_field(row: list[str], i: int) -> float:
-    x = float(row[i])
-    if not math.isfinite(x):
-        raise ValueError(f"{EVENT_HEADER[i]}: expected a finite number, got {row[i]!r}")
+def _finite_event_field(row: list[str], i: int, missing: bool = False) -> float:
+    """Field ``i`` of an events row, finite or, with ``missing``, empty or nan."""
+    x = _parse_float(row[i]) if missing else float(row[i])
+    if math.isinf(x) or math.isnan(x) and not missing:
+        expected = "a finite number, empty or nan" if missing else "a finite number"
+        raise ValueError(f"{EVENT_HEADER[i]}: expected {expected}, got {row[i]!r}")
     return x
 
 
@@ -362,8 +389,8 @@ def read_events(path: str | Path) -> list[LaneChangeEvent]:
         t_end=_finite_event_field(row, 4),
         duration=_finite_event_field(row, 5),
         direction=Direction(row[6]),
-        v_mid=_parse_float(row[7]),
-        lateral_extent=float(row[8]),
+        v_mid=_finite_event_field(row, 7, missing=True),
+        lateral_extent=_finite_event_field(row, 8),
         kind=EventKind(row[9]),
     ))
 
@@ -572,16 +599,14 @@ class RunConfig:
     mis: MISConfig = field(default_factory=MISConfig)
     default_shape: VehicleShape = field(default_factory=VehicleShape)
     # preprocessing
-    resample_rate: float = 5.0  # [Hz]
+    resample_rate: float = DEFAULT_RATE  # [Hz]
     lowpass_cutoff: float = DEFAULT_CUTOFF  # [Hz]
-    lowpass_aerial: bool = True  # also filter marking-free (aerial) inputs
     # detection
     distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD  # [m]
     min_lateral_extent: float = DEFAULT_MIN_EXTENT  # [m]
     # robustness sweep
     bias_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)  # [m]
-    brownian_grid: tuple[float, ...] = (0.0, 0.005, 0.01, 0.02, 0.05)  # [m/sqrt(step)]
-    sweep_refilter: bool = True
+    brownian_grid: tuple[float, ...] = (0.0, 0.005, 0.01, 0.02, 0.05)  # [m/sqrt(resampled step)]
     # car following
     sim_dt: float = ScenarioSpec.dt  # [s]
     # synthetic corpus / misc

@@ -16,31 +16,21 @@ import numpy as np
 
 from .detection import (  # noqa: F401 - detect_*: perfbench/tracer.py wraps them here
     DEFAULT_DISTANCE_THRESHOLD,
-    DEFAULT_SETTLE_DWELL,
-    DEFAULT_SETTLE_RATE,
     PeakParams,
     detect_distance,
     detect_peak,
-    displacement,
-    distance_events,
-    peak_events,
-    rel_height_from_widths,
-    settle_mask,
+    detect_rows,
 )
 from .synth import SyntheticCorpus
 from .trajectory import (  # noqa: F401 - lowpass, continuous_lateral: as detect_* above
     DEFAULT_CUTOFF,
-    InsufficientSamplesError,
+    DEFAULT_RATE,
     LaneLayout,
-    LaneRangeError,
     Trajectory,
-    check_lane_range,
-    check_lowpass,
     check_range,
     continuous_lateral,
-    derivative,
     lowpass,
-    lowpass_rows,
+    preprocess,
 )
 
 __all__ = [
@@ -141,75 +131,43 @@ def _row_key(pert: Perturbation, gi: int) -> object:
 def sweep(corpus: SyntheticCorpus, criterion: str | Sequence[str],
           grid: Sequence[Perturbation], layout: LaneLayout,
           params: PeakParams | None = None, distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD,
-          seed: int = 0, refilter: bool = True,
-          cutoff: float = DEFAULT_CUTOFF) -> RobustnessReport:
+          seed: int = 0, refilter: bool = True, cutoff: float = DEFAULT_CUTOFF,
+          rate: float = DEFAULT_RATE) -> RobustnessReport:
     """Detection counts of one or more criteria over a perturbation grid.
 
-    Perturbations are added to the lateral channel at the trajectories'
-    own rate; with ``refilter`` the low-pass runs again afterwards,
-    modelling raw measurement error entering before preprocessing.  The
-    perturbed ``lat`` rows of every vehicle, one per distinct grid point,
-    are filtered in one ``lowpass_rows`` call.  Each vehicle is then
-    evaluated once on its stacked grid signal: the continuous lateral
-    position, its derivative (one ``derivative`` call for all rows), the
-    displacement and the settle mask are computed once for the stack;
-    every criterion then runs its detector kernel on each row, sharing
-    the derivative.  Grid points that perturb alike (no perturbation, or
-    a repeated bias) are computed once and their count reused.  Random
-    streams are keyed by (seed, grid index, trajectory index) so
-    evaluation order does not change results.  The points come back per
-    criterion in the given order, each in grid order.  The peak criterion
-    runs without the minimum lateral-extent filter, counting raw
-    detections.  A vehicle too short to filter or with a lane index
-    outside ``layout`` is left out and listed in ``skipped`` with the
-    reason.
+    The vehicles are those ``lanekit detect`` runs on: ``preprocess``
+    resamples each to ``rate`` and lists those it skips in ``skipped``.
+    Perturbations are added to the resampled ``lat``, so a Brownian step
+    is one resampled step; with ``refilter`` the low-pass runs afterwards,
+    modelling raw measurement error entering before the filter.  Each
+    vehicle's perturbed rows, one per distinct grid point (no
+    perturbation and a repeated bias are computed once), go to
+    ``detect_rows`` as one stack under the raw-count rules: no extent
+    filter and no doubles merged.  So the unperturbed row counts the peak
+    and distance events ``detect`` finds before its extent filter and
+    ``classify_double``.  Random streams are keyed by (seed, grid index,
+    trajectory index).  The points come back per criterion in the given
+    order, each in grid order.
     """
     criteria = (criterion,) if isinstance(criterion, str) else tuple(criterion)
     for name in criteria:
         if name not in ("peak", "distance"):
             raise ValueError(f"unknown criterion {name!r}")
     truth = len(corpus.truth_events)
+    kept, skipped = preprocess(corpus.trajectories, layout, rate, cutoff)
     if not grid:
-        return RobustnessReport(())
-    params = params or PeakParams()
+        return RobustnessReport((), tuple(skipped))
 
     keys = [_row_key(pert, gi) for gi, pert in enumerate(grid)]
     distinct = list(dict.fromkeys(keys))
     computed = [keys.index(key) for key in distinct]  # grid index of each row
+    lats = [np.stack([_perturbed_lat(pre, grid[gi], seed, gi, ti) for gi in computed])
+            for ti, pre in kept]
     detected = {name: [0] * len(distinct) for name in criteria}
-    skipped, kept = [], []
-    for ti, traj in enumerate(corpus.trajectories):
-        try:
-            if refilter:
-                check_lowpass(traj, cutoff)
-            check_lane_range(traj, layout)
-        except (InsufficientSamplesError, LaneRangeError) as exc:
-            skipped.append((traj.vehicle_id, str(exc)))
-            continue
-        kept.append((ti, traj))
-    lats = [np.stack([_perturbed_lat(traj, grid[gi], seed, gi, ti) for gi in computed])
-            for ti, traj in kept]
-    trajs = [traj for _, traj in kept]
-    if refilter:
-        lats = lowpass_rows(trajs, lats, cutoff, layout)
-    for traj, lat in zip(trajs, lats):
-        y = layout.lateral(traj.lane, lat)
-        dy = derivative(y, traj.dt)
-        if "peak" in criteria:
-            disp = displacement(dy, traj.dt)
-            rel_h = rel_height_from_widths(traj.shape.width, layout.lane_width)
-        if "distance" in criteria:
-            nearest, rests = settle_mask(y, dy, layout, distance_threshold,
-                                         DEFAULT_SETTLE_RATE)
-        for r in range(len(distinct)):
-            for name in criteria:
-                if name == "peak":
-                    events = peak_events(traj.vehicle_id, traj.t, dy[r], disp[r], traj.v,
-                                         traj.rate, rel_h, params, min_extent=None)
-                else:
-                    events = distance_events(traj.vehicle_id, traj.t, y[r], traj.v,
-                                             nearest[r], rests[r], layout,
-                                             distance_threshold, DEFAULT_SETTLE_DWELL)
+    for found in detect_rows([pre for _, pre in kept], lats, layout, criteria, params,
+                             distance_threshold, cutoff if refilter else None, None):
+        for name in criteria:
+            for r, events in enumerate(found[name]):
                 detected[name][r] += len(events)
 
     return RobustnessReport(tuple(

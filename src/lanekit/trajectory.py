@@ -9,10 +9,11 @@ boundaries and is the signal all lane-change detectors operate on.
 This module is the one place that knows that frame: ``LaneLayout.center``,
 ``lateral``, ``nearest_lane`` and ``split`` convert between ``(lane, lat)``
 and ``y``, ``held_lane`` reads a track's lane between its samples and
-``derivative`` gives every lateral rate.  ``CHANNELS`` and ``MARKINGS``
-name a trajectory's channels in the order of the trajectory CSV, ``fmt``
-is the text of every number the CSV files hold, and ``check_range`` is
-the one range rule of every parameter dataclass.
+``derivative`` gives every lateral rate.  ``preprocess`` is the one rule
+of which tracks detection runs on, at what rate.  ``CHANNELS`` and
+``MARKINGS`` name a trajectory's channels in the order of the trajectory
+CSV, ``fmt`` is the text of every number the CSV files hold, and
+``check_range`` is the one range rule of every parameter dataclass.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "LaneRangeError",
     "held_lane",
     "resample",
+    "preprocess",
     "lowpass",
     "lowpass_rows",
     "check_lowpass",
@@ -435,6 +437,7 @@ def lowpass_rows(trajs: Sequence[Trajectory], rows: Sequence[np.ndarray], cutoff
 
 
 DEFAULT_CUTOFF = 1.3  # [Hz] low-pass cutoff of the preprocessing
+DEFAULT_RATE = 5.0  # [Hz] sample rate of the preprocessing
 
 
 def lowpass(traj: Trajectory, cutoff: float, layout: LaneLayout) -> Trajectory:
@@ -448,6 +451,31 @@ def lowpass(traj: Trajectory, cutoff: float, layout: LaneLayout) -> Trajectory:
     """
     (lat,) = lowpass_rows([traj], [traj.lat], cutoff, layout)
     return traj.with_channels(lat=lat)
+
+
+def preprocess(trajectories: Sequence[Trajectory], layout: LaneLayout,
+               rate: float = DEFAULT_RATE, cutoff: float = DEFAULT_CUTOFF,
+               ) -> tuple[list[tuple[int, Trajectory]], list[tuple[str, str]]]:
+    """The tracks detection runs on, and the reasons it skips the others.
+
+    Each of ``trajectories`` is resampled to ``rate`` (one within 1e-9 Hz
+    of it is kept as it is); a track too short to resample or to low-pass
+    at ``cutoff``, or with a lane index outside ``layout``, is skipped.
+    Returns ``(index, resampled track)`` of each kept track and
+    ``(vehicle_id, reason)`` of each skipped one, both in file order.
+    """
+    kept, skipped = [], []
+    for i, traj in enumerate(trajectories):
+        try:
+            if abs(traj.rate - rate) > 1e-9:
+                traj = resample(traj, rate)
+            check_lowpass(traj, cutoff)
+            check_lane_range(traj, layout)
+        except (InsufficientSamplesError, LaneRangeError) as exc:
+            skipped.append((traj.vehicle_id, str(exc)))
+            continue
+        kept.append((i, traj))
+    return kept, skipped
 
 
 def check_lane_range(traj: Trajectory, layout: LaneLayout) -> None:

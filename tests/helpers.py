@@ -58,6 +58,25 @@ def lane_keeping(record_len=60.0, rate=5.0, wiggle=0.3, lane=0, **kwargs) -> Tra
     return make_trajectory(t, y, **kwargs)
 
 
+def aerial_corpus(n=24, seed=3, rate=25.0):
+    """``generate_corpus(n, seed)`` as an aerial recording at ``rate``: each
+    track resampled, without markings and with 1 cm of white noise on
+    ``lat``, plus ``short``, a 1 s track that is 5 samples at 5 Hz."""
+    from lanekit.synth import SyntheticCorpus, generate_corpus
+    from lanekit.trajectory import resample
+    corpus = generate_corpus(n=n, seed=seed)
+    rng = np.random.default_rng(seed)
+    trajectories = []
+    for traj in corpus.trajectories:
+        fast = resample(traj, rate)
+        trajectories.append(fast.with_channels(
+            lat=fast.lat + rng.normal(0.0, 0.01, len(fast.t)), d_left=None, d_right=None))
+    t = 10.0 + np.arange(round(rate)) / rate
+    trajectories.append(make_trajectory(t, np.full(len(t), 3.6), vehicle_id="short",
+                                        markings=False))
+    return SyntheticCorpus(tuple(trajectories), corpus.truth_events, corpus.layout)
+
+
 def continuous(traj: Trajectory, layout=LAYOUT) -> ContinuousLateral:
     from lanekit.trajectory import continuous_lateral
     return continuous_lateral(traj, layout)
@@ -390,14 +409,18 @@ def ref_detect_peak(y, shape, layout, params=None, min_extent=2.5):
 
 
 def ref_sweep(corpus, criterion, grid, layout, params=None, distance_threshold=0.8,
-              seed=0, refilter=True, cutoff=1.3, min_extent=None):
+              seed=0, refilter=True, cutoff=1.3, min_extent=None, rate=5.0):
+    """Every vehicle resampled to ``rate`` unless it is at that rate, then
+    perturbed; none is skipped."""
     from lanekit.robustness import RobustnessPoint, RobustnessReport
-    from lanekit.trajectory import continuous_lateral
+    from lanekit.trajectory import continuous_lateral, resample
     truth = len(corpus.truth_events)
+    trajectories = [traj if abs(traj.rate - rate) <= 1e-9 else resample(traj, rate)
+                    for traj in corpus.trajectories]
     points = []
     for gi, pert in enumerate(grid):
         detected = 0
-        for ti, traj in enumerate(corpus.trajectories):
+        for ti, traj in enumerate(trajectories):
             stream = int(np.random.SeedSequence((seed, gi, ti)).generate_state(1)[0])
             perturbed = ref_perturb(traj, pert, stream)
             if refilter:

@@ -97,6 +97,60 @@ def test_file_of_skipped_vehicles_gives_empty_results(workdir, tmp_path, capsys,
     assert "warning: vehicle short skipped: insufficient samples" in capsys.readouterr().err
 
 
+def _write_corpus(corpus, out):
+    from lanekit.io import write_events, write_trajectories, write_vehicles
+    out.mkdir()
+    write_trajectories(out / "trajectories.csv", corpus.trajectories)
+    write_vehicles(out / "vehicles.csv", corpus.trajectories)
+    write_events(out / "truth_events.csv", corpus.truth_events)
+    return [f"--{flag}={out / name}" for flag, name in (
+        ("traj", "trajectories.csv"), ("vehicles", "vehicles.csv"))], out / "truth_events.csv"
+
+
+def test_detect_and_robustness_skip_the_same_vehicles(tmp_path, capsys):
+    # a 1 s track at 25 Hz has 25 samples, 5 once resampled to 5 Hz
+    from helpers import aerial_corpus
+    inputs, truth = _write_corpus(aerial_corpus(n=4), tmp_path / "in")
+    (tmp_path / "no_grid.cfg").write_text("bias_grid =\nbrownian_grid =\n")
+    warnings = {}
+    for name, argv in (("detect", ["detect"]), ("robustness", ["robustness", "--truth", truth]),
+                       ("no grid", ["robustness", "--truth", truth,
+                                    "--config", tmp_path / "no_grid.cfg"])):
+        assert run(*argv, *inputs, "--out", tmp_path / name) == 0
+        err = capsys.readouterr().err.splitlines()
+        warnings[name] = [line for line in err if " skipped: " in line]
+    assert warnings["detect"] == ["warning: vehicle short skipped: insufficient samples"]
+    assert warnings["robustness"] == warnings["no grid"] == warnings["detect"]
+
+
+@pytest.mark.parametrize("rate", [5.0, 25.0])
+def test_detect_counts_are_the_sweeps_unperturbed_row(tmp_path, capsys, monkeypatch, rate):
+    # under the sweep's raw-count rules: every extent kept, no event merged
+    # into a double
+    import csv
+    from lanekit import cli
+    from lanekit.synth import generate_corpus
+    from helpers import aerial_corpus
+    corpus = generate_corpus(n=24, seed=3) if rate == 5.0 else aerial_corpus()
+    inputs, truth = _write_corpus(corpus, tmp_path / "in")
+    (tmp_path / "raw.cfg").write_text("min_lateral_extent = 0\nbias_grid = 0\n"
+                                      "brownian_grid = 0\n")
+    monkeypatch.setattr(cli, "classify_double", lambda events, layout: list(events))
+    config = ("--config", tmp_path / "raw.cfg")
+    assert run("detect", *config, *inputs, "--criteria", "peak,distance",
+               "--out", tmp_path / "det") == 0
+    assert run("robustness", *config, *inputs, "--truth", truth, "--out", tmp_path / "rob") == 0
+    with (tmp_path / "det" / "events.csv").open() as fh:
+        events = [row["criterion"] for row in csv.DictReader(fh)]
+    with (tmp_path / "rob" / "robustness.csv").open() as fh:
+        points = list(csv.DictReader(fh))
+    assert len(points) == 4
+    for point in points:
+        assert int(point["detected"]) == events.count(point["criterion"]) > 0
+    err = capsys.readouterr().err
+    assert ("short skipped" in err) == (rate == 25.0)
+
+
 def test_detect_skips_lane_out_of_range(workdir, tmp_path, capsys):
     import numpy as np
     from lanekit.io import ingest, write_trajectories
@@ -764,7 +818,12 @@ def test_infinite_vehicle_length_fails_criticality(workdir, tmp_path, capsys):
     (lambda f: f[:9] + ["triple"], "'triple' is not a valid EventKind"),
     (lambda f: f[:4] + ["nan"] + f[5:], "t_end: expected a finite number, got 'nan'"),
     (lambda f: f[:2] + ["-inf"] + f[3:], "t_start: expected a finite number, got '-inf'"),
-], ids=["short", "number", "direction", "kind", "nan-end", "infinite-start"])
+    (lambda f: f[:7] + ["inf"] + f[8:], "v_mid: expected a finite number, empty or nan, "
+                                        "got 'inf'"),
+    (lambda f: f[:8] + ["nan"] + f[9:], "lateral_extent: expected a finite number, got 'nan'"),
+    (lambda f: f[:8] + ["-inf"] + f[9:], "lateral_extent: expected a finite number, got '-inf'"),
+], ids=["short", "number", "direction", "kind", "nan-end", "infinite-start", "infinite-v-mid",
+        "nan-extent", "infinite-extent"])
 @pytest.mark.parametrize("command", ["stats", "criticality"])
 def test_malformed_events_row_names_file_and_line(workdir, tmp_path, capsys, command, edit,
                                                   message):

@@ -301,12 +301,14 @@ def _ingest_quietly(fn, path):
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=trajectory_files(), block=st.sampled_from((1, 120, 1 << 14)))
-def test_ingest_matches_row_reference(text, block):
+@given(text=trajectory_files(), block=st.sampled_from((1, 120, 1 << 14)),
+       chunk=st.sampled_from((1, 3, 1 << 13)))
+def test_ingest_matches_row_reference(text, block, chunk):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "traj.csv"
         path.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(lkio, "_BLOCK_CHARS", block):
+        with mock.patch.object(lkio, "_BLOCK_CHARS", block), \
+                mock.patch.object(lkio, "_CHUNK_ROWS", chunk):
             got = _ingest_quietly(ingest, path)
         want = _ingest_quietly(ref_ingest, path)
     if isinstance(want, tuple):
@@ -327,12 +329,18 @@ def test_ingest_clean_file_takes_columnar_parse(tmp_path, markings, interleave):
         header, *body = path.read_text().splitlines(keepends=True)
         runs = [list(rows) for _, rows in groupby(body, key=lambda r: r.split(",", 1)[0])]
         path.write_text(header + "".join(r for turn in zip_longest(*runs) for r in turn if r))
-    with mock.patch.object(lkio, "_ingest_rows", side_effect=AssertionError("row parser")), \
-            mock.patch.object(lkio, "_BLOCK_CHARS", 4096):
-        got = ingest(path)
-    assert_same_ingest(got, ref_ingest(path))
-    assert [t.vehicle_id for t in got.trajectories] == [t.vehicle_id for t in trajs]
-    assert [t.has_markings for t in got.trajectories] == [markings] * len(trajs)
+    want = ref_ingest(path)
+    rows = sum(len(t.t) for t in trajs)
+    for chunk in (7, 1 << 13):  # with 7-row chunks, vehicles' runs straddle chunks
+        with mock.patch.object(lkio, "_ingest_rows", side_effect=AssertionError("row parser")), \
+                mock.patch.object(lkio, "_BLOCK_CHARS", 4096), \
+                mock.patch.object(lkio, "_CHUNK_ROWS", chunk), \
+                mock.patch.object(lkio.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            got = ingest(path)
+        assert loadtxt.call_count == -(-rows // chunk)
+        assert_same_ingest(got, want)
+        assert [t.vehicle_id for t in got.trajectories] == [t.vehicle_id for t in trajs]
+        assert [t.has_markings for t in got.trajectories] == [markings] * len(trajs)
 
 
 def _marked_rows():
@@ -432,13 +440,13 @@ def test_parse_keyvalues(tmp_path):
 # comment line
 lane_width = 3.75   # trailing comment
 lane_count = 4
-sweep_refilter = false
+resample_rate = 10
 bias_grid = 0, 0.5, 1.0
 """)
     cfg = RunConfig.from_file(path)
     assert cfg.layout.lane_width == 3.75
     assert cfg.layout.lane_count == 4
-    assert cfg.sweep_refilter is False
+    assert cfg.resample_rate == 10.0
     assert cfg.bias_grid == (0.0, 0.5, 1.0)
     # untouched defaults
     assert cfg.thresholds.thw_crit == 0.9
@@ -449,6 +457,15 @@ def test_unknown_config_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("warp_speed = 9\n")
     with pytest.raises(ValueError, match="unknown config key"):
+        RunConfig.from_file(path)
+
+
+@pytest.mark.parametrize("key", ["lowpass_aerial", "sweep_refilter"])
+def test_low_pass_switches_are_unknown_keys(tmp_path, key):
+    # detect low-passes every vehicle it keeps, and the sweep measures detect
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = false\n")
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
         RunConfig.from_file(path)
 
 
@@ -493,7 +510,6 @@ CONFIG_KEYS = [
     ("speed_limit", "30", "layout.speed_limit", 30.0),
     ("resample_rate", "10", "resample_rate", 10.0),
     ("lowpass_cutoff", "1.1", "lowpass_cutoff", 1.1),
-    ("lowpass_aerial", "no", "lowpass_aerial", False),
     ("distance_threshold", "0.7", "distance_threshold", 0.7),
     ("prominence_min", "0.2", "peak.prominence_min", 0.2),
     ("min_peak_separation", "3", "peak.min_peak_separation", 3.0),
@@ -507,7 +523,6 @@ CONFIG_KEYS = [
     ("ttce_gate", "3", "thresholds.ttce_gate", 3.0),
     ("bias_grid", "0, 0.5", "bias_grid", (0.0, 0.5)),
     ("brownian_grid", "0.01", "brownian_grid", (0.01,)),
-    ("sweep_refilter", "Off", "sweep_refilter", False),
     ("cc0", "2", "w99.cc0", 2.0),
     ("cc1", "0.5", "w99.cc1", 0.5),
     ("cc2", "5", "w99.cc2", 5.0),
@@ -542,7 +557,7 @@ def test_config_key_set():
         candidates |= {name + f.name for f in fields(getattr(cfg, section))
                        for name in ("", prefix)}
     known = {key for key, *_ in CONFIG_KEYS}
-    assert len(known) == 42 and known < candidates
+    assert len(known) == 40 and known < candidates
     for key in candidates - known:
         with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
             RunConfig.from_dict({key: "1"})
@@ -552,10 +567,10 @@ def test_config_key_set():
 ACCEPTED_KEYS = [
     "a_lat_crit", "a_lon_crit", "bias_grid", "brownian_grid", "cc0", "cc1", "cc2", "cc3",
     "cc4", "cc5", "cc6", "cc7", "cc8", "cc9", "d_crit", "dce_crit", "distance_threshold",
-    "lane_count", "lane_width", "lowpass_aerial", "lowpass_cutoff", "marking_tolerance",
+    "lane_count", "lane_width", "lowpass_cutoff", "marking_tolerance",
     "min_lateral_extent", "min_peak_separation", "mis_comfort_decel_cap", "mis_delta_v_min",
     "mis_rear_detect_range", "mis_thw_increase", "prominence_min", "resample_rate", "seed",
-    "sim_dt", "speed_limit", "sweep_refilter", "synth_n", "thw_crit", "truck_fraction",
+    "sim_dt", "speed_limit", "synth_n", "thw_crit", "truck_fraction",
     "ttce_gate", "v_desired", "v_factor", "vehicle_length", "vehicle_width",
 ]
 
@@ -576,7 +591,7 @@ def test_accepted_config_keys_are_the_literal_set():
             RunConfig.from_dict({key: "?"})
         if not str(err.value).startswith("unknown config key"):
             accepted.add(key)
-    assert len(ACCEPTED_KEYS) == 42
+    assert len(ACCEPTED_KEYS) == 40
     assert sorted(accepted) == ACCEPTED_KEYS
 
 
@@ -606,7 +621,6 @@ def test_unexposed_fields_are_unknown_keys(key):
     ("lane_count", "3.0", "config key 'lane_count': expected int, got '3.0'"),
     ("thw_crit", "fast", "config key 'thw_crit': expected float, got 'fast'"),
     ("bias_grid", "0, x", "config key 'bias_grid': expected comma list of floats, got '0, x'"),
-    ("sweep_refilter", "maybe", "config key 'sweep_refilter': expected boolean, got 'maybe'"),
 ])
 def test_config_coercion_error_names_the_key(key, text, expected):
     with pytest.raises(ValueError) as err:

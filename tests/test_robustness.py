@@ -174,13 +174,16 @@ def sample():
                          ids=["bias", "brownian", "mixed", "default"])
 def test_one_pass_sweep_matches_two_pass_reference(sample, grid, refilter):
     from helpers import ref_sweep
-    got = sweep(sample, ("peak", "distance"), grid, sample.layout, seed=9,
-                refilter=refilter)
-    want = (ref_sweep(sample, "peak", grid, sample.layout, seed=9, refilter=refilter).points
-            + ref_sweep(sample, "distance", grid, sample.layout, seed=9,
-                        refilter=refilter).points)
-    assert got.points == want
-    assert any(p.detected != p.truth for p in got.points)
+    # at 5 Hz only the 25 Hz vehicle is resampled, at 10 Hz every vehicle
+    for rate in (5.0, 10.0):
+        got = sweep(sample, ("peak", "distance"), grid, sample.layout, seed=9,
+                    refilter=refilter, rate=rate)
+        want = (ref_sweep(sample, "peak", grid, sample.layout, seed=9, refilter=refilter,
+                          rate=rate).points
+                + ref_sweep(sample, "distance", grid, sample.layout, seed=9,
+                            refilter=refilter, rate=rate).points)
+        assert got.points == want
+        assert any(p.detected != p.truth for p in got.points)
 
 
 def test_sweep_points_grouped_by_criterion_in_given_order(corpus):
@@ -207,7 +210,8 @@ def test_sweep_skips_short_track(corpus):
     want = sweep(corpus, ("peak", "distance"), grid[:1], corpus.layout)
     assert want.skipped == ()
     assert tuple(p for p in got.points if p.kind == "bias") == want.points
-    assert sweep(mixed, "peak", grid, corpus.layout, refilter=False).skipped == ()
+    # detect skips it too, so the sweep does whether or not it filters
+    assert sweep(mixed, "peak", grid, corpus.layout, refilter=False).skipped == got.skipped
 
 
 @pytest.mark.parametrize("refilter", [True, False])
@@ -223,3 +227,38 @@ def test_sweep_skips_lane_out_of_range(corpus, refilter):
     assert got.skipped == (("wide", "lane index out of range for layout"),)
     assert got.points == sweep(corpus, ("peak", "distance"), grid, corpus.layout,
                                refilter=refilter).points
+
+
+def test_25_hz_corpus_sweeps_as_its_5_hz_resample():
+    # the sweep resamples first, so a recording and its resample are one input
+    from lanekit.trajectory import resample
+    from helpers import aerial_corpus
+    fast = aerial_corpus()
+    slow = SyntheticCorpus(tuple(resample(traj, 5.0) for traj in fast.trajectories),
+                           fast.truth_events, fast.layout)
+    got = sweep(fast, ("peak", "distance"), DEFAULT_GRID, fast.layout, seed=4)
+    assert got == sweep(slow, ("peak", "distance"), DEFAULT_GRID, fast.layout, seed=4)
+    assert got.skipped == (("short", "insufficient samples"),)
+    assert any(p.detected != p.truth for p in got.points)
+
+
+@pytest.mark.parametrize("rate", [5.0, 25.0])
+def test_detects_row_is_the_stacks_unperturbed_row(rate):
+    # detect's call (one row per vehicle) and a sweep-like stack whose first
+    # row is unperturbed give that row the same events, bit for bit
+    from lanekit.detection import detect_rows
+    from lanekit.trajectory import preprocess
+    from helpers import aerial_corpus
+    corpus = generate_corpus(n=24, seed=3) if rate == 5.0 else aerial_corpus()
+    kept, _ = preprocess(corpus.trajectories, corpus.layout)
+    pres = [pre for _, pre in kept]
+    rng = np.random.default_rng(1)
+    stacks = [np.stack([pre.lat, pre.lat + 0.5, pre.lat + rng.normal(0.0, 0.05, len(pre.t))])
+              for pre in pres]
+    rows = {"detect": [pre.lat[None] for pre in pres], "sweep": stacks}
+    found = {k: list(detect_rows(pres, v, corpus.layout, ("peak", "distance"), min_extent=None))
+             for k, v in rows.items()}
+    assert sum(len(f["peak"][0]) for f in found["detect"]) > 0
+    for one, stack in zip(found["detect"], found["sweep"]):
+        assert one["peak"][0] == stack["peak"][0]
+        assert one["distance"][0] == stack["distance"][0]
