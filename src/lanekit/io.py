@@ -380,8 +380,11 @@ def _finite_event_field(row: list[str], i: int, missing: bool = False) -> float:
     return x
 
 
-def read_events(path: str | Path) -> list[LaneChangeEvent]:
-    return _read_table(path, EVENT_HEADER, lambda row: LaneChangeEvent(
+def _event(row: list[str]) -> LaneChangeEvent:
+    """The event of an events row.  ``t_end >= t_start`` and ``duration >=
+    0``; ``t_mid`` may lie outside the window (a gradient event puts it at
+    the marking jump)."""
+    event = LaneChangeEvent(
         vehicle_id=row[0],
         criterion=row[1],
         t_start=_finite_event_field(row, 2),
@@ -392,7 +395,16 @@ def read_events(path: str | Path) -> list[LaneChangeEvent]:
         v_mid=_finite_event_field(row, 7, missing=True),
         lateral_extent=_finite_event_field(row, 8),
         kind=EventKind(row[9]),
-    ))
+    )
+    if event.t_end < event.t_start:
+        raise ValueError(f"t_end: expected at least t_start {row[2]}, got {row[4]!r}")
+    if event.duration < 0.0:
+        raise ValueError(f"duration: expected a number >= 0, got {row[5]!r}")
+    return event
+
+
+def read_events(path: str | Path) -> list[LaneChangeEvent]:
+    return _read_table(path, EVENT_HEADER, _event)
 
 
 # --------------------------------------------------------------------------
@@ -430,8 +442,11 @@ def write_records(path: str | Path, records: Iterable[CriticalityRecord]) -> Non
 def write_thw_traces(path: str | Path, result: SampledScenarioSet) -> None:
     """One line per (cc1, opponent, t): scenarios in run order, opponents
     sorted by id, ``thw`` empty where that opponent is not the leader.
-    Each (scenario, opponent) block is one write."""
+    Each (scenario, opponent) block is one write; a block whose trace is
+    all NaN, an opponent that never leads, is one ``str.join`` over the
+    shared ``t`` column, as its lines differ only there."""
     t_col = [fmt(tk) for tk in result.t.tolist()]
+    t_cells = t_col + [""]  # joined, the t column with a separator after each
     with Path(path).open("w", newline="") as fh:
         fh.write("t,opponent_id,thw,cc1\r\n")
         for sc in result.scenarios:
@@ -439,8 +454,11 @@ def write_thw_traces(path: str | Path, result: SampledScenarioSet) -> None:
             for opp_id, trace in sorted(sc.thw_traces.items()):
                 # the lines t + mid + thw + tail, without a string per line
                 mid = f",{_csv_field(opp_id)},"
-                fh.write("".join(chain.from_iterable(
-                    zip(t_col, repeat(mid), _fmt_column(trace), repeat(tail)))))
+                if np.isnan(trace).all():
+                    fh.write((mid + tail).join(t_cells))
+                else:
+                    fh.write("".join(chain.from_iterable(
+                        zip(t_col, repeat(mid), _fmt_column(trace), repeat(tail)))))
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -466,9 +484,22 @@ def write_json(path: str | Path, payload: dict) -> None:
 _json_str = json.encoder.encode_basestring_ascii
 
 
+def _flat_texts(items: list | tuple) -> list[str] | None:
+    """The JSON texts of ``items`` if it holds only finite ``float`` or only
+    ``str`` objects, as the time series of a report do; else None."""
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        return list(map(float.__repr__, items)) if all(map(math.isfinite, items)) else None
+    if kinds == {str}:
+        return list(map(_json_str, items))
+    return None
+
+
 def _json_text(obj, newline: str, out: list[str]) -> None:
     """Append the JSON text of ``obj`` to ``out``; ``newline`` is the line
-    break and indent that close ``obj`` when it is a container."""
+    break and indent that close ``obj`` when it is a container.  A list of
+    finite floats or of strings is one ``join`` (``_flat_texts``); any
+    other list goes item by item."""
     if isinstance(obj, (list, tuple, dict)):
         brackets = "{}" if isinstance(obj, dict) else "[]"
         if not obj:
@@ -476,6 +507,10 @@ def _json_text(obj, newline: str, out: list[str]) -> None:
             return
         inner = newline + " "
         sep = "," + inner
+        texts = None if isinstance(obj, dict) else _flat_texts(obj)
+        if texts is not None:
+            out.append("[" + inner + sep.join(texts) + newline + "]")
+            return
         first = len(out)
         if isinstance(obj, dict):
             for key in sorted(obj):
@@ -483,7 +518,6 @@ def _json_text(obj, newline: str, out: list[str]) -> None:
                 _json_text(obj[key], inner, out)
         else:
             for item in obj:
-                # the time series of a report: floats and strings without a call
                 if isinstance(item, float):
                     out.append(sep + (float.__repr__(item) if math.isfinite(item) else "null"))
                 elif isinstance(item, str):

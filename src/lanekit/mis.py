@@ -231,9 +231,10 @@ def run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
     half_wid_er = 0.5 * (sc.ego_shape.width + sc.rear_shape.width)
     delay_steps = int(round(sc.rear_reaction_delay / dt))
 
-    a_ego = np.empty(n)
-    thw_front = np.empty(n)
-    rear_gap = np.empty(n)
+    # the per-step series, as lists until the report is built
+    a_ego: list[float] = []
+    thw_front: list[float] = []
+    rear_gap: list[float] = []
     modes: list[str] = []
     rear_cmds: list[float] = []
 
@@ -250,12 +251,15 @@ def run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
     braked_in_window = braked_in_overlap = False
     min_rear_gap = math.inf
 
+    len_e, len_f, len_r = sc.ego_shape.length, sc.front_shape.length, sc.rear_shape.length
     for k, tk in enumerate(t_grid.tolist()):
-        ego = CFState(s_e, v_e, a_e, sc.ego_shape.length)
-        front = CFState(s_f, v_f, a_f, sc.front_shape.length)
-        rear = CFState(s_r, v_r, a_r, sc.rear_shape.length)
-        thw = thw_front[k] = _front_thw(ego, front)
-        d_r = rear_gap[k] = net_gap(rear, ego)
+        ego = CFState(s_e, v_e, a_e, len_e)
+        front = CFState(s_f, v_f, a_f, len_f)
+        rear = CFState(s_r, v_r, a_r, len_r)
+        thw = _front_thw(ego, front)
+        d_r = net_gap(rear, ego)
+        thw_front.append(thw)
+        rear_gap.append(d_r)
         behind = rear.s < ego.s and abs(y_r - y_home) < half_wid_er
         if behind:
             min_rear_gap = min(min_rear_gap, d_r)
@@ -308,7 +312,8 @@ def run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
                 and (maneuver_end is None or tk <= maneuver_end)):
             braked_in_window = True
             braked_in_overlap = braked_in_overlap or behind
-        a_e = a_ego[k] = a_cmd
+        a_e = a_cmd
+        a_ego.append(a_cmd)
         modes.append(mode)
 
         # --- front vehicle script: brakes from front_brake.t, or from the
@@ -337,8 +342,8 @@ def run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
         window=(math.nan if lc_start is None else lc_start,
                 float(t_grid[-1]) if maneuver_end is None else maneuver_end),
         t=t_grid,
-        a_ego=a_ego,
-        thw_front=thw_front,
-        rear_gap=rear_gap,
+        a_ego=np.array(a_ego),
+        thw_front=np.array(thw_front),
+        rear_gap=np.array(rear_gap),
         mode=tuple(modes),
     )

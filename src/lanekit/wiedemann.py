@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,11 +70,12 @@ class W99Params:
         return self.cc0 + self.cc1 * v
 
 
-@dataclass(frozen=True)
-class CFState:
+class CFState(NamedTuple):
     """Longitudinal state of one vehicle for the car-following law.
 
-    ``s`` is the footprint center position along the road.
+    ``s`` is the footprint center position along the road.  A named tuple,
+    not a dataclass: the rollout and the closed loop build one per vehicle
+    and step, and a tuple costs a fraction of a frozen dataclass to make.
     """
 
     s: float
@@ -104,6 +105,13 @@ def _free_accel(v: float, p: W99Params) -> float:
     return max(a_max, 0.05)
 
 
+def _toward_desired(v: float, p: W99Params) -> float:
+    """Free-driving command at speed ``v`` >= 0: taper to exactly zero at
+    ``v_desired``, gentle trim above it."""
+    err = p.v_desired - v
+    return min(_free_accel(v, p), err / 2.0) if err >= 0.0 else max(err / 2.0, -p.cc7)
+
+
 def w99_accel(follower: CFState, leader: CFState | None, p: W99Params) -> float:
     """Acceleration command of the Wiedemann99 regime logic [m/s^2].
 
@@ -113,18 +121,9 @@ def w99_accel(follower: CFState, leader: CFState | None, p: W99Params) -> float:
     """
     v = max(follower.v, 0.0)
     a_cap = p.cc8 + p.cc9
-
-    def toward_desired() -> float:
-        # taper to exactly zero at v_desired, gentle trim above it
-        err = p.v_desired - v
-        return min(_free_accel(v, p), err / 2.0) if err >= 0.0 else max(err / 2.0, -p.cc7)
-
-    if leader is None:
-        return _clamp(toward_desired(), A_MIN, a_cap)
-
-    dx = net_gap(follower, leader)
+    dx = math.inf if leader is None else net_gap(follower, leader)
     if dx > LOOK_AHEAD:
-        return _clamp(toward_desired(), A_MIN, a_cap)
+        return _clamp(_toward_desired(v, p), A_MIN, a_cap)
 
     vl = max(leader.v, 0.0)
     dv = vl - v  # positive when the gap is opening
@@ -160,10 +159,10 @@ def w99_accel(follower: CFState, leader: CFState | None, p: W99Params) -> float:
         # following: hold the gap near the middle of the oscillation band
         mid = sdxc + 0.5 * p.cc2
         a = _clamp(0.15 * (dx - mid) + 0.8 * dv, -p.cc7, p.cc7)
-        a = min(a, toward_desired())
+        a = min(a, _toward_desired(v, p))
     else:
         # free driving (leader far or pulling away)
-        a = toward_desired()
+        a = _toward_desired(v, p)
 
     return _clamp(a, A_MIN, a_cap)
 
@@ -181,7 +180,9 @@ class ScenarioSpec:
 
     The substituted vehicle starts from its recorded first sample and keeps
     its recorded lane sequence; everything else is replayed verbatim.
-    ``0 < dt <= 0.1``; a given ``duration`` is finite and positive.
+    ``0 < dt <= 0.1``; a given ``duration`` is finite and positive.  The
+    rollout must have at least one step, ``round(duration / dt) >= 1``,
+    with the substituted track's duration when none is given.
     """
 
     trajectories: tuple[Trajectory, ...]
@@ -196,6 +197,11 @@ class ScenarioSpec:
         check_range(self, "duration", positive=True)
         if all(t.vehicle_id != self.substituted_id for t in self.trajectories):
             raise ValueError(f"substituted vehicle {self.substituted_id!r} absent")
+        if len(self._time_grid()) < 2:
+            given = "" if self.duration is not None else " (the substituted track's)"
+            raise ValueError(f"duration{given} {self._duration():g} s is less than one "
+                             f"rollout step of dt {self.dt:g} s: need "
+                             f"round(duration / dt) >= 1")
 
     def substituted(self) -> Trajectory:
         for t in self.trajectories:
@@ -207,6 +213,15 @@ class ScenarioSpec:
         return tuple(t for t in self.trajectories
                      if t.vehicle_id != self.substituted_id)
 
+    def _duration(self) -> float:
+        return self.duration if self.duration is not None else self.substituted().duration
+
+    def _time_grid(self) -> np.ndarray:
+        """The rollout's step times, from the substituted track's first sample."""
+        t0 = float(self.substituted().t[0])
+        n = int(round((t0 + self._duration() - t0) / self.dt)) + 1
+        return t0 + np.arange(n) * self.dt
+
 
 def simulate(spec: ScenarioSpec) -> Trajectory:
     """Forward-Euler rollout of the substituted vehicle.
@@ -216,10 +231,12 @@ def simulate(spec: ScenarioSpec) -> Trajectory:
     the same position, the one listed first in the scenario leads.  The
     replayed traffic does not depend on the rollout, so it is tabulated on
     the rollout grid once per call: the held lanes (``held_lane``), and
-    each opponent's position where it is in view and in the substituted
-    vehicle's lane (``+inf`` elsewhere).  A step only picks its leader from
-    that row and interpolates the chosen leader's speed and acceleration.
-    Speeds are clamped at zero; the result is deterministic.
+    each opponent's position, speed and acceleration where it is in view
+    and in the substituted vehicle's lane.  An array ``np.interp`` gives
+    the same bits as the scalar call at each grid time.  A step only scans
+    its own in-lane entries, in opponent order, for the nearest one ahead;
+    the state stays in Python floats until the arrays are built at the
+    end.  Speeds are clamped at zero; the result is deterministic.
 
     ``lat`` is interpolated linearly between the recorded samples, also
     across a lane switch, while ``lane`` is held; so ``lane * width + lat``
@@ -228,48 +245,44 @@ def simulate(spec: ScenarioSpec) -> Trajectory:
     """
     rec = spec.substituted()
     others = spec.others()
-    t0 = float(rec.t[0])
-    t_end = t0 + (spec.duration if spec.duration is not None else rec.duration)
-    n = int(round((t_end - t0) / spec.dt)) + 1
-    t_grid = t0 + np.arange(n) * spec.dt
+    t_grid = spec._time_grid()
+    n = len(t_grid)
 
     lane = held_lane(rec, t_grid)
     opp_s = np.full((n, len(others)), math.inf)
+    opp_v = np.zeros_like(opp_s)
+    opp_a = np.zeros_like(opp_s)
     for j, opp in enumerate(others):
         k = time_overlap(t_grid, opp.t)
         tk = t_grid[k]
         opp_s[k, j] = np.where(held_lane(opp, tk) == lane[k],
                                np.interp(tk, opp.t, opp.s), math.inf)
+        opp_v[k, j] = np.interp(tk, opp.t, opp.v)
+        opp_a[k, j] = np.interp(tk, opp.t, opp.a_lon)
+    # the in-lane entries, by step and within a step by opponent; step k's
+    # are first[k]:first[k + 1]
+    steps, opps = np.nonzero(opp_s < math.inf)
+    first = np.searchsorted(steps, np.arange(n + 1)).tolist()
+    pos, vel, acc = (x[steps, opps].tolist() for x in (opp_s, opp_v, opp_a))
+    lengths = [others[j].shape.length for j in opps.tolist()]
 
-    s = np.empty(n)
-    v = np.empty(n)
-    a = np.empty(n)
-    s[0] = float(rec.s[0])
-    v[0] = max(float(rec.v[0]), 0.0)
-
-    prev_a = 0.0
+    model, dt, length = spec.model, spec.dt, rec.shape.length
+    s_k = float(rec.s[0])
+    v_k = max(float(rec.v[0]), 0.0)
+    a_k = 0.0
+    s, v, a = [], [], []
     for k in range(n):
-        follower = CFState(s=s[k], v=v[k], a=prev_a, length=rec.shape.length)
-        leader: CFState | None = None
-        if others:
-            row = opp_s[k]
-            ahead = np.where(row > s[k], row, math.inf)
-            j = int(ahead.argmin())  # first of equal minima: earliest opponent
-            if ahead[j] < math.inf:
-                opp = others[j]
-                tk = float(t_grid[k])
-                leader = CFState(
-                    s=float(ahead[j]),
-                    v=float(np.interp(tk, opp.t, opp.v)),
-                    a=float(np.interp(tk, opp.t, opp.a_lon)),
-                    length=opp.shape.length,
-                )
-
-        a[k] = w99_accel(follower, leader, spec.model)
-        prev_a = a[k]
-        if k + 1 < n:
-            s[k + 1] = s[k] + v[k] * spec.dt
-            v[k + 1] = max(v[k] + a[k] * spec.dt, 0.0)
+        nearest, i = math.inf, -1
+        for e in range(first[k], first[k + 1]):
+            # strict: of equal positions the earlier opponent leads
+            if s_k < pos[e] < nearest:
+                nearest, i = pos[e], e
+        leader = None if i < 0 else CFState(nearest, vel[i], acc[i], lengths[i])
+        a_k = w99_accel(CFState(s_k, v_k, a_k, length), leader, model)
+        s.append(s_k)
+        v.append(v_k)
+        a.append(a_k)
+        s_k, v_k = s_k + v_k * dt, max(v_k + a_k * dt, 0.0)
 
     lat = np.interp(t_grid, rec.t, rec.lat)
     a_lat = np.interp(t_grid, rec.t, rec.a_lat)
@@ -277,11 +290,11 @@ def simulate(spec: ScenarioSpec) -> Trajectory:
         vehicle_id=rec.vehicle_id,
         shape=rec.shape,
         t=t_grid,
-        s=s,
+        s=np.array(s),
         lane=lane,
         lat=lat,
-        v=v,
-        a_lon=a,
+        v=np.array(v),
+        a_lon=np.array(a),
         a_lat=a_lat,
         rate=1.0 / spec.dt,
     )

@@ -504,6 +504,87 @@ def ref_detect_distance(y, layout, threshold=0.8, settle_rate=0.15, settle_dwell
 
 
 # ---------------------------------------------------------------------------
+# The Wiedemann99 law as first written, frozen: w99_accel with its closure
+# toward_desired, _free_accel, _clamp, net_gap and the desired gap, and the
+# constants they read.  Test-only; w99_accel must match it bit for bit.
+
+_REF_V_CC9_REF = 80.0 / 3.6
+_REF_A_MIN = -8.0
+_REF_LOOK_AHEAD = 150.0
+
+
+def _ref_net_gap(behind, ahead) -> float:
+    return ahead.s - behind.s - 0.5 * (ahead.length + behind.length)
+
+
+def _ref_clamp(x: float, lo: float, hi: float) -> float:
+    return float(min(max(x, lo), hi))
+
+
+def _ref_free_accel(v: float, p) -> float:
+    a_max = p.cc8 + (p.cc9 - p.cc8) * min(v, _REF_V_CC9_REF) / _REF_V_CC9_REF
+    return max(a_max, 0.05)
+
+
+def ref_w99_accel(follower, leader, p) -> float:
+    v = max(follower.v, 0.0)
+    a_cap = p.cc8 + p.cc9
+
+    def toward_desired() -> float:
+        # taper to exactly zero at v_desired, gentle trim above it
+        err = p.v_desired - v
+        return min(_ref_free_accel(v, p), err / 2.0) if err >= 0.0 else max(err / 2.0, -p.cc7)
+
+    if leader is None:
+        return _ref_clamp(toward_desired(), _REF_A_MIN, a_cap)
+
+    dx = _ref_net_gap(follower, leader)
+    if dx > _REF_LOOK_AHEAD:
+        return _ref_clamp(toward_desired(), _REF_A_MIN, a_cap)
+
+    vl = max(leader.v, 0.0)
+    dv = vl - v  # positive when the gap is opening
+    al = leader.a
+
+    if vl <= 0.0:
+        sdxc = p.cc0
+    else:
+        v_slow = v if (dv >= 0.0 or al < -1.0) else vl
+        sdxc = p.cc0 + p.cc1 * v_slow  # W99Params.desired_gap
+    sdxo = sdxc + p.cc2  # upper edge of the following band
+    sdxv = sdxo + p.cc3 * (dv - p.cc4)  # perception distance for closing
+    sdv = p.cc6 * 1e-4 * dx * dx
+    sdvc = (p.cc4 - sdv) if vl > 0.0 else 0.0
+    sdvo = (sdv + p.cc5) if v > p.cc5 else sdv
+
+    if dv < sdvo and dx <= sdxc:
+        # emergency: closer than the desired minimum gap
+        a = 0.0
+        if v > 0.0:
+            if dv < 0.0:
+                if dx > p.cc0:
+                    a = min(al + dv * dv / (p.cc0 - dx), 0.0)
+                else:
+                    a = min(al + 0.5 * (dv - sdvo), 0.0)
+            a = min(a, -p.cc7)
+            a = max(a, -10.0 + 0.5 * math.sqrt(v))
+    elif dv < sdvc and dx < sdxv:
+        # closing in: constant deceleration that ends the approach at sdxc
+        a = al - 0.5 * dv * dv / max(dx - sdxc, 0.1)
+        a = min(a, 0.0)
+    elif dv < sdvo and dx < sdxo:
+        # following: hold the gap near the middle of the oscillation band
+        mid = sdxc + 0.5 * p.cc2
+        a = _ref_clamp(0.15 * (dx - mid) + 0.8 * dv, -p.cc7, p.cc7)
+        a = min(a, toward_desired())
+    else:
+        # free driving (leader far or pulling away)
+        a = toward_desired()
+
+    return _ref_clamp(a, _REF_A_MIN, a_cap)
+
+
+# ---------------------------------------------------------------------------
 # Reference rollout: the per-step loop that looked up held lanes, views and
 # opponent positions at every step, before simulate tabulated the replayed
 # traffic on the rollout grid.  Test-only; simulate must match it exactly.
@@ -515,7 +596,7 @@ def _ref_step_hold_lane(traj, t):
 
 def ref_simulate(spec):
     from lanekit.trajectory import Trajectory
-    from lanekit.wiedemann import CFState, w99_accel
+    from lanekit.wiedemann import CFState
     rec = spec.substituted()
     others = spec.others()
     t0 = float(rec.t[0])
@@ -552,7 +633,7 @@ def ref_simulate(spec):
                     length=opp.shape.length,
                 )
 
-        a[k] = w99_accel(follower, leader, spec.model)
+        a[k] = ref_w99_accel(follower, leader, spec.model)
         prev_a = a[k]
         if k + 1 < n:
             s[k + 1] = s[k] + v[k] * spec.dt
@@ -813,7 +894,7 @@ def ref_run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
         engagement_check,
         plan_decel,
     )
-    from lanekit.wiedemann import CFState, _clamp, net_gap, w99_accel
+    from lanekit.wiedemann import CFState, _clamp, net_gap
 
     cfg = cfg or MISConfig()
     sc = scenario
@@ -905,7 +986,7 @@ def ref_run_closed_loop(scenario: MISScenario, cfg: MISConfig | None = None,
                 leader_r = ego
             elif rear.s < front.s:
                 leader_r = front
-        cmd = w99_accel(rear, leader_r, sc.rear_model)
+        cmd = ref_w99_accel(rear, leader_r, sc.rear_model)
         rear_cmds.append(cmd)
         a_r = rear_cmds[max(k - delay_steps, 0)]
         rear_prev_a = a_r

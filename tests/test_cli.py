@@ -570,7 +570,12 @@ def test_mis_eval_rejects_a_tagged_front_overlapping_the_ego(tmp_path, capsys):
     ("dt = 0\n", "dt must be positive and <= 0.1 s"),
     ("dt = -0.05\n", "dt must be positive and <= 0.1 s"),
     ("duration = -5\n", "duration must be positive"),
-], ids=["dt-zero", "dt-negative", "duration-negative"])
+    ("duration = 0.01\n", "duration 0.01 s is less than one rollout step of dt 0.05 s: "
+                          "need round(duration / dt) >= 1"),
+    ("duration = 0.05\ndt = 0.1\n", "duration 0.05 s is less than one rollout step of "
+                                    "dt 0.1 s: need round(duration / dt) >= 1"),
+], ids=["dt-zero", "dt-negative", "duration-negative", "duration-under-a-step",
+        "duration-half-a-step"])
 def test_sample_rejects_bad_timing(tmp_path, capsys, text, message):
     from lanekit.io import write_trajectories
     from lanekit.synth import overtake_scenario
@@ -580,6 +585,7 @@ def test_sample_rejects_bad_timing(tmp_path, capsys, text, message):
     scenario.write_text("trajectories = scenario_traj.csv\nsubstituted_id = ego\n" + text)
     assert run("sample", "--scenario", scenario, "--out", tmp_path / "sample") == 1
     assert f"error: {message}\n" in capsys.readouterr().err
+    assert not any((tmp_path / "sample").iterdir())
 
 
 @pytest.mark.parametrize("text,message", [
@@ -822,8 +828,10 @@ def test_infinite_vehicle_length_fails_criticality(workdir, tmp_path, capsys):
                                         "got 'inf'"),
     (lambda f: f[:8] + ["nan"] + f[9:], "lateral_extent: expected a finite number, got 'nan'"),
     (lambda f: f[:8] + ["-inf"] + f[9:], "lateral_extent: expected a finite number, got '-inf'"),
+    (lambda f: f[:2] + [f[4], f[3], f[2]] + f[5:], "t_end: expected at least t_start "),
+    (lambda f: f[:5] + ["-3"] + f[6:], "duration: expected a number >= 0, got '-3'"),
 ], ids=["short", "number", "direction", "kind", "nan-end", "infinite-start", "infinite-v-mid",
-        "nan-extent", "infinite-extent"])
+        "nan-extent", "infinite-extent", "reversed-window", "negative-duration"])
 @pytest.mark.parametrize("command", ["stats", "criticality"])
 def test_malformed_events_row_names_file_and_line(workdir, tmp_path, capsys, command, edit,
                                                   message):

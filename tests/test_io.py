@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lanekit import io as lkio
@@ -703,8 +703,23 @@ def thw_results(draw):
         scenarios=tuple(draw(st.lists(scenarios, min_size=1, max_size=3))))
 
 
+def _thw_edges(t):
+    """Every kind of THW block over the grid ``t``: all NaN (one join over
+    the t column), NaN-free, finite only first or last, non-finite values,
+    and an id csv.writer quotes."""
+    n = len(t)
+    traces = {"never": [math.nan] * n, "always": [1.25 + k for k in range(n)],
+              "last": [math.nan] * (n - 1) + [0.75], "first": [2.0] + [math.nan] * (n - 1),
+              'id, "quoted"\n': [math.nan] * n, "mixed": [math.inf, -0.0, math.nan, 5e-324][:n]}
+    return SampledScenarioSet(t=np.array(t), scenarios=tuple(
+        SampledScenario(cc1, None, {k: np.array(v) for k, v in traces.items()}, {})
+        for cc1 in (0.9, 0.1)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(result=thw_results())
+@example(result=_thw_edges([0.5]))
+@example(result=_thw_edges([0.0, 0.05, 0.1, 0.15]))
 def test_write_thw_traces_matches_csv_writer(result):
     assert _same_bytes(lkio.write_thw_traces, ref_write_thw_traces, result)
 
@@ -726,8 +741,21 @@ JSON_VALUES = st.recursive(
     max_leaves=30)
 
 
+# lists like a report's time series, which one join writes when they hold
+# only finite floats or only strings, and near misses of those
+FLAT_LISTS = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+    st.lists(st.floats()),
+    st.lists(st.floats().map(np.float64)),
+    st.lists(st.floats() | st.sampled_from([True, 1, np.float64(2.5)])),
+    st.lists(JSON_TEXT),
+    st.lists(JSON_TEXT | st.sampled_from([*Direction, None, 0.5])),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False)).map(tuple))
+
+
 @settings(max_examples=300, deadline=None)
-@given(payload=st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=5))
+@given(payload=st.dictionaries(JSON_TEXT, JSON_VALUES | FLAT_LISTS
+                               | st.lists(FLAT_LISTS, max_size=3), max_size=5))
 def test_write_json_matches_json_dump(payload):
     assert _same_bytes(lkio.write_json, ref_write_json, payload)
 
@@ -735,6 +763,9 @@ def test_write_json_matches_json_dump(payload):
 def test_write_json_edge_values(tmp_path):
     payload = {"floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, np.float64(0.1),
                           np.float64(math.nan)],
+               "finite": [0.1, -0.0, 5e-324, 1e16], "inf": [1.5, -math.inf],
+               "float64": [np.float64(0.1), np.float64(2.0)], "with_bool": [1.5, True, 1],
+               "strings": ["a", "é\n", ""], "empty": [], "series": [[0.5, 1.0], ("x", "y")],
                "ints": [True, 1, False, 0, Lane.LEFT, 2 ** 70],
                "text": ["é\x00\x1f\ud800\U0001f600\"\\/", "", Direction.RIGHT],
                "\udfff key é": {"": [], "b": {}, "a": ([1, (2.5,)], {"z": None})}}

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lanekit.synth import generate_corpus, overtake_scenario
@@ -26,6 +26,7 @@ from helpers import (
     make_trajectory,
     ref_simulate,
     ref_thw_trace,
+    ref_w99_accel,
     same_float,
     sigmoid_profile,
 )
@@ -107,6 +108,54 @@ def test_clamp_equals_np_clip(x, bounds, at_bound):
         got = _clamp(value, lo, hi)
         assert type(got) is float
         assert same_float(got, float(np.clip(value, lo, hi))), (value, lo, hi, got)
+
+
+# Quarter-metre and quarter-m/s values: sums and differences of them are
+# exact, so a gap or a speed difference lands exactly on a regime edge
+# often; arbitrary floats cover the rest.  Positions are the footprint
+# centers with the follower at 0, so ``dx = s_leader - 0.5 * (lengths)``.
+QUARTERS = st.integers(-8, 800).map(lambda i: i * 0.25)
+SPEEDS = st.one_of(QUARTERS.filter(lambda x: x <= 50.0), st.floats(-1.0, 50.0),
+                   st.sampled_from([0.0, -0.0]))
+W99_PARAMS = st.builds(
+    W99Params, cc0=st.sampled_from([0.5, 1.5, 3.0]),
+    cc1=st.sampled_from([0.1, 0.25, 0.5, 0.9, 2.0]), cc2=st.sampled_from([0.0, 4.0]),
+    cc3=st.sampled_from([-8.0, 0.0]), cc4=st.sampled_from([-0.35, -0.5]),
+    cc5=st.sampled_from([0.35, 0.5]), cc6=st.sampled_from([0.0, 11.44]),
+    cc7=st.sampled_from([0.25, 1.0]), cc8=st.sampled_from([3.5, 1.0]),
+    cc9=st.sampled_from([1.5, 0.5]), v_desired=st.sampled_from([10.0, 33.33, 42.0]))
+LEADERS = st.none() | st.builds(
+    CFState, s=st.one_of(QUARTERS, st.floats(-20.0, 400.0), st.just(162.0)),
+    v=SPEEDS, a=st.one_of(st.sampled_from([-3.0, -1.0, -0.5, 0.0, 1.0]),
+                          st.floats(-8.0, 3.0)),
+    length=st.sampled_from([4.5, 12.0]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(v=SPEEDS, length=st.sampled_from([4.5, 12.0]), leader=LEADERS, p=W99_PARAMS)
+# no leader; a leader just beyond the look-ahead and one exactly at it;
+# a stopped leader, a stopped follower, a leader braking harder than -1;
+# each W99 regime is reached by an example below
+@example(v=30.0, length=4.5, leader=None, p=W99Params())
+@example(v=30.0, length=4.5, leader=CFState(154.75, 20.0, 0.0, 4.5), p=W99Params())
+@example(v=30.0, length=4.5, leader=CFState(154.5, 20.0, 0.0, 4.5), p=W99Params())
+@example(v=10.0, length=4.5, leader=CFState(8.0, 0.0, 0.0, 4.5), p=W99Params())
+@example(v=0.0, length=4.5, leader=CFState(30.0, 10.0, 0.0, 4.5), p=W99Params())
+@example(v=25.0, length=4.5, leader=CFState(40.0, 20.0, -2.0, 4.5), p=W99Params())
+# emergency edges: dv = sdvo (cc6 = 0, so sdvo = cc5) and dx = sdxc
+@example(v=20.0, length=4.5, leader=CFState(10.0, 20.5, 0.0, 4.5),
+         p=W99Params(cc6=0.0, cc5=0.5))
+@example(v=22.0, length=4.5, leader=CFState(16.0, 20.0, 0.0, 4.5), p=W99Params(cc1=0.5))
+# emergency inside cc0, and with the follower stopped; closing in; following
+@example(v=5.0, length=4.5, leader=CFState(5.5, 3.0, 0.0, 4.5), p=W99Params())
+@example(v=0.0, length=4.5, leader=CFState(5.0, 0.0, 0.0, 4.5), p=W99Params())
+@example(v=30.0, length=4.5, leader=CFState(45.0, 20.0, 0.0, 4.5), p=W99Params())
+@example(v=25.0, length=4.5, leader=CFState(30.5, 25.0, 0.0, 4.5), p=W99Params())
+def test_w99_accel_matches_frozen_law(v, length, leader, p):
+    follower = CFState(0.0, v, 0.0, length)
+    got = w99_accel(follower, leader, p)
+    assert type(got) is float
+    assert same_float(got, ref_w99_accel(follower, leader, p)), (follower, leader, p, got)
 
 
 @settings(max_examples=300, deadline=None)
@@ -226,10 +275,25 @@ def test_dt_precondition():
     ({"dt": -0.05}, "dt must be positive and <= 0.1 s"),
     ({"duration": -5.0}, "duration must be positive"),
     ({"duration": 0.0}, "duration must be positive"),
-], ids=["dt-zero", "dt-negative", "duration-negative", "duration-zero"])
+    ({"duration": 0.02}, r"duration 0.02 s is less than one rollout step of dt 0.05 s"),
+    ({"duration": 0.025}, r"need round\(duration / dt\) >= 1"),
+], ids=["dt-zero", "dt-negative", "duration-negative", "duration-zero", "duration-under-a-step",
+        "duration-half-a-step"])
 def test_scenario_timing_preconditions(change, message):
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(solo_spec(), **change)
+
+
+def test_scenario_track_shorter_than_a_step():
+    t = np.array([0.0, 0.02])
+    rec = make_trajectory(t, np.zeros(2), vehicle_id="ego", markings=False)
+    with pytest.raises(ValueError, match=r"duration \(the substituted track's\) 0.02 s is "
+                                         r"less than one rollout step of dt 0.05 s"):
+        ScenarioSpec(trajectories=(rec,), substituted_id="ego", model=W99Params(),
+                     layout=LAYOUT)
+    spec = ScenarioSpec(trajectories=(rec,), substituted_id="ego", model=W99Params(),
+                        layout=LAYOUT, dt=0.02)
+    assert len(simulate(spec).t) == 2
 
 
 # ---------------------------------------------------------------------------
