@@ -15,6 +15,7 @@ from lanekit import (
     detect_gradient,
     detect_peak,
     generate_corpus,
+    inject_bias,
 )
 
 corpus = generate_corpus(n=20, seed=7)
@@ -31,12 +32,11 @@ truth = by_vehicle[vid]
 print(f"vehicle {vid}: {len(traj.t)} samples at {traj.rate:g} Hz, "
       f"{len(truth)} true lane changes")
 
-y = continuous_lateral(traj, layout)
 for name, events in [
     ("truth   ", truth),
     ("gradient", detect_gradient(traj, layout)),
-    ("peak    ", detect_peak(y, traj.shape, layout)),
-    ("distance", detect_distance(y, layout, 0.8)),
+    ("peak    ", detect_peak(traj, layout)),
+    ("distance", detect_distance(traj, layout, 0.8)),
 ]:
     summary = ", ".join(
         f"{e.direction.value} @ {e.t_mid:6.1f} s ({e.duration:.1f} s)"
@@ -45,8 +45,8 @@ for name, events in [
 
 # the peak criterion reads everything off the derivative of the lateral
 # position, so a constant measurement offset changes nothing
-shifted = detect_peak(y.shifted(1.0), traj.shape, layout)
-base = detect_peak(y, traj.shape, layout)
+shifted = detect_peak(inject_bias(traj, 1.0), layout)
+base = detect_peak(traj, layout)
 print("\nwith a 1.0 m lateral offset the peak criterion finds "
       f"{len(shifted)} events at the same instants: "
       f"{[round(e.t_mid, 3) for e in shifted] == [round(e.t_mid, 3) for e in base]}")
@@ -56,14 +56,15 @@ try:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
+    y = continuous_lateral(traj, layout)
     fig, (ax1, ax2) = plt.subplots(2, 1, sharex=True, figsize=(9, 5))
-    ax1.plot(y.t, y.y, lw=1.0)
+    ax1.plot(traj.t, y, lw=1.0)
     for b in layout.boundaries():
         ax1.axhline(b, color="gray", ls=":", lw=0.7)
     for e in base:
         ax1.axvspan(e.t_start, e.t_end, color="tab:orange", alpha=0.25)
     ax1.set_ylabel("lateral position [m]")
-    ax2.plot(y.t, np.gradient(y.y, y.dt), lw=1.0)
+    ax2.plot(traj.t, np.gradient(y, traj.dt), lw=1.0)
     ax2.axhline(0.15, color="tab:red", ls="--", lw=0.7)
     ax2.axhline(-0.15, color="tab:red", ls="--", lw=0.7)
     ax2.set_xlabel("t [s]")

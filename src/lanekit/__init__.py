@@ -45,7 +45,6 @@ from .robustness import (
 from .stats import BoxSummary, box_summary, event_stats
 from .synth import SyntheticCorpus, generate_corpus
 from .trajectory import (
-    ContinuousLateral,
     LaneLayout,
     Trajectory,
     VehicleClass,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -331,7 +332,9 @@ def cmd_mis_eval(args, cfg: lkio.RunConfig, out: Path) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lanekit`` parser, built once per process: ``main`` reuses it."""
     parser = argparse.ArgumentParser(prog="lanekit",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -235,7 +235,7 @@ def _records(opponents: Sequence[Trajectory],
     def lateral_of(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
         """y and its rate, once per vehicle (an ego is often an opponent too)."""
         if id(traj) not in lateral:
-            y = continuous_lateral(traj, layout).y
+            y = continuous_lateral(traj, layout)
             lateral[id(traj)] = (y, derivative(y, traj.dt))
         return lateral[id(traj)]
 

@@ -12,6 +12,10 @@ Three interchangeable detectors:
 The peak criterion derives every event attribute from the derivative
 signal alone, which makes it invariant under a constant lateral offset of
 the input.
+
+The peak and distance criteria run one path, ``detect_rows``, on stacks of
+``lat`` rows: ``lanekit detect`` and the sweep on preprocessed tracks,
+``detect_peak`` and ``detect_distance`` on one unfiltered track.
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ import numpy as np
 
 from .trajectory import (
     DEFAULT_CUTOFF,
-    ContinuousLateral,
     LaneLayout,
     Trajectory,
-    VehicleShape,
+    check_lane_range,
     check_range,
     continuous_lateral,
     derivative,
@@ -289,10 +292,11 @@ def displacement(dy: np.ndarray, dt: float) -> np.ndarray:
     return np.concatenate([np.zeros(steps.shape[:-1] + (1,)), steps], axis=-1)
 
 
-def detect_peak(y: ContinuousLateral, shape: VehicleShape, layout: LaneLayout,
-                params: PeakParams | None = None,
+def detect_peak(traj: Trajectory, layout: LaneLayout, params: PeakParams | None = None,
                 min_extent: float | None = DEFAULT_MIN_EXTENT) -> list[LaneChangeEvent]:
-    """Peak criterion: events from peaks of the lateral-position derivative.
+    """Peak criterion: events from peaks of the derivative of the lateral
+    position of ``traj``, taken unfiltered (LaneRangeError for a lane
+    outside ``layout``).
 
     Left changes are peaks of +dy/dt, right changes of -dy/dt.  The event
     window is the peak width at the relative height derived from vehicle
@@ -302,11 +306,10 @@ def detect_peak(y: ContinuousLateral, shape: VehicleShape, layout: LaneLayout,
     <= ``min_extent`` are discarded; overlapping opposite-direction windows
     are resolved by keeping the dominant peak.
     """
-    params = params or PeakParams()
-    dy = derivative(y.y, y.dt)
-    return peak_events(y.vehicle_id, y.t, dy, displacement(dy, y.dt), y.v, y.rate,
-                       rel_height_from_widths(shape.width, layout.lane_width), params,
-                       min_extent)
+    check_lane_range(traj, layout)
+    (found,) = detect_rows([traj], [traj.lat[None]], layout, ("peak",), params,
+                           cutoff=None, min_extent=min_extent)
+    return found["peak"][0]
 
 
 def peak_events(vehicle_id: str, t: np.ndarray, dy: np.ndarray, disp: np.ndarray,
@@ -381,9 +384,10 @@ def _resolve_opposite_overlaps(candidates: list[_Candidate]) -> list[_Candidate]
     return kept
 
 
-def detect_distance(y: ContinuousLateral, layout: LaneLayout,
+def detect_distance(traj: Trajectory, layout: LaneLayout,
                     threshold: float = DEFAULT_DISTANCE_THRESHOLD) -> list[LaneChangeEvent]:
-    """Distance criterion: displacement from lane center beyond ``threshold``.
+    """Distance criterion: displacement of ``traj``, taken unfiltered, from
+    the lane center beyond ``threshold`` (LaneRangeError as detect_peak).
 
     An event opens at the first exceedance against the currently settled
     lane and is emitted once the vehicle settles in a different lane:
@@ -396,10 +400,10 @@ def detect_distance(y: ContinuousLateral, layout: LaneLayout,
     geometry, so a constant lateral bias displaces both the exceedance
     predicate and the settle band.
     """
-    nearest, rests = settle_mask(y.y, derivative(y.y, y.dt), layout, threshold,
-                                 DEFAULT_SETTLE_RATE)
-    return distance_events(y.vehicle_id, y.t, y.y, y.v, nearest, rests, layout,
-                           threshold, DEFAULT_SETTLE_DWELL)
+    check_lane_range(traj, layout)
+    (found,) = detect_rows([traj], [traj.lat[None]], layout, ("distance",),
+                           distance_threshold=threshold, cutoff=None)
+    return found["distance"][0]
 
 
 def settle_mask(y: np.ndarray, dy: np.ndarray, layout: LaneLayout, threshold: float,
@@ -539,9 +543,10 @@ def detect_rows(trajs: Sequence[Trajectory], rows: Sequence[np.ndarray], layout:
     stack is low-passed first, all in one ``lowpass_rows`` call.  Each
     stack then takes one ``derivative`` and, as the ``criteria`` need,
     one ``displacement`` and one ``settle_mask``, and each criterion runs
-    its kernel on every row: ``peak`` as ``detect_peak`` with
-    ``min_extent``, ``distance`` as ``detect_distance``.  Yields, for each
-    vehicle in turn, ``{criterion: [events of each row]}``.
+    its kernel on every row: ``peak_events`` (see ``detect_peak``) with
+    ``min_extent``, ``distance_events`` (see ``detect_distance``) with
+    ``distance_threshold``.  Yields, for each vehicle in turn,
+    ``{criterion: [events of each row]}``.
     """
     params = params or PeakParams()
     if cutoff is not None:
@@ -581,7 +586,7 @@ def detect_gradient(traj: Trajectory, layout: LaneLayout,
     idx = np.nonzero(np.abs(jumps) > 0.5 * w)[0]
 
     y = continuous_lateral(traj, layout)
-    peak_events = detect_peak(y, traj.shape, layout, params, min_extent=None)
+    peak_events = detect_peak(traj, layout, params, min_extent=None)
 
     events: list[LaneChangeEvent] = []
     for i in idx:
@@ -608,7 +613,7 @@ def detect_gradient(traj: Trajectory, layout: LaneLayout,
                 duration=t1 - t0,
                 direction=direction,
                 v_mid=_interp_at(traj.t, traj.v, t_mid),
-                lateral_extent=abs(_interp_at(y.t, y.y, t1) - _interp_at(y.t, y.y, t0)),
+                lateral_extent=abs(_interp_at(traj.t, y, t1) - _interp_at(traj.t, y, t0)),
                 truncated=True,
                 criterion="gradient",
             ))

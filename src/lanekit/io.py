@@ -98,17 +98,22 @@ def _data_rows(fh, path: str | Path, header: list[str]) -> Iterator[tuple[int, l
 
 
 def _read_table(path: str | Path, header: list[str],
-                parse: Callable[[list[str]], object]) -> list:
+                parse: Callable[[list[str]], object], unique: bool = False) -> list:
     """``parse`` of each data row of the CSV at ``path``; a row without one
-    field per column of ``header``, or one ``parse`` refuses with a
-    ValueError, is a ValueError naming the file and line."""
+    field per column of ``header``, one ``parse`` refuses with a
+    ValueError or else, with ``unique``, one whose first field an earlier
+    row holds, is a ValueError naming the file and line (and the earlier)."""
     out = []
+    line_of: dict[str, int] = {}
     with Path(path).open(newline="") as fh:
         for lineno, row in _data_rows(fh, path, header):
             try:
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                 out.append(parse(row))
+                if unique and line_of.setdefault(row[0], lineno) != lineno:
+                    raise ValueError(f"{header[0]} {row[0]!r} already listed on line "
+                                     f"{line_of[row[0]]}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
@@ -348,11 +353,14 @@ def write_vehicles(path: str | Path, trajectories: Iterable[Trajectory]) -> None
 
 
 def read_vehicles(path: str | Path) -> dict[str, VehicleShape]:
+    """The shape of each vehicle of the vehicles CSV at ``path``; a vehicle
+    listed twice is a ValueError naming the file and both lines."""
+
     def shape(row: list[str]) -> tuple[str, VehicleShape]:
         return row[0], VehicleShape(length=float(row[2]), width=float(row[3]),
                                     vclass=VehicleClass(row[1]))
 
-    return dict(_read_table(path, VEHICLE_HEADER, shape))
+    return dict(_read_table(path, VEHICLE_HEADER, shape, unique=True))
 
 
 # --------------------------------------------------------------------------

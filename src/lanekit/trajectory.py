@@ -2,9 +2,11 @@
 
 Trajectories are stored as parallel numpy channels at a uniform rate.  The
 lateral position is split into an integer lane index (0 = rightmost lane)
-and a signed in-lane offset ``lat`` (positive toward the left); the derived
-channel ``y = lane * lane_width + lat`` is continuous across lane
-boundaries and is the signal all lane-change detectors operate on.
+and a signed in-lane offset ``lat`` (positive toward the left); the global
+lateral position ``y = lane * lane_width + lat`` is continuous across lane
+boundaries and is the signal all lane-change detectors operate on.  It is
+not stored: ``continuous_lateral`` builds the array of a track, and the
+detectors build it from each row of ``lat`` they are handed.
 
 This module is the one place that knows that frame: ``LaneLayout.center``,
 ``lateral``, ``nearest_lane`` and ``split`` convert between ``(lane, lat)``
@@ -30,7 +32,6 @@ __all__ = [
     "LaneLayout",
     "VehicleShape",
     "Trajectory",
-    "ContinuousLateral",
     "InsufficientSamplesError",
     "LaneRangeError",
     "held_lane",
@@ -184,32 +185,6 @@ class Trajectory:
     def with_channels(self, **channels) -> "Trajectory":
         """Copy with replaced channel arrays."""
         return replace(self, **channels)
-
-
-@dataclass(frozen=True)
-class ContinuousLateral:
-    """Global lateral position y(t) = lane * lane_width + lat, continuous
-    across lane boundaries, plus the companion channels detectors need."""
-
-    vehicle_id: str
-    t: np.ndarray
-    y: np.ndarray
-    rate: float
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t", _frozen(self.t))
-        object.__setattr__(self, "y", _frozen(self.y))
-        object.__setattr__(self, "v", _frozen(self.v))
-        if len(self.t) != len(self.y):
-            raise ValueError("t and y length mismatch")
-
-    @property
-    def dt(self) -> float:
-        return 1.0 / self.rate
-
-    def shifted(self, offset: float) -> "ContinuousLateral":
-        return replace(self, y=self.y + offset)
 
 
 def time_overlap(t: np.ndarray, span: tuple[float, float] | np.ndarray) -> slice:
@@ -503,12 +478,12 @@ def check_range(obj, *names: str, low: float = -math.inf, positive: bool = False
             raise ValueError(f"{name} must be >= {low:g}")
 
 
-def continuous_lateral(traj: Trajectory, layout: LaneLayout) -> ContinuousLateral:
-    """Build the continuous global lateral channel y = lane*width + lat."""
+def continuous_lateral(traj: Trajectory, layout: LaneLayout) -> np.ndarray:
+    """The global lateral position ``y = lane * lane_width + lat`` of each
+    sample of ``traj``, continuous across lane boundaries; LaneRangeError
+    if a lane index lies outside ``layout``."""
     check_lane_range(traj, layout)
-    y = layout.lateral(traj.lane, traj.lat)
-    return ContinuousLateral(vehicle_id=traj.vehicle_id, t=traj.t, y=y,
-                             rate=traj.rate, v=traj.v)
+    return layout.lateral(traj.lane, traj.lat)
 
 
 def derivative(values: np.ndarray, dt: float) -> np.ndarray:

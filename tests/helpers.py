@@ -9,7 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from lanekit.trajectory import ContinuousLateral, LaneLayout, Trajectory, VehicleShape
+from lanekit.trajectory import LaneLayout, Trajectory, VehicleShape
 
 LAYOUT = LaneLayout()
 CAR = VehicleShape(4.8, 2.0)
@@ -77,9 +77,26 @@ def aerial_corpus(n=24, seed=3, rate=25.0):
     return SyntheticCorpus(tuple(trajectories), corpus.truth_events, corpus.layout)
 
 
-def continuous(traj: Trajectory, layout=LAYOUT) -> ContinuousLateral:
+@dataclass(frozen=True)
+class Lateral:
+    """The lateral signal ``y`` of a track with the channels the reference
+    detectors read beside it."""
+
+    vehicle_id: str
+    t: np.ndarray
+    y: np.ndarray
+    rate: float
+    v: np.ndarray
+
+    @property
+    def dt(self) -> float:
+        return 1.0 / self.rate
+
+
+def continuous(traj: Trajectory, layout=LAYOUT) -> Lateral:
+    """``continuous_lateral`` of ``traj`` as a ``Lateral``."""
     from lanekit.trajectory import continuous_lateral
-    return continuous_lateral(traj, layout)
+    return Lateral(traj.vehicle_id, traj.t, continuous_lateral(traj, layout), traj.rate, traj.v)
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +148,16 @@ def ref_pairwise_samples(ego, opp, layout, window) -> list[tuple]:
     t = ego.t[mask]
     if len(t) == 0:
         return []
-    e_y = continuous_lateral(ego, layout).y[mask]
+    e_y = continuous_lateral(ego, layout)[mask]
     e_s = ego.s[mask]
     e_vs = ego.v[mask]
-    e_vy = np.gradient(continuous_lateral(ego, layout).y, ego.dt)[mask]
+    e_vy = np.gradient(continuous_lateral(ego, layout), ego.dt)[mask]
     lo, hi = float(opp.t[0]), float(opp.t[-1])
     overlap = (t >= lo) & (t <= hi)
     if not np.any(overlap):
         return []
     tt = t[overlap]
-    o_y_full = continuous_lateral(opp, layout).y
+    o_y_full = continuous_lateral(opp, layout)
     o_s = np.interp(tt, opp.t, opp.s)
     o_y = np.interp(tt, opp.t, o_y_full)
     o_vs = np.interp(tt, opp.t, opp.v)
@@ -242,7 +259,7 @@ def assert_same_record(got, want) -> None:
 
 # ---------------------------------------------------------------------------
 # Reference sweep: the two-pass, per-criterion loop the one-pass sweep
-# replaced, with its per-call filter design, a ContinuousLateral and two
+# replaced, with its per-call filter design, a lateral signal and two
 # derivatives per grid point, the peak criterion before its array kernel
 # and range pre-check, and the per-sample distance criterion.  Test-only;
 # the library must match it exactly.
@@ -372,7 +389,7 @@ def _ref_half_displacement_time(t, disp, t0, t1, d0, d1, fallback):
 
 
 def ref_detect_peak(y, shape, layout, params=None, min_extent=2.5):
-    """The peak criterion on one ContinuousLateral, as one function."""
+    """The peak criterion on one ``Lateral``, as one function."""
     from lanekit.detection import (
         Direction,
         LaneChangeEvent,
@@ -413,7 +430,7 @@ def ref_sweep(corpus, criterion, grid, layout, params=None, distance_threshold=0
     """Every vehicle resampled to ``rate`` unless it is at that rate, then
     perturbed; none is skipped."""
     from lanekit.robustness import RobustnessPoint, RobustnessReport
-    from lanekit.trajectory import continuous_lateral, resample
+    from lanekit.trajectory import resample
     truth = len(corpus.truth_events)
     trajectories = [traj if abs(traj.rate - rate) <= 1e-9 else resample(traj, rate)
                     for traj in corpus.trajectories]
@@ -425,7 +442,7 @@ def ref_sweep(corpus, criterion, grid, layout, params=None, distance_threshold=0
             perturbed = ref_perturb(traj, pert, stream)
             if refilter:
                 perturbed = ref_lowpass_lat(perturbed, cutoff, layout)
-            y = continuous_lateral(perturbed, layout)
+            y = continuous(perturbed, layout)
             if criterion == "peak":
                 events = ref_detect_peak(y, traj.shape, layout, params,
                                          min_extent=min_extent)

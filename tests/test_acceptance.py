@@ -23,7 +23,7 @@ from lanekit.io import fmt
 from lanekit.mis import FrontBrakeInjection, MISConfig, MISScenario, run_closed_loop
 from lanekit.robustness import Perturbation, inject_bias, sweep
 from lanekit.synth import generate_corpus, overtake_scenario
-from lanekit.trajectory import LaneLayout, VehicleShape, continuous_lateral
+from lanekit.trajectory import LaneLayout, VehicleShape
 from lanekit.wiedemann import CFState, W99Params, sample_cc1, w99_accel
 
 LAYOUT = LaneLayout()
@@ -64,8 +64,7 @@ def test_criterion_1_bias(corpus):
     for bias in BIAS_GRID:
         events = []
         for traj in corpus.trajectories:
-            y = continuous_lateral(inject_bias(traj, bias), corpus.layout)
-            events.extend(detect_peak(y, traj.shape, corpus.layout))
+            events.extend(detect_peak(inject_bias(traj, bias), corpus.layout))
         snap = exported(events)
         if baseline is None:
             baseline = snap
@@ -75,8 +74,8 @@ def test_criterion_1_bias(corpus):
     for bias in BIAS_GRID:
         detected = 0
         for traj in corpus.trajectories:
-            y = continuous_lateral(inject_bias(traj, bias), corpus.layout)
-            detected += len(detect_distance(y, corpus.layout, DISTANCE_THRESHOLD))
+            biased = inject_bias(traj, bias)
+            detected += len(detect_distance(biased, corpus.layout, DISTANCE_THRESHOLD))
         if bias >= DISTANCE_THRESHOLD:
             assert abs(detected - truth) / truth >= 0.10, (
                 f"distance criterion too robust at bias {bias}: {detected}/{truth}")
@@ -113,9 +112,8 @@ def test_criterion_3_accuracy(corpus):
     n_grad = n_peak = grad_matched = peak_matched = durations_ok = 0
     for traj in corpus.trajectories:
         truth = truth_by_vehicle.get(traj.vehicle_id, [])
-        y = continuous_lateral(traj, corpus.layout)
         grad = detect_gradient(traj, corpus.layout)
-        peak = detect_peak(y, traj.shape, corpus.layout)
+        peak = detect_peak(traj, corpus.layout)
         n_grad += len(grad)
         n_peak += len(peak)
         for te in truth:

@@ -29,6 +29,25 @@ def test_synth_outputs(workdir):
         assert (workdir / name).exists()
 
 
+def test_main_builds_one_parser(tmp_path, monkeypatch):
+    import argparse
+
+    from lanekit import cli
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    assert run("synth", "--out", tmp_path / "a", "--n", "2") == 0
+    assert run("synth", "--out", tmp_path / "b", "--n", "2") == 0
+    # the parser and its seven subcommands' parsers, once for both calls
+    assert len(built) == 8 and built[0] == "lanekit"
+
+
 def test_synth_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run("synth", "--out", a, "--n", "5", "--seed", "7") == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,8 @@ from lanekit.detection import (
     settle_mask,
 )
 from lanekit.io import fmt
-from lanekit.trajectory import ContinuousLateral, VehicleShape, derivative
+from lanekit.robustness import inject_bias
+from lanekit.trajectory import LaneRangeError, VehicleShape, derivative
 
 from helpers import (
     CAR,
@@ -173,7 +176,7 @@ def test_width_clamps_and_flags_truncated():
 
 def test_sigmoid_single_event():
     traj = sigmoid_lane_change(duration=6.0, v=30.0)
-    events = detect_peak(continuous(traj), CAR, LAYOUT)
+    events = detect_peak(traj, LAYOUT)
     assert len(events) == 1
     ev = events[0]
     assert ev.direction is Direction.LEFT
@@ -186,19 +189,18 @@ def test_sigmoid_single_event():
 
 def test_bias_leaves_event_list_identical():
     traj = sigmoid_lane_change(duration=6.0)
-    y = continuous(traj)
-    base = detect_peak(y, CAR, LAYOUT)
-    shifted = detect_peak(y.shifted(1.0), CAR, LAYOUT)
+    base = detect_peak(traj, LAYOUT)
+    shifted = detect_peak(inject_bias(traj, 1.0), LAYOUT)
     assert exported(base) == exported(shifted)
 
 
 def test_small_extent_rejected():
     traj = sigmoid_lane_change(amplitude=2.0)
-    assert detect_peak(continuous(traj), CAR, LAYOUT) == []
+    assert detect_peak(traj, LAYOUT) == []
 
 
 def test_lane_keeping_no_events():
-    assert detect_peak(continuous(lane_keeping(wiggle=0.5)), CAR, LAYOUT) == []
+    assert detect_peak(lane_keeping(wiggle=0.5), LAYOUT) == []
 
 
 def test_direction_matches_displacement_sign():
@@ -206,7 +208,7 @@ def test_direction_matches_displacement_sign():
     t = np.arange(0.0, 60.0, 0.2)
     down = make_trajectory(t, sigmoid_profile(t, 30.0, 5.0, -3.5, base=3.5))
     for traj, expected in ((up, Direction.LEFT), (down, Direction.RIGHT)):
-        events = detect_peak(continuous(traj), CAR, LAYOUT)
+        events = detect_peak(traj, LAYOUT)
         assert len(events) == 1
         ev = events[0]
         assert ev.direction is expected
@@ -217,7 +219,7 @@ def test_direction_matches_displacement_sign():
 
 def test_event_window_ordering():
     traj = sigmoid_lane_change(duration=4.0)
-    for ev in detect_peak(continuous(traj), CAR, LAYOUT):
+    for ev in detect_peak(traj, LAYOUT):
         assert ev.t_start < ev.t_mid < ev.t_end
         assert ev.duration > 0
 
@@ -227,48 +229,59 @@ def test_event_window_ordering():
 
 def test_distance_sigmoid_one_event():
     traj = sigmoid_lane_change(duration=6.0)
-    events = detect_distance(continuous(traj), LAYOUT, 0.8)
+    events = detect_distance(traj, LAYOUT, 0.8)
     assert len(events) == 1
     assert events[0].direction is Direction.LEFT
     assert events[0].lateral_extent == pytest.approx(3.5)
 
 
 def test_distance_lane_keeping_none():
-    assert detect_distance(continuous(lane_keeping(wiggle=0.5)), LAYOUT, 0.8) == []
+    assert detect_distance(lane_keeping(wiggle=0.5), LAYOUT, 0.8) == []
 
 
 def test_distance_bias_changes_count():
     # regression: the 3.5 m / 6 s sigmoid with +1.0 m bias never settles
-    y = continuous(sigmoid_lane_change(duration=6.0))
-    assert len(detect_distance(y, LAYOUT, 0.8)) == 1
-    assert len(detect_distance(y.shifted(1.0), LAYOUT, 0.8)) == 0
+    traj = sigmoid_lane_change(duration=6.0)
+    assert len(detect_distance(traj, LAYOUT, 0.8)) == 1
+    assert len(detect_distance(inject_bias(traj, 1.0), LAYOUT, 0.8)) == 0
 
 
 def test_distance_threshold_validation():
-    y = continuous(lane_keeping())
     with pytest.raises(ValueError):
-        detect_distance(y, LAYOUT, 2.0)
+        detect_distance(lane_keeping(), LAYOUT, 2.0)
+
+
+@pytest.mark.parametrize("lane", [-1, 3])
+def test_detectors_refuse_a_lane_outside_the_layout(lane):
+    traj = lane_keeping()
+    traj = traj.with_channels(lane=np.where(traj.t < 30.0, traj.lane, lane))
+    with pytest.raises(LaneRangeError):
+        detect_peak(traj, LAYOUT)
+    with pytest.raises(LaneRangeError):
+        detect_distance(traj, LAYOUT)
 
 
 # the array-driven loop against the per-sample reference
 
 def lateral(y, rate=4.0):
-    y = np.asarray(y, dtype=float)
+    """A track whose lateral position is ``y``, up to the rounding of its
+    split into lane and ``lat``; the references take ``continuous`` of it."""
     t = np.arange(len(y)) / rate  # exact sample times at 4 Hz
-    return ContinuousLateral("veh", t, y, rate, v=30.0 + 0.1 * t)
+    return make_trajectory(t, y, v=30.0 + 0.1 * t, markings=False)
 
 
-def assert_distance_like_reference(y, threshold=0.8, settle_rate=DEFAULT_SETTLE_RATE,
+def assert_distance_like_reference(traj, threshold=0.8, settle_rate=DEFAULT_SETTLE_RATE,
                                    settle_dwell=DEFAULT_SETTLE_DWELL):
     """The distance kernels at these settle values, against the reference;
     at the default ones ``detect_distance`` too."""
+    y = continuous(traj)
     nearest, rests = settle_mask(y.y, derivative(y.y, y.dt), LAYOUT, threshold, settle_rate)
     got = distance_events(y.vehicle_id, y.t, y.y, y.v, nearest, rests, LAYOUT, threshold,
                           settle_dwell)
     want = ref_detect_distance(y, LAYOUT, threshold, settle_rate, settle_dwell)
     runs = [got]
     if (settle_rate, settle_dwell) == (DEFAULT_SETTLE_RATE, DEFAULT_SETTLE_DWELL):
-        runs.append(detect_distance(y, LAYOUT, threshold))
+        runs.append(detect_distance(traj, LAYOUT, threshold))
     for events in runs:
         assert len(events) == len(want)
         for a, b in zip(events, want):
@@ -277,8 +290,8 @@ def assert_distance_like_reference(y, threshold=0.8, settle_rate=DEFAULT_SETTLE_
 
 
 def test_distance_exceedance_at_first_sample():
-    y = lateral([1.0] + [3.5] * 20)
-    events = assert_distance_like_reference(y)
+    traj = lateral([1.0] + [3.5] * 20)
+    events = assert_distance_like_reference(traj)
     assert len(events) == 1 and events[0].t_start == 0.0
 
 
@@ -287,18 +300,18 @@ def test_distance_exceedance_at_last_sample():
 
 
 def test_distance_abandoned_return():
-    y = lateral(np.concatenate([np.zeros(8), np.linspace(0.0, 1.6, 6),
-                                np.linspace(1.6, 0.0, 6), np.zeros(20)]))
-    assert assert_distance_like_reference(y) == []
+    traj = lateral(np.concatenate([np.zeros(8), np.linspace(0.0, 1.6, 6),
+                                   np.linspace(1.6, 0.0, 6), np.zeros(20)]))
+    assert assert_distance_like_reference(traj) == []
 
 
 @pytest.mark.parametrize("hold,count", [(0, 1), (12, 2)])
 def test_distance_double_change(hold, count):
     # straight through lane 1, or a settled stop in it
-    y = lateral(np.concatenate([np.zeros(8), np.linspace(0.0, 3.5, 8),
-                                np.full(hold, 3.5), np.linspace(3.5, 7.0, 8),
-                                np.full(16, 7.0)]))
-    events = assert_distance_like_reference(y)
+    traj = lateral(np.concatenate([np.zeros(8), np.linspace(0.0, 3.5, 8),
+                                   np.full(hold, 3.5), np.linspace(3.5, 7.0, 8),
+                                   np.full(16, 7.0)]))
+    events = assert_distance_like_reference(traj)
     assert len(events) == count
     assert sum(e.lateral_extent for e in events) == 7.0
 
@@ -307,8 +320,8 @@ def test_distance_double_change(hold, count):
 def test_distance_dwell_exactly_settle_dwell(hold, count):
     # step up at sample 8, step down at 8 + hold: the rest run spans
     # (hold - 3) * 0.25 s, exactly settle_dwell = 2.0 s for hold = 11
-    y = lateral([0.0] * 8 + [3.5] * hold + [0.0] * 4)
-    assert len(assert_distance_like_reference(y, settle_dwell=2.0)) == count
+    traj = lateral([0.0] * 8 + [3.5] * hold + [0.0] * 4)
+    assert len(assert_distance_like_reference(traj, settle_dwell=2.0)) == count
 
 
 @pytest.mark.parametrize("hold,count", [(9, 0), (10, 1)])
@@ -316,8 +329,8 @@ def test_distance_rest_run_starts_after_the_exceedance(hold, count):
     # a settle rate so loose that the exceeding sample 8 already rests in
     # lane 1; the rest run still starts at sample 9, so the dwell of 2.0 s
     # needs samples 9-17, that is hold >= 10
-    y = lateral([0.0] * 8 + [3.5] * hold + [0.0] * 4)
-    events = assert_distance_like_reference(y, settle_rate=100.0)
+    traj = lateral([0.0] * 8 + [3.5] * hold + [0.0] * 4)
+    events = assert_distance_like_reference(traj, settle_rate=100.0)
     assert len(events) == count
     assert [e.t_end for e in events] == [9 * 0.25] * count
 
@@ -345,8 +358,8 @@ def lane_signals(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(lane_signals(), st.sampled_from([0.5, 0.8, 1.2]), st.sampled_from([0.15, 0.15, 20.0]))
-def test_distance_matches_reference_on_random_signals(y, threshold, settle_rate):
-    assert_distance_like_reference(y, threshold=threshold, settle_rate=settle_rate)
+def test_distance_matches_reference_on_random_signals(traj, threshold, settle_rate):
+    assert_distance_like_reference(traj, threshold=threshold, settle_rate=settle_rate)
 
 
 @st.composite
@@ -370,7 +383,9 @@ def peak_signals(draw):
        st.sampled_from(["below", "at", "above", "default"]), st.sampled_from([1.0, -1.0]),
        # relative heights 1 - width / 7: the car's, about 0.3 and 0.7
        st.sampled_from([CAR, VehicleShape(16.0, 4.9), VehicleShape(4.8, 2.1)]))
-def test_peak_matches_reference_on_random_signals(y, min_extent, edge, sign, shape):
+def test_peak_matches_reference_on_random_signals(traj, min_extent, edge, sign, shape):
+    traj = dataclasses.replace(traj, shape=shape)
+    y = continuous(traj)
     # prominence_min just below, exactly at or just above the largest peak
     # of one rectified derivative, where the range pre-check decides
     top = float(np.ptp(np.maximum(sign * np.gradient(y.y, y.dt), 0.0)))
@@ -380,7 +395,7 @@ def test_peak_matches_reference_on_random_signals(y, min_extent, edge, sign, sha
         prominence = {"below": np.nextafter(top, 0.0), "at": top,
                       "above": np.nextafter(top, np.inf)}[edge]
     params = PeakParams(prominence_min=float(prominence))
-    got = detect_peak(y, shape, LAYOUT, params, min_extent=min_extent)
+    got = detect_peak(traj, LAYOUT, params, min_extent=min_extent)
     want = ref_detect_peak(y, shape, LAYOUT, params, min_extent=min_extent)
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -423,7 +438,7 @@ def test_gradient_matches_peak_at_zero_perturbation():
     for duration in (3.5, 6.0, 9.0):
         traj = sigmoid_lane_change(duration=duration)
         grad = detect_gradient(traj, LAYOUT)
-        peak = detect_peak(continuous(traj), CAR, LAYOUT)
+        peak = detect_peak(traj, LAYOUT)
         assert len(grad) == len(peak) == 1
         assert abs(grad[0].t_mid - peak[0].t_mid) < 1.0
 
@@ -464,7 +479,7 @@ def test_disjoint_events_stay_single():
 def test_double_lane_change_detected_and_classified():
     t = np.arange(0.0, 60.0, 0.2)
     sweep_two = make_trajectory(t, sigmoid_profile(t, 30.0, 8.0, 7.0))
-    events = detect_peak(continuous(sweep_two), CAR, LAYOUT)
+    events = detect_peak(sweep_two, LAYOUT)
     assert len(events) == 1
     out = classify_double(events, LAYOUT)
     assert out[0].kind is EventKind.DOUBLE

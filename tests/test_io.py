@@ -431,6 +431,14 @@ def test_vehicles_round_trip(tmp_path):
         assert got.width == pytest.approx(traj.shape.width, rel=1e-8)
 
 
+def test_vehicles_listed_twice_refused(tmp_path):
+    path = tmp_path / "veh.csv"
+    path.write_text("vehicle_id,class,length,width\na,car,4.5,1.8\nb,car,4.5,1.8\n"
+                    "a,truck,12,2.5\n")
+    with pytest.raises(ValueError, match=r"veh\.csv:4: vehicle_id 'a' already listed on line 2$"):
+        read_vehicles(path)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 

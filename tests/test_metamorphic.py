@@ -11,6 +11,12 @@ effect on the outputs is known in advance.
   are equal; times move by 1000 s within 1e-6 s, and metrics and
   durations agree to 9 significant digits, as the shifted times round
   otherwise.
+* Station shift: every ``s`` moves by 1000 m.  Events and sweep counts are
+  equal; records agree to 9 significant digits, as the gaps between the
+  shifted stations round otherwise.
+* Id rename: each vehicle id maps to another of its recording, by a
+  bijection that reverses the vehicle numbers.  Everything is equal under
+  the rename.
 
 Each runs the steps of ``detect``, ``criticality`` and ``robustness`` in
 process on a small synthetic corpus and on its transform.
@@ -28,7 +34,10 @@ from lanekit.robustness import Perturbation, sweep
 from lanekit.synth import generate_corpus
 from lanekit.trajectory import preprocess
 
+from helpers import assert_same_record
+
 SHIFT = 1000.0  # [s]
+S_SHIFT = 1000.0  # [m]
 SWAP = {"left": "right", "right": "left"}
 CFG = RunConfig()
 GRID = ([Perturbation("bias", b) for b in CFG.bias_grid]
@@ -42,6 +51,20 @@ def _mirror(traj, layout):
 
 def _shift(traj, layout):
     return traj.with_channels(t=traj.t + SHIFT)
+
+
+def _s_shift(traj, layout):
+    return traj.with_channels(s=traj.s + S_SHIFT)
+
+
+def _renamed(vehicle_id):
+    """``r<recording>v<9999 - number>`` of ``r<recording>v<number>``."""
+    recording, number = vehicle_id.split("v")
+    return f"{recording}v{9999 - int(number):04d}"
+
+
+def _rename(traj, layout):
+    return dataclasses.replace(traj, vehicle_id=_renamed(traj.vehicle_id))
 
 
 def _pipeline(corpus, transform=None):
@@ -104,6 +127,13 @@ def _compare(want, got, direction, shift=0.0):
                 assert a == b, field.name
 
 
+def _same(want, got):
+    """``got`` is ``want`` bit for bit, field by field; NaN equals NaN."""
+    assert len(got) == len(want) > 0
+    for w, g in zip(want, got):
+        assert_same_record(g, w)
+
+
 def test_mirror_swaps_every_direction(corpus, base):
     events, records, counts = base
     m_events, m_records, m_counts = _pipeline(corpus, _mirror)
@@ -119,3 +149,22 @@ def test_clock_shift_moves_only_the_times(corpus, base):
     _compare(events, s_events, lambda d: d, SHIFT)
     _compare(records, s_records, lambda d: d, SHIFT)
     assert s_counts == counts
+
+
+def test_station_shift_changes_nothing(corpus, base):
+    events, records, counts = base
+    s_events, s_records, s_counts = _pipeline(corpus, _s_shift)
+    _same(events, s_events)
+    _compare(records, s_records, lambda d: d)
+    assert s_counts == counts
+
+
+def test_id_rename_renames_every_output(corpus, base):
+    events, records, counts = base
+    assert len({_renamed(t.vehicle_id) for t in corpus.trajectories}) == len(corpus.trajectories)
+    r_events, r_records, r_counts = _pipeline(corpus, _rename)
+    _same([dataclasses.replace(e, vehicle_id=_renamed(e.vehicle_id)) for e in events],
+          r_events)
+    _same([dataclasses.replace(r, vehicle_id=_renamed(r.vehicle_id)) for r in records],
+          r_records)
+    assert r_counts == counts

@@ -329,7 +329,7 @@ def test_continuous_lateral_definition():
                       np.zeros(len(t)), np.full(len(t), 30.0),
                       np.zeros(len(t)), np.zeros(len(t)), 5.0)
     y = continuous_lateral(traj, LAYOUT)
-    assert np.allclose(y.y, 3.5)
+    assert np.allclose(y, 3.5)
 
 
 def test_continuous_lateral_negative_offset():
@@ -337,7 +337,7 @@ def test_continuous_lateral_negative_offset():
     traj = Trajectory("v", CAR, t, 30 * t, np.full(len(t), 2, int),
                       np.full(len(t), -1.0), np.full(len(t), 30.0),
                       np.zeros(len(t)), np.zeros(len(t)), 5.0)
-    assert np.allclose(continuous_lateral(traj, LAYOUT).y, 6.0)
+    assert np.allclose(continuous_lateral(traj, LAYOUT), 6.0)
 
 
 def test_continuous_lateral_continuous_across_switch():
@@ -345,7 +345,7 @@ def test_continuous_lateral_continuous_across_switch():
     traj = sigmoid_lane_change()
     y = continuous_lateral(traj, LAYOUT)
     # physical motion per 0.2 s sample is bounded; no lane-width jumps
-    assert np.max(np.abs(np.diff(y.y))) < 0.35
+    assert np.max(np.abs(np.diff(y))) < 0.35
 
 
 def test_continuous_lateral_lane_out_of_range():
@@ -361,7 +361,7 @@ def test_continuous_lateral_bias_shift_exact():
     traj = lane_keeping()
     y0 = continuous_lateral(traj, LAYOUT)
     y1 = continuous_lateral(traj.with_channels(lat=traj.lat + 0.7), LAYOUT)
-    assert np.allclose(y1.y - y0.y, 0.7, atol=1e-12)
+    assert np.allclose(y1 - y0, 0.7, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
