@@ -24,11 +24,12 @@ from .criticality import (  # noqa: F401 - most_critical: perfbench/tracer.py wr
     direction_stats,
     most_critical,
 )
-from .detection import (  # noqa: F401 - detect_peak, detect_distance: as most_critical
+from .detection import (  # noqa: F401 - the unused detect_*: as most_critical
     EventKind,
     classify_double,
     detect_distance,
     detect_gradient,
+    detect_gradients,
     detect_peak,
     detect_rows,
 )
@@ -113,11 +114,13 @@ def cmd_detect(args, cfg: lkio.RunConfig, out: Path) -> int:
     pres = [pre for _, pre in kept]
     found = detect_rows(pres, [pre.lat[None] for pre in pres], layout, criteria, cfg.peak,
                         cfg.distance_threshold, cfg.lowpass_cutoff, cfg.min_lateral_extent)
+    marked = [i for i, _ in kept if trajectories[i].has_markings] if "gradient" in criteria else []
+    gradient = dict(zip(marked, detect_gradients([trajectories[i] for i in marked], layout,
+                                                 cfg.peak)))
     all_events = []
     for (i, _), rows in zip(kept, found):
-        traj = trajectories[i]
-        if "gradient" in criteria and traj.has_markings:
-            all_events.extend(classify_double(detect_gradient(traj, layout, cfg.peak), layout))
+        if i in gradient:
+            all_events.extend(classify_double(gradient[i], layout))
         for events in rows.values():  # peak, then distance
             all_events.extend(classify_double(events[0], layout))
     lkio.write_events(out / "events.csv", all_events)
@@ -137,6 +140,9 @@ def cmd_robustness(args, cfg: lkio.RunConfig, out: Path) -> int:
                    distance_threshold=cfg.distance_threshold, seed=cfg.seed,
                    cutoff=cfg.lowpass_cutoff, rate=cfg.resample_rate)
     _warn_skipped(report.skipped)
+    if report.truth_left_out:
+        print(f"warning: {report.truth_left_out} true events of vehicles not swept "
+              "left out of the truth count", file=sys.stderr)
     lkio.write_robustness(out / "robustness.csv", out / "robustness_plot.json", report)
     print(f"wrote {len(report.points)} grid points to {out / 'robustness.csv'}")
     return 0

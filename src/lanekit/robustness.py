@@ -74,6 +74,7 @@ class RobustnessPoint:
 class RobustnessReport:
     points: tuple[RobustnessPoint, ...]
     skipped: tuple[tuple[str, str], ...] = ()  # (vehicle_id, reason) left out
+    truth_left_out: int = 0  # true events of vehicles not swept
 
     def series(self, criterion: str, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """(magnitudes, detected counts) for one criterion and grid axis."""
@@ -137,6 +138,9 @@ def sweep(corpus: SyntheticCorpus, criterion: str | Sequence[str],
 
     The vehicles are those ``lanekit detect`` runs on: ``preprocess``
     resamples each to ``rate`` and lists those it skips in ``skipped``.
+    ``truth`` counts the true events of the swept vehicles only; those of
+    skipped vehicles, and of vehicles the corpus has no track of, are
+    counted in ``truth_left_out``.
     Perturbations are added to the resampled ``lat``, so a Brownian step
     is one resampled step; with ``refilter`` the low-pass runs afterwards,
     modelling raw measurement error entering before the filter.  Each
@@ -153,19 +157,23 @@ def sweep(corpus: SyntheticCorpus, criterion: str | Sequence[str],
     for name in criteria:
         if name not in ("peak", "distance"):
             raise ValueError(f"unknown criterion {name!r}")
-    truth = len(corpus.truth_events)
     kept, skipped = preprocess(corpus.trajectories, layout, rate, cutoff)
+    swept = {pre.vehicle_id for _, pre in kept}
+    truth = sum(event.vehicle_id in swept for event in corpus.truth_events)
+    left_out = len(corpus.truth_events) - truth
     if not grid:
-        return RobustnessReport((), tuple(skipped))
+        return RobustnessReport((), tuple(skipped), left_out)
 
     keys = [_row_key(pert, gi) for gi, pert in enumerate(grid)]
     distinct = list(dict.fromkeys(keys))
     computed = [keys.index(key) for key in distinct]  # grid index of each row
-    lats = [np.stack([_perturbed_lat(pre, grid[gi], seed, gi, ti) for gi in computed])
-            for ti, pre in kept]
     detected = {name: [0] * len(distinct) for name in criteria}
-    for found in detect_rows([pre for _, pre in kept], lats, layout, criteria, params,
-                             distance_threshold, cutoff if refilter else None, None):
+    # the stacks are not named here: once low-passed they can be freed
+    for found in detect_rows([pre for _, pre in kept],
+                             [np.stack([_perturbed_lat(pre, grid[gi], seed, gi, ti)
+                                        for gi in computed]) for ti, pre in kept],
+                             layout, criteria, params, distance_threshold,
+                             cutoff if refilter else None, None):
         for name in criteria:
             for r, events in enumerate(found[name]):
                 detected[name][r] += len(events)
@@ -173,4 +181,4 @@ def sweep(corpus: SyntheticCorpus, criterion: str | Sequence[str],
     return RobustnessReport(tuple(
         RobustnessPoint(name, pert.kind, pert.magnitude,
                         detected[name][distinct.index(keys[gi])], truth)
-        for name in criteria for gi, pert in enumerate(grid)), tuple(skipped))
+        for name in criteria for gi, pert in enumerate(grid)), tuple(skipped), left_out)

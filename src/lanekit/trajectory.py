@@ -488,11 +488,17 @@ def continuous_lateral(traj: Trajectory, layout: LaneLayout) -> np.ndarray:
 
 def derivative(values: np.ndarray, dt: float) -> np.ndarray:
     """Time derivative along the last axis (of each row of a stack):
-    central differences interior, one-sided at ends."""
+    central differences interior, one-sided at ends.  The formulas of
+    ``np.gradient(values, dt, axis=-1)``, bit for bit, without its
+    general set-up."""
     values = np.asarray(values, dtype=float)
     if values.shape[-1] < 2:
         raise InsufficientSamplesError("insufficient samples")
-    return np.gradient(values, dt, axis=-1)
+    out = np.empty_like(values)
+    out[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * dt)
+    out[..., 0] = (values[..., 1] - values[..., 0]) / dt
+    out[..., -1] = (values[..., -1] - values[..., -2]) / dt
+    return out
 
 
 def marking_residual(traj: Trajectory, layout: LaneLayout) -> float:

@@ -116,6 +116,25 @@ def test_file_of_skipped_vehicles_gives_empty_results(workdir, tmp_path, capsys,
     assert "warning: vehicle short skipped: insufficient samples" in capsys.readouterr().err
 
 
+def test_robustness_counts_no_truth_of_vehicles_it_does_not_sweep(workdir, tmp_path, capsys):
+    # a trajectory file with no data rows: the truth file's events belong
+    # to no swept vehicle, so none is a miss
+    import csv
+    from lanekit.io import read_events, write_events
+    truth = read_events(workdir / "truth_events.csv")[:5]
+    write_events(tmp_path / "truth.csv", truth)
+    header = (workdir / "trajectories.csv").read_text().splitlines()[0]
+    (tmp_path / "empty.csv").write_text(header + "\n")
+    assert run("robustness", "--traj", tmp_path / "empty.csv", "--truth", tmp_path / "truth.csv",
+               "--out", tmp_path / "out") == 0
+    assert ("warning: 5 true events of vehicles not swept left out of the truth count"
+            in capsys.readouterr().err.splitlines())
+    with (tmp_path / "out" / "robustness.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(truth) == 5 and rows
+    assert all((r["detected"], r["truth"], r["ratio"]) == ("0", "0", "") for r in rows)
+
+
 def _write_corpus(corpus, out):
     from lanekit.io import write_events, write_trajectories, write_vehicles
     out.mkdir()

@@ -1,10 +1,12 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lanekit import detection
 from lanekit.detection import (
     DEFAULT_SETTLE_DWELL,
     DEFAULT_SETTLE_RATE,
@@ -17,12 +19,12 @@ from lanekit.detection import (
     detect_distance,
     detect_gradient,
     detect_peak,
-    distance_events,
+    detect_rows,
     find_peaks,
     peak_width,
     rel_height_from_widths,
-    settle_mask,
 )
+from lanekit.detection import _block, _distance_rows, _interp, _peaks
 from lanekit.io import fmt
 from lanekit.robustness import inject_bias
 from lanekit.trajectory import LaneRangeError, VehicleShape, derivative
@@ -37,6 +39,7 @@ from helpers import (
     ref_detect_distance,
     ref_detect_peak,
     ref_find_peaks,
+    same_bits,
     same_float,
     sigmoid_lane_change,
     sigmoid_profile,
@@ -272,12 +275,11 @@ def lateral(y, rate=4.0):
 
 def assert_distance_like_reference(traj, threshold=0.8, settle_rate=DEFAULT_SETTLE_RATE,
                                    settle_dwell=DEFAULT_SETTLE_DWELL):
-    """The distance kernels at these settle values, against the reference;
+    """The distance kernel at these settle values, against the reference;
     at the default ones ``detect_distance`` too."""
     y = continuous(traj)
-    nearest, rests = settle_mask(y.y, derivative(y.y, y.dt), LAYOUT, threshold, settle_rate)
-    got = distance_events(y.vehicle_id, y.t, y.y, y.v, nearest, rests, LAYOUT, threshold,
-                          settle_dwell)
+    (got,) = _distance_rows(_block([traj], [y.y[None]], [derivative(y.y, y.dt)[None]]),
+                            LAYOUT, threshold, settle_rate, settle_dwell)
     want = ref_detect_distance(y, LAYOUT, threshold, settle_rate, settle_dwell)
     runs = [got]
     if (settle_rate, settle_dwell) == (DEFAULT_SETTLE_RATE, DEFAULT_SETTLE_DWELL):
@@ -483,3 +485,161 @@ def test_double_lane_change_detected_and_classified():
     assert len(events) == 1
     out = classify_double(events, LAYOUT)
     assert out[0].kind is EventKind.DOUBLE
+
+
+# ---------------------------------------------------------------------------
+# joined stacks: every row of a block is detected as if it were alone
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(peak_series(), st.sampled_from([1, 2, 3, 5, 40])),
+                min_size=1, max_size=6),
+       st.sampled_from([0.01, 0.15, 0.5]))
+def test_joined_peak_search_is_scipys_on_each_segment(segments, prominence):
+    # ragged segments of few levels: plateaus, NaN, equal heights closer than
+    # the distance, segments shorter than it or with a range below the
+    # prominence; each segment keeps its own distance
+    s, lo, hi = [np.nan], [], []
+    for series, _ in segments:
+        lo.append(len(s))
+        s.extend(series)
+        hi.append(len(s))
+        s.append(np.nan)
+    at, seg, heights, prominences = _peaks(np.array(s), np.array(lo), np.array(hi),
+                                           np.array([d for _, d in segments]), prominence)
+    assert np.all(np.diff(at) > 0)
+    for g, (series, distance) in enumerate(segments):
+        mine = seg == g
+        got = [PeakHit(i - lo[g], h, p) for i, h, p in
+               zip(at[mine].tolist(), heights[mine].tolist(), prominences[mine].tolist())]
+        assert_same_hits(got, ref_find_peaks(series, 1.0, PeakParams(prominence, distance)))
+
+
+SHAPES = [CAR, VehicleShape(16.0, 4.9), VehicleShape(4.8, 2.1)]
+
+
+@st.composite
+def peak_stacks(draw, nan=True):
+    """One to three tracks, each of its own length, rate and shape, with a
+    stack of ``lat`` rows: lane changes that may reach past the track's
+    ends, on random walks, some rounded into plateaus of the derivative,
+    some with NaN samples."""
+    trajs, stacks = [], []
+    for k in range(draw(st.integers(1, 3))):
+        rate = draw(st.sampled_from([5.0, 25.0]))
+        t = np.arange(draw(st.integers(2, int(30 * rate)))) / rate
+        rows = []
+        for _ in range(draw(st.integers(1, 4))):
+            y = np.full(len(t), draw(st.sampled_from([0.0, 3.5, 5.0])))
+            for _ in range(draw(st.integers(0, 3))):
+                y += sigmoid_profile(t, t_mid=draw(st.floats(-5.0, 35.0)),
+                                     duration=draw(st.floats(0.5, 10.0)),
+                                     amplitude=draw(st.sampled_from([3.5, -3.5, 0.4, 7.0])))
+            noise = draw(st.sampled_from([0.0, 0.0, 0.005, 0.05]))
+            y += np.cumsum(np.random.default_rng(draw(st.integers(0, 2**16)))
+                           .normal(0.0, noise, len(t)))
+            step = draw(st.sampled_from([None, None, 0.01, 0.2]))
+            rows.append(y if step is None else np.round(y / step) * step)
+        traj = make_trajectory(t, rows[0], v=30.0 + 0.1 * t, shape=draw(st.sampled_from(SHAPES)),
+                               vehicle_id=f"v{k}", markings=False)
+        lat = np.stack(rows) - LAYOUT.center(traj.lane)
+        if nan and draw(st.booleans()):
+            lat[draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(t) - 1))] = np.nan
+        trajs.append(traj)
+        stacks.append(lat)
+    return trajs, stacks
+
+
+def assert_same_events(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_same_record(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(peak_stacks(), st.sampled_from([None, 0.0, 2.5]),
+       st.sampled_from([0.15, 0.01, 0.5]))
+def test_peak_rows_of_joined_stacks_match_reference(stacks, min_extent, prominence):
+    trajs, lats = stacks
+    params = PeakParams(prominence_min=prominence)
+    found = detect_rows(trajs, lats, LAYOUT, ("peak",), params, cutoff=None,
+                        min_extent=min_extent)
+    for traj, lat, rows in zip(trajs, lats, found):
+        for row, got in zip(lat, rows["peak"]):
+            y = continuous(traj.with_channels(lat=row))
+            assert_same_events(got, ref_detect_peak(y, traj.shape, LAYOUT, params, min_extent))
+
+
+@st.composite
+def distance_stacks(draw):
+    """One to three tracks with stacks of lane signals cut to one length,
+    so rows may end inside a maneuver; excursions may turn back home."""
+    trajs, stacks = [], []
+    for k in range(draw(st.integers(1, 3))):
+        rows = [draw(lane_signals()) for _ in range(draw(st.integers(1, 4)))]
+        rate = draw(st.sampled_from([4.0, 5.0, 25.0]))
+        n = min(len(row.t) for row in rows)
+        ys = np.stack([continuous(row).y[:n] for row in rows])
+        traj = make_trajectory(np.arange(n) / rate, ys[0], v=30.0 + np.arange(n) / 7.0,
+                               vehicle_id=f"v{k}", markings=False)
+        trajs.append(traj)
+        stacks.append(ys - LAYOUT.center(traj.lane))
+    return trajs, stacks
+
+
+@settings(max_examples=200, deadline=None)
+@given(distance_stacks(), st.sampled_from([0.5, 0.8, 1.2]), st.sampled_from([0.15, 20.0]))
+def test_distance_rows_of_joined_stacks_match_reference(stacks, threshold, settle_rate):
+    # a loose settle rate lets the exceeding sample itself rest in the new lane
+    trajs, lats = stacks
+    ys = [LAYOUT.lateral(traj.lane, lat) for traj, lat in zip(trajs, lats)]
+    found = iter(_distance_rows(_block(trajs, ys, [derivative(y, traj.dt)
+                                                   for traj, y in zip(trajs, ys)]),
+                                LAYOUT, threshold, settle_rate, DEFAULT_SETTLE_DWELL))
+    for traj, lat in zip(trajs, lats):
+        for row in lat:
+            y = continuous(traj.with_channels(lat=row))
+            assert_same_events(next(found), ref_detect_distance(y, LAYOUT, threshold, settle_rate))
+
+
+def exact(events):
+    """Events with every float as its bits."""
+    return [tuple(x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(e))
+            for e in events]
+
+
+@settings(max_examples=100, deadline=None)
+@given(peak_stacks(nan=False), st.data(), st.sampled_from([1, 50, 8192]))
+def test_a_rows_events_do_not_depend_on_the_other_rows(stacks, data, block):
+    # drop, permute and repeat rows, in blocks of every size: each row keeps
+    # its events, bit for bit
+    trajs, lats = stacks
+    criteria = ("peak", "distance")
+    picks = [data.draw(st.lists(st.integers(0, len(lat) - 1), min_size=1, max_size=6))
+             for lat in lats]
+    whole = list(detect_rows(trajs, lats, LAYOUT, criteria, cutoff=None, min_extent=None))
+    with mock.patch.object(detection, "_BLOCK_SAMPLES", block):
+        part = list(detect_rows(trajs, [lat[pick] for lat, pick in zip(lats, picks)], LAYOUT,
+                                criteria, cutoff=None, min_extent=None))
+    for all_rows, some_rows, pick in zip(whole, part, picks):
+        for name in criteria:
+            assert [exact(all_rows[name][r]) for r in pick] == list(map(exact, some_rows[name]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=12, unique=True),
+       st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, np.nan, np.inf, -np.inf])
+                | st.floats(-10.0, 10.0), min_size=12, max_size=12),
+       st.lists(st.floats(-1.1e3, 1.1e3) | st.sampled_from([np.nan, np.inf]), max_size=20),
+       st.integers(0, 3))
+def test_interp_is_numpys(t, values, x, offset):
+    # the row's samples inside longer flat arrays, queried on, between and
+    # beyond them
+    t = np.sort(np.array(t))
+    values = np.array(values[:len(t)])
+    x = np.concatenate((np.array(x, dtype=float), t, (t[1:] + t[:-1]) / 2.0))
+    pad = np.full(offset, 7.0)
+    first, last = np.full(len(x), offset), np.full(len(x), offset + len(t) - 1)
+    j = np.searchsorted(t, x, side="right") - 1 + offset
+    got = _interp(x, j, first, last, np.concatenate((pad, t, pad)),
+                  np.concatenate((pad, values, pad)))
+    assert same_bits(got, np.interp(x, t, values))

@@ -214,6 +214,25 @@ def test_sweep_skips_short_track(corpus):
     assert sweep(mixed, "peak", grid, corpus.layout, refilter=False).skipped == got.skipped
 
 
+def test_truth_counts_only_the_swept_vehicles(corpus):
+    # the true events of a skipped vehicle and of one without a track are
+    # neither detected nor counted as missed
+    import dataclasses
+    from helpers import make_trajectory
+    t = np.arange(8) * 0.2  # 8 samples: too short to low-pass
+    short = make_trajectory(t, np.full(len(t), 3.6), vehicle_id="short")
+    extra = tuple(dataclasses.replace(corpus.truth_events[0], vehicle_id=vid)
+                  for vid in ("short", "short", "absent"))
+    mixed = SyntheticCorpus((*corpus.trajectories, short), corpus.truth_events + extra,
+                            corpus.layout)
+    grid = [Perturbation("bias", 0.0), Perturbation("brownian", 0.01)]
+    got = sweep(mixed, ("peak", "distance"), grid, corpus.layout, seed=1)
+    assert {p.truth for p in got.points} == {len(corpus.truth_events)}
+    assert got.truth_left_out == 3
+    assert got.points == sweep(corpus, ("peak", "distance"), grid, corpus.layout, seed=1).points
+    assert sweep(mixed, "peak", [], corpus.layout).truth_left_out == 3
+
+
 @pytest.mark.parametrize("refilter", [True, False])
 def test_sweep_skips_lane_out_of_range(corpus, refilter):
     from helpers import make_trajectory

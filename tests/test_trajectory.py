@@ -382,6 +382,20 @@ def test_derivative_matches_analytic_cosine():
     assert np.max(np.abs(err)) < 1e-3
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, width=32)
+                | st.sampled_from([0.0, -0.0]), min_size=2, max_size=40),
+       st.integers(1, 3), st.sampled_from([0.2, 0.04, 1.0 / 3.0, 1e-300, 7.0]))
+def test_derivative_is_numpys_gradient(values, rows, dt):
+    # each row of a stack, bit for bit: signs of zero, NaN and inf too
+    from helpers import same_bits
+    stack = np.stack([np.roll(values, k) for k in range(rows)])
+    with np.errstate(all="ignore"):
+        want = np.gradient(stack, dt, axis=-1)
+        got = derivative(stack, dt)
+    assert same_bits(got, want)
+
+
 def test_derivative_too_short():
     with pytest.raises(InsufficientSamplesError):
         derivative(np.array([1.0]), 0.2)
