@@ -38,7 +38,7 @@ from .detection import (DEFAULT_DISTANCE_THRESHOLD, DEFAULT_MIN_EXTENT, Directio
 from .mis import MISConfig
 from .robustness import Perturbation, RobustnessReport
 from .synth import DEFAULT_N, DEFAULT_TRUCK_FRACTION
-from .trajectory import (CHANNELS, DEFAULT_CUTOFF, DEFAULT_RATE, MARKINGS, LaneLayout,
+from .trajectory import (CHANNELS, DEFAULT_CUTOFF, DEFAULT_RATE, MARKINGS, NUMBER, LaneLayout,
                          Trajectory, VehicleClass, VehicleShape, check_range, fmt)
 from .wiedemann import SampledScenarioSet, ScenarioSpec, W99Params, check_dt
 
@@ -320,19 +320,37 @@ def _add_vehicle(report: IngestReport, vid: str, rows: np.ndarray,
 
 
 def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> None:
-    """One ``csv.writer`` line per sample, written one vehicle at a time."""
+    """One ``csv.writer`` line per sample, written one vehicle at a time.
+
+    A vehicle whose channels hold no NaN is one ``%`` call per row on a row
+    template: its quoted id, then ``NUMBER`` per number, ``%d`` for the lane
+    and an empty field for a missing marking.  ``fmt`` writes NaN as an
+    empty field where ``%`` would write ``nan``, so a vehicle with a NaN
+    anywhere is written with ``fmt`` per value."""
     with Path(path).open("w", newline="") as fh:
         fh.write(_HEADER_LINE + "\r\n")
         for traj in trajectories:
-            rows = zip(repeat(_csv_field(traj.vehicle_id)), *(
-                map(str, traj.lane.tolist()) if name == "lane" else _fmt_column(getattr(traj, name))
-                for name in CHANNELS + MARKINGS))
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")  # a track has 2+ samples
+            vid = _csv_field(traj.vehicle_id)
+            columns = [getattr(traj, name) for name in CHANNELS + MARKINGS]
+            if any(np.isnan(c).any() for c in columns if c is not None):
+                rows = zip(repeat(vid), *(
+                    map(str, c.tolist()) if c is traj.lane else _fmt_column(c) for c in columns))
+                lines = map(",".join, rows)
+            else:
+                template = ",".join([_escape(vid), *(
+                    "" if c is None else "%d" if c is traj.lane else NUMBER for c in columns)])
+                lines = map(template.__mod__, zip(*(c.tolist() for c in columns if c is not None)))
+            fh.write("\r\n".join(lines) + "\r\n")  # a track has 2+ samples
 
 
 def _fmt_column(values: np.ndarray | None) -> Iterable[str]:
     """``fmt`` of every element; endless empty fields for a missing channel."""
     return repeat("") if values is None else [fmt(x) for x in values.tolist()]
+
+
+def _escape(text: str) -> str:
+    """``text`` as a ``%`` template writes it."""
+    return text.replace("%", "%%")
 
 
 def _csv_field(text: str) -> str:
@@ -450,9 +468,12 @@ def write_records(path: str | Path, records: Iterable[CriticalityRecord]) -> Non
 def write_thw_traces(path: str | Path, result: SampledScenarioSet) -> None:
     """One line per (cc1, opponent, t): scenarios in run order, opponents
     sorted by id, ``thw`` empty where that opponent is not the leader.
-    Each (scenario, opponent) block is one write; a block whose trace is
+    Each (scenario, opponent) block is one write.  A block whose trace is
     all NaN, an opponent that never leads, is one ``str.join`` over the
-    shared ``t`` column, as its lines differ only there."""
+    shared ``t`` column, as its lines differ only there; in any other block
+    a line with a THW is one ``%`` call on the block's line template, and a
+    line without one (``fmt`` of NaN, an empty field) the t text and the
+    block's fixed fields."""
     t_col = [fmt(tk) for tk in result.t.tolist()]
     t_cells = t_col + [""]  # joined, the t column with a separator after each
     with Path(path).open("w", newline="") as fh:
@@ -460,13 +481,13 @@ def write_thw_traces(path: str | Path, result: SampledScenarioSet) -> None:
         for sc in result.scenarios:
             tail = f",{fmt(sc.cc1)}\r\n"
             for opp_id, trace in sorted(sc.thw_traces.items()):
-                # the lines t + mid + thw + tail, without a string per line
                 mid = f",{_csv_field(opp_id)},"
                 if np.isnan(trace).all():
                     fh.write((mid + tail).join(t_cells))
                 else:
-                    fh.write("".join(chain.from_iterable(
-                        zip(t_col, repeat(mid), _fmt_column(trace), repeat(tail)))))
+                    line = "%s" + _escape(mid) + NUMBER + tail
+                    fh.write("".join([t + mid + tail if x != x else line % (t, x)
+                                      for t, x in zip(t_col, trace.tolist())]))
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -44,6 +44,7 @@ __all__ = [
     "check_range",
     "CHANNELS",
     "MARKINGS",
+    "NUMBER",
     "fmt",
     "continuous_lateral",
     "derivative",
@@ -125,11 +126,16 @@ CHANNELS = ("t", "s", "lane", "lat", "v", "a_lon", "a_lat")  # in trajectory CSV
 MARKINGS = ("d_left", "d_right")  # optional; the CSV's last columns
 
 
+# the text of a number in every CSV: 9 significant digits, a ``%`` spec so
+# that a writer can join it into a row template
+NUMBER = "%.9g"
+
+
 def fmt(x: float) -> str:
-    """Decimal serialization at 9 significant digits; empty for nan."""
+    """Decimal serialization at 9 significant digits (``NUMBER``); empty for nan."""
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return ""
-    return f"{x:.9g}"
+    return NUMBER % x
 
 
 @dataclass(frozen=True)

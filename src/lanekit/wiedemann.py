@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .criticality import KinState, encounter, nan_min
+from .criticality import KinState, _encounter, nan_min
 from .trajectory import LaneLayout, Trajectory, check_range, held_lane, time_overlap
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
 V_CC9_REF = 80.0 / 3.6  # [m/s] speed at which cc9 applies
 A_MIN = -8.0  # [m/s^2] hard deceleration floor
 LOOK_AHEAD = 150.0  # [m] beyond this a leader is ignored
+_THW_BLOCK = 16_384  # samples of one THW kernel call
 
 
 @dataclass(frozen=True)
@@ -223,79 +224,135 @@ class ScenarioSpec:
         return t0 + np.arange(n) * self.dt
 
 
-def simulate(spec: ScenarioSpec) -> Trajectory:
+class _Scene(NamedTuple):
+    """What no cc1 value changes of a scenario, on its rollout grid ``t``.
+
+    The substituted vehicle's held recorded ``lane``, its ``lat``, ``a_lat``
+    and global lateral position ``ego_y``.  The in-lane entries the W99
+    loop scans, by step and within a step by opponent: step k's are
+    ``first[k]:first[k + 1]``, each an opponent's position (a list, as the
+    loop reads every one), speed, acceleration and length.  For the THW
+    traces, the opponents' ``ids`` and footprint sums ``half_len`` and
+    ``half_wid`` with the ego, and each one's ``s``, ``y`` and ``v`` where
+    the two lateral corridors overlap, the only samples with a defined THW,
+    end to end: sample i is grid point ``rows[i]`` of opponent ``which[i]``.
+    """
+
+    t: np.ndarray
+    lane: np.ndarray
+    lat: np.ndarray
+    a_lat: np.ndarray
+    ego_y: np.ndarray
+    first: list[int]
+    pos: list[float]
+    vel: np.ndarray
+    acc: np.ndarray
+    lengths: np.ndarray
+    ids: tuple[str, ...]
+    half_len: np.ndarray
+    half_wid: np.ndarray
+    opp: KinState
+    rows: np.ndarray
+    which: np.ndarray
+
+
+def _scene(spec: ScenarioSpec) -> _Scene:
+    """The tables of ``spec``'s replayed traffic.  Each opponent is
+    interpolated once onto the grid points its track covers, the slices
+    end to end; an array ``np.interp`` gives the same bits as the scalar
+    call at each grid time."""
+    rec = spec.substituted()
+    others = spec.others()
+    t_grid = spec._time_grid()
+    lane = held_lane(rec, t_grid)
+    lat = np.interp(t_grid, rec.t, rec.lat)
+    ego_y = spec.layout.lateral(lane, lat)
+    length = np.array([opp.shape.length for opp in others])
+    width = np.array([opp.shape.width for opp in others])
+
+    grid = np.arange(len(t_grid))
+    cover = [grid[time_overlap(t_grid, opp.t)] for opp in others]
+    rows = np.concatenate([np.empty(0, dtype=int), *cover])
+    which = np.repeat(np.arange(len(others)), [len(k) for k in cover])
+    s, y, v, a = np.empty((4, len(rows)))
+    opp_lane = np.empty(len(rows), dtype=lane.dtype)
+    start = 0
+    for opp, k in zip(others, cover):
+        tk, o = t_grid[k], slice(start, start + len(k))
+        s[o], v[o], a[o] = (np.interp(tk, opp.t, x) for x in (opp.s, opp.v, opp.a_lon))
+        y[o] = np.interp(tk, opp.t, spec.layout.lateral(opp.lane, opp.lat))
+        opp_lane[o] = held_lane(opp, tk)
+        start = o.stop
+
+    ahead = np.flatnonzero(opp_lane == lane[rows])
+    ahead = ahead[np.argsort(rows[ahead], kind="stable")]  # within a step by opponent
+    half_wid = 0.5 * (rec.shape.width + width)
+    # elsewhere THW is undefined (``_encounter``'s corridor test), whatever the rollout
+    near = np.flatnonzero(~(np.abs(y - ego_y[rows]) >= half_wid[which]))
+    return _Scene(
+        t=t_grid, lane=lane, lat=lat, a_lat=np.interp(t_grid, rec.t, rec.a_lat), ego_y=ego_y,
+        first=np.searchsorted(rows[ahead], np.arange(len(grid) + 1)).tolist(),
+        pos=s[ahead].tolist(), vel=v[ahead], acc=a[ahead], lengths=length[which[ahead]],
+        ids=tuple(opp.vehicle_id for opp in others),
+        half_len=0.5 * (rec.shape.length + length), half_wid=half_wid,
+        opp=KinState(s[near], y[near], v[near]), rows=rows[near], which=which[near])
+
+
+def simulate(spec: ScenarioSpec, scene: _Scene | None = None) -> Trajectory:
     """Forward-Euler rollout of the substituted vehicle.
 
     At each step the leader is the nearest replayed vehicle ahead in the
     substituted vehicle's held recorded lane; of two replayed vehicles at
     the same position, the one listed first in the scenario leads.  The
-    replayed traffic does not depend on the rollout, so it is tabulated on
-    the rollout grid once per call: the held lanes (``held_lane``), and
+    replayed traffic does not depend on the rollout, so it comes tabulated
+    on the rollout grid (``_scene``): the held lanes (``held_lane``), and
     each opponent's position, speed and acceleration where it is in view
-    and in the substituted vehicle's lane.  An array ``np.interp`` gives
-    the same bits as the scalar call at each grid time.  A step only scans
-    its own in-lane entries, in opponent order, for the nearest one ahead;
-    the state stays in Python floats until the arrays are built at the
-    end.  Speeds are clamped at zero; the result is deterministic.
+    and in the substituted vehicle's lane.  ``scene`` may be built once for
+    specs that differ only in their model, as ``sample_cc1`` does; without
+    it the call builds its own.  A step only scans its own in-lane
+    entries, in opponent order, for the nearest one ahead; the state stays
+    in Python floats until the arrays are built at the end.  Speeds are
+    clamped at zero; the result is deterministic.
 
     ``lat`` is interpolated linearly between the recorded samples, also
     across a lane switch, while ``lane`` is held; so ``lane * width + lat``
     dips by up to one lane width for the steps between the two samples of
     a switch.
     """
+    if scene is None:
+        scene = _scene(spec)
     rec = spec.substituted()
-    others = spec.others()
-    t_grid = spec._time_grid()
-    n = len(t_grid)
-
-    lane = held_lane(rec, t_grid)
-    opp_s = np.full((n, len(others)), math.inf)
-    opp_v = np.zeros_like(opp_s)
-    opp_a = np.zeros_like(opp_s)
-    for j, opp in enumerate(others):
-        k = time_overlap(t_grid, opp.t)
-        tk = t_grid[k]
-        opp_s[k, j] = np.where(held_lane(opp, tk) == lane[k],
-                               np.interp(tk, opp.t, opp.s), math.inf)
-        opp_v[k, j] = np.interp(tk, opp.t, opp.v)
-        opp_a[k, j] = np.interp(tk, opp.t, opp.a_lon)
-    # the in-lane entries, by step and within a step by opponent; step k's
-    # are first[k]:first[k + 1]
-    steps, opps = np.nonzero(opp_s < math.inf)
-    first = np.searchsorted(steps, np.arange(n + 1)).tolist()
-    pos, vel, acc = (x[steps, opps].tolist() for x in (opp_s, opp_v, opp_a))
-    lengths = [others[j].shape.length for j in opps.tolist()]
+    first, pos = scene.first, scene.pos
 
     model, dt, length = spec.model, spec.dt, rec.shape.length
     s_k = float(rec.s[0])
     v_k = max(float(rec.v[0]), 0.0)
     a_k = 0.0
     s, v, a = [], [], []
-    for k in range(n):
+    for k in range(len(scene.t)):
         nearest, i = math.inf, -1
         for e in range(first[k], first[k + 1]):
             # strict: of equal positions the earlier opponent leads
             if s_k < pos[e] < nearest:
                 nearest, i = pos[e], e
-        leader = None if i < 0 else CFState(nearest, vel[i], acc[i], lengths[i])
+        leader = None if i < 0 else CFState(nearest, scene.vel.item(i), scene.acc.item(i),
+                                            scene.lengths.item(i))
         a_k = w99_accel(CFState(s_k, v_k, a_k, length), leader, model)
         s.append(s_k)
         v.append(v_k)
         a.append(a_k)
         s_k, v_k = s_k + v_k * dt, max(v_k + a_k * dt, 0.0)
 
-    lat = np.interp(t_grid, rec.t, rec.lat)
-    a_lat = np.interp(t_grid, rec.t, rec.a_lat)
     return Trajectory(
         vehicle_id=rec.vehicle_id,
         shape=rec.shape,
-        t=t_grid,
+        t=scene.t,
         s=np.array(s),
-        lane=lane,
-        lat=lat,
+        lane=scene.lane,
+        lat=scene.lat,
         v=np.array(v),
         a_lon=np.array(a),
-        a_lat=a_lat,
+        a_lat=scene.a_lat,
         rate=1.0 / spec.dt,
     )
 
@@ -314,18 +371,22 @@ class SampledScenarioSet:
     scenarios: tuple[SampledScenario, ...]
 
 
-def _thw_trace(ego: Trajectory, opp: Trajectory, layout: LaneLayout) -> np.ndarray:
-    """THW of ego against one replayed opponent on the ego time grid."""
-    k = time_overlap(ego.t, opp.t)
-    tt = ego.t[k]
-    trace = np.full(len(ego.t), np.nan)
-    trace[k] = encounter(
-        KinState(ego.s[k], layout.lateral(ego.lane[k], ego.lat[k]), ego.v[k]),
-        KinState(np.interp(tt, opp.t, opp.s),
-                 np.interp(tt, opp.t, layout.lateral(opp.lane, opp.lat)),
-                 np.interp(tt, opp.t, opp.v)),
-        ego.shape, opp.shape).thw
-    return trace
+def _thw_traces(scene: _Scene, ego: Trajectory) -> np.ndarray:
+    """THW of the rollout ``ego`` against each opponent, one row per
+    opponent on the rollout grid, NaN where it is undefined.  One kernel
+    call takes the scene's samples of all opponents, ``_THW_BLOCK`` at a
+    time: a scene of a few dozen vehicles is one call, and on one of
+    hundreds of overlapping tracks the block bounds the kernel's
+    temporaries."""
+    traces = np.full((len(scene.ids), len(scene.t)), np.nan)
+    for a in range(0, len(scene.rows), _THW_BLOCK):
+        k = slice(a, a + _THW_BLOCK)
+        rows, which = scene.rows[k], scene.which[k]
+        traces[which, rows] = _encounter(
+            KinState(ego.s[rows], scene.ego_y[rows], ego.v[rows]),
+            KinState(scene.opp.s[k], scene.opp.y[k], scene.opp.vs[k]),
+            scene.half_len[which], scene.half_wid[which]).thw
+    return traces
 
 
 def sample_cc1(spec: ScenarioSpec, cc1_values: Sequence[float]) -> SampledScenarioSet:
@@ -333,18 +394,25 @@ def sample_cc1(spec: ScenarioSpec, cc1_values: Sequence[float]) -> SampledScenar
 
     Lower cc1 tightens the following gap of the substituted vehicle and
     with it the headway to its leaders.  Every variant is built, and so
-    each cc1 checked by ``W99Params``, before the first rollout.
+    each cc1 checked by ``W99Params``, before the first rollout.  The
+    replayed traffic's tables (``_scene``) are built once for all values,
+    as no cc1 value changes them: the in-lane entries the W99 loop scans,
+    and each opponent's position, lateral position and speed where a THW
+    can be defined.  A value then costs one ``simulate`` call, which runs
+    only the W99 step loop, and the THW kernel over all opponents' samples
+    at once (``_thw_traces``).
     """
     if len(cc1_values) == 0:
         raise ValueError("cc1_values must be non-empty")
     variants = [replace(spec, model=replace(spec.model, cc1=cc1)) for cc1 in cc1_values]
 
+    scene = _scene(spec)
     scenarios = []
     for cc1, variant in zip(cc1_values, variants):
-        ego = simulate(variant)
-        traces = {opp.vehicle_id: _thw_trace(ego, opp, spec.layout)
-                  for opp in spec.others()}
-        mins = {vid: float(nan_min(tr)) for vid, tr in traces.items()}
-        scenarios.append(SampledScenario(cc1, ego, traces, mins))
+        ego = simulate(variant, scene)
+        traces = _thw_traces(scene, ego)
+        mins = nan_min(traces.T).tolist()
+        scenarios.append(SampledScenario(cc1, ego, dict(zip(scene.ids, traces)),
+                                         dict(zip(scene.ids, mins))))
     # one grid for all rollouts: it depends on the spec, not on cc1
     return SampledScenarioSet(t=scenarios[0].trajectory.t, scenarios=tuple(scenarios))

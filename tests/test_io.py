@@ -65,7 +65,8 @@ def _spelled(match) -> set[tuple[str, str]]:
 
 
 def test_csv_number_text_is_spelled_once():
-    assert _spelled(lambda text: ".9g" in text) == {("trajectory", "fmt")}
+    # trajectory.NUMBER, which fmt and the writers' row templates use
+    assert _spelled(lambda text: ".9g" in text) == {("trajectory", "")}
 
 
 def test_json_schema_stamp_is_spelled_once():
@@ -667,20 +668,22 @@ def _same_bytes(write, ref, *args) -> bool:
         return got.read_bytes() == want.read_bytes()
 
 
-# ids csv.writer quotes (comma, quote, line breaks) and ids it leaves alone
-CSV_IDS = st.text(st.sampled_from('ab7,"\n\r \té'), max_size=6)
-# nan, infinities, signed zeros, subnormals and 9-digit rounding edges
-CSV_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 0.1 + 0.2, 999999999.5])
+# ids csv.writer quotes (comma, quote, line breaks), ids it leaves alone,
+# and ids with a % that a row template must double
+CSV_IDS = st.text(st.sampled_from('ab7,"\n\r \té%'), max_size=6)
+# infinities, signed zeros, subnormals and 9-digit rounding edges
+CSV_EDGES = st.sampled_from([-0.0, 5e-324, 1e16, 0.1 + 0.2, 999999999.5])
+CSV_FLOATS = st.floats() | CSV_EDGES  # and nan
 
 
 @st.composite
-def csv_trajectories(draw):
+def csv_trajectories(draw, floats=CSV_FLOATS):
     out = []
     for vid in draw(st.lists(CSV_IDS, min_size=1, max_size=3)):
         n = draw(st.integers(2, 5))
 
         def column():
-            return np.array(draw(st.lists(CSV_FLOATS, min_size=n, max_size=n)))
+            return np.array(draw(st.lists(floats, min_size=n, max_size=n)))
 
         markings = {k: column() if draw(st.booleans()) else None for k in ("d_left", "d_right")}
         out.append(Trajectory(
@@ -695,6 +698,27 @@ def csv_trajectories(draw):
 @given(trajs=csv_trajectories())
 def test_write_trajectories_matches_csv_writer(trajs):
     assert _same_bytes(write_trajectories, ref_write_trajectories, trajs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trajs=csv_trajectories(st.floats(allow_nan=False) | CSV_EDGES))
+def test_write_trajectories_without_nan_matches_csv_writer(trajs):
+    # every vehicle on its row template
+    assert _same_bytes(write_trajectories, ref_write_trajectories, trajs)
+
+
+def test_write_trajectories_nan_in_one_vehicle(tmp_path):
+    # one vehicle has a NaN in one channel, the others none: the NaN is an
+    # empty field and the other vehicles' rows are as the row writer's
+    trajs = [replace(t, vehicle_id=vid) for t, vid in zip(
+        generate_corpus(n=3, seed=5).trajectories, ["a%s", '5%,"%d"', "%%"])]
+    trajs[1] = trajs[1].with_channels(a_lon=np.where(np.arange(len(trajs[1].t)) == 4, np.nan,
+                                                     trajs[1].a_lon))
+    trajs[2] = trajs[2].with_channels(d_left=None, d_right=None)
+    assert _same_bytes(write_trajectories, ref_write_trajectories, trajs)
+    write_trajectories(tmp_path / "t.csv", trajs)
+    text = (tmp_path / "t.csv").read_text()
+    assert "nan" not in text and text.count(",,") == 1 + len(trajs[2].t)
 
 
 @st.composite
@@ -714,11 +738,12 @@ def thw_results(draw):
 def _thw_edges(t):
     """Every kind of THW block over the grid ``t``: all NaN (one join over
     the t column), NaN-free, finite only first or last, non-finite values,
-    and an id csv.writer quotes."""
+    an id csv.writer quotes and one with a % the line template doubles."""
     n = len(t)
     traces = {"never": [math.nan] * n, "always": [1.25 + k for k in range(n)],
               "last": [math.nan] * (n - 1) + [0.75], "first": [2.0] + [math.nan] * (n - 1),
-              'id, "quoted"\n': [math.nan] * n, "mixed": [math.inf, -0.0, math.nan, 5e-324][:n]}
+              'id, "quoted"\n': [math.nan] * n, "mixed": [math.inf, -0.0, math.nan, 5e-324][:n],
+              "%s 100%": [0.5 * k for k in range(n)]}
     return SampledScenarioSet(t=np.array(t), scenarios=tuple(
         SampledScenario(cc1, None, {k: np.array(v) for k, v in traces.items()}, {})
         for cc1 in (0.9, 0.1)))

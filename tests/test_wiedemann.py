@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lanekit import wiedemann
 from lanekit.synth import generate_corpus, overtake_scenario
+from lanekit.trajectory import VehicleShape
 from lanekit.wiedemann import (
     A_MIN,
     CFState,
@@ -14,7 +17,8 @@ from lanekit.wiedemann import (
     W99Params,
     sample_cc1,
     _clamp,
-    _thw_trace,
+    _scene,
+    _thw_traces,
     net_gap,
     simulate,
     w99_accel,
@@ -330,23 +334,119 @@ def test_single_default_value_equals_simulate(cc1_sweep):
     assert np.array_equal(sampled.trajectory.v, plain.v)
 
 
-def test_thw_trace_matches_per_sample_reference():
-    spec = overtake_scenario()
-    ego = simulate(spec)
-    # one opponent resampled at another rate and cut short, so the trace
-    # has samples outside the opponent's track
-    other = spec.others()[0]
+def _with_edge_opponents(spec):
+    """``spec`` with three more opponents: one resampled at another rate and
+    cut short, so the rollout grid has samples outside its track; one whose
+    track never overlaps the grid; and one at the same positions as the
+    leader ``opp1`` that differs in speed and footprint."""
+    leader = next(t for t in spec.others() if t.vehicle_id == "opp1")
     k = slice(30, 200, 3)
     cut = dataclasses.replace(
-        other, vehicle_id="cut", t=other.t[k] + 0.07, s=other.s[k], lane=other.lane[k],
-        lat=other.lat[k], v=other.v[k], a_lon=other.a_lon[k], a_lat=other.a_lat[k],
-        rate=other.rate / 3.0, d_left=None, d_right=None)
-    for opp in spec.others() + (cut,):
-        got = _thw_trace(ego, opp, LAYOUT)
-        want = ref_thw_trace(ego, opp, LAYOUT)
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert np.isnan(_thw_trace(ego, cut, LAYOUT)).any()
+        leader, vehicle_id="cut", t=leader.t[k] + 0.07, s=leader.s[k], lane=leader.lane[k],
+        lat=leader.lat[k], v=leader.v[k], a_lon=leader.a_lon[k], a_lat=leader.a_lat[k],
+        rate=leader.rate / 3.0, d_left=None, d_right=None)
+    never = dataclasses.replace(leader, vehicle_id="never", t=leader.t + 1e4)
+    tie = dataclasses.replace(leader, vehicle_id="tie", v=leader.v + 1.5,
+                              shape=VehicleShape(length=12.0, width=2.5))
+    return dataclasses.replace(spec, trajectories=spec.trajectories + (cut, never, tie))
+
+
+@pytest.fixture(scope="module")
+def edge_spec():
+    return _with_edge_opponents(overtake_scenario())
+
+
+def _assert_same_trace(got, want):
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_thw_trace_matches_per_sample_reference(edge_spec):
+    ego = simulate(edge_spec)
+    assert_same_rollout(ego, ref_simulate(edge_spec))
+    traces = _thw_traces(_scene(edge_spec), ego)
+    others = edge_spec.others()
+    assert traces.shape == (len(others), len(ego.t))
+    for opp, got in zip(others, traces):
+        _assert_same_trace(got, ref_thw_trace(ego, opp, LAYOUT))
+    by_id = dict(zip((o.vehicle_id for o in others), traces))
+    assert np.isnan(by_id["cut"]).any() and not np.isnan(by_id["cut"]).all()
+    assert np.isnan(by_id["never"]).all()
+    # level with the leader, with a headway of its own
+    assert not np.isnan(by_id["tie"]).all()
+    assert not np.array_equal(by_id["tie"], by_id["opp1"], equal_nan=True)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_thw_traces_do_not_depend_on_the_block(edge_spec, monkeypatch, block):
+    scene, ego = _scene(edge_spec), simulate(edge_spec)
+    whole = _thw_traces(scene, ego)  # one kernel call
+    monkeypatch.setattr(wiedemann, "_THW_BLOCK", block)
+    _assert_same_trace(_thw_traces(scene, ego), whole)
+
+
+def _assert_matches_per_cc1_reference(spec, cc1_values):
+    """Each rollout of ``sample_cc1`` is ``simulate`` of its variant, each
+    trace the per-sample reference and each minimum that trace's."""
+    result = sample_cc1(spec, cc1_values)
+    assert [sc.cc1 for sc in result.scenarios] == list(cc1_values)
+    for cc1, sc in zip(cc1_values, result.scenarios):
+        variant = dataclasses.replace(spec, model=dataclasses.replace(spec.model, cc1=cc1))
+        assert_same_rollout(sc.trajectory, simulate(variant))
+        assert np.array_equal(result.t, sc.trajectory.t)
+        assert list(sc.thw_traces) == list(sc.min_thw) == [o.vehicle_id for o in spec.others()]
+        for opp in spec.others():
+            want = ref_thw_trace(sc.trajectory, opp, spec.layout)
+            _assert_same_trace(sc.thw_traces[opp.vehicle_id], want)
+            assert same_float(sc.min_thw[opp.vehicle_id],
+                              min((x for x in want.tolist() if not math.isnan(x)),
+                                  default=math.nan))
+    return result
+
+
+@pytest.fixture(scope="module")
+def corpus26():
+    return generate_corpus(n=26, seed=3)
+
+
+@pytest.mark.parametrize("vid", ["r06v0014", "r07v0023"])
+def test_sample_cc1_matches_per_cc1_reference_on_corpus(corpus26, vid):
+    spec = ScenarioSpec(trajectories=corpus26.trajectories, substituted_id=vid,
+                        model=W99Params(), layout=corpus26.layout)
+    assert len(spec.others()) == 25
+    result = _assert_matches_per_cc1_reference(spec, [0.9, 0.1])
+    assert not all(math.isnan(x) for x in result.scenarios[1].min_thw.values())
+    assert _leader_matters(dataclasses.replace(spec, model=W99Params(cc1=0.1)))
+
+
+def test_sample_cc1_matches_per_cc1_reference_on_overtake_scene(edge_spec):
+    _assert_matches_per_cc1_reference(overtake_scenario(), [0.9, 0.5, 0.1])
+    result = _assert_matches_per_cc1_reference(edge_spec, [0.9, 0.5, 0.1])
+    assert all(math.isnan(sc.min_thw["never"]) for sc in result.scenarios)
+
+
+@functools.lru_cache(maxsize=None)
+def _sampled_alone(cc1):
+    return sample_cc1(_with_edge_opponents(overtake_scenario()), [cc1]).scenarios[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(values=st.lists(st.sampled_from([0.9, 0.7, 0.5, 0.3, 0.1, 0.05]), min_size=1,
+                       max_size=5))
+@example(values=[0.9, 0.5, 0.1])
+@example(values=[0.1, 0.5, 0.9])
+@example(values=[0.5, 0.5])
+def test_sample_cc1_value_does_not_depend_on_the_others(edge_spec, values):
+    # the tables built once per scene: a value's rollout and traces are
+    # those it has alone, whatever values come with it and in what order
+    for cc1, sc in zip(values, sample_cc1(edge_spec, values).scenarios):
+        alone = _sampled_alone(cc1)
+        assert sc.cc1 == cc1
+        assert_same_rollout(sc.trajectory, alone.trajectory)
+        assert list(sc.thw_traces) == list(alone.thw_traces)
+        for vid, trace in sc.thw_traces.items():
+            _assert_same_trace(trace, alone.thw_traces[vid])
+        assert all(same_float(sc.min_thw[vid], alone.min_thw[vid]) for vid in alone.min_thw)
 
 
 # ---------------------------------------------------------------------------

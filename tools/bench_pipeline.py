@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Fresh-process timings of README's pipeline, for comparing checkouts.
 
-Runs ``lanekit synth``, ``detect``, ``robustness``, ``criticality`` and
-``stats`` as README's command-line block does, each in its own process,
-plus a cold ``import lanekit.cli``, once per checkout per pair.  The
+Runs ``lanekit synth``, ``detect``, ``robustness``, ``criticality``,
+``stats`` and ``sample`` as README's command-line block does, each in its
+own process, plus a cold ``import lanekit.cli``, once per checkout per
+pair.  ``sample`` substitutes the corpus's first vehicle (``r00v0000``)
+and rolls it out for README's five cc1 values (``SCENARIO``).  The
 checkouts alternate pair by pair (A B, then B A, ...), so a drift of the
 machine's speed falls on both.  For each stage and run it records:
 
@@ -40,11 +42,14 @@ from pathlib import Path
 from time import perf_counter
 
 CALIBRATION_STEPS = 2_000_000
+# sample's scenario file, written into each run's directory before its stages
+SCENARIO = ("trajectories = data/trajectories.csv\nvehicles = data/vehicles.csv\n"
+            "substituted_id = r00v0000\ncc1_values = 0.9, 0.7, 0.5, 0.3, 0.1\n")
 
 
 def stages(n: int, seed: int) -> list[tuple[str, list[str]]]:
-    """(name, argv of ``lanekit``) of each stage, paths relative to its run's directory;
-    ``import`` imports ``lanekit.cli`` and runs nothing."""
+    """(name, argv of ``lanekit``) of each stage, paths relative to its run's directory
+    (which holds ``scenario.cfg``); ``import`` imports ``lanekit.cli`` and runs nothing."""
     corpus = ["--traj", "data/trajectories.csv", "--vehicles", "data/vehicles.csv"]
     return [
         ("import", []),
@@ -56,6 +61,7 @@ def stages(n: int, seed: int) -> list[tuple[str, list[str]]]:
                          "--out", "results"]),
         ("stats", ["stats", "--events", "results/events.csv", "--vehicles", "data/vehicles.csv",
                    "--out", "results"]),
+        ("sample", ["sample", "--scenario", "scenario.cfg", "--out", "results"]),
     ]
 
 
@@ -92,7 +98,12 @@ def run_stage(src: Path, argv: list[str], cwd: Path) -> dict:
     after = snapshot(cwd)
     digest = hashlib.sha256()
     for path in sorted(p for p in after if before.get(p) != after[p]):
-        digest.update(path.relative_to(cwd).as_posix().encode() + b"\0" + path.read_bytes())
+        digest.update(path.relative_to(cwd).as_posix().encode() + b"\0")
+        # in chunks: a child inherits this process's peak memory as the floor
+        # of its own ru_maxrss, so reading a whole output here would raise it
+        with path.open("rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
     return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
             "maxrss_mb": usage.ru_maxrss / 1024.0, "outputs_sha256": digest.hexdigest()}
 
@@ -165,6 +176,7 @@ def main(argv: list[str] | None = None) -> int:
             for label, src in (sides if pair % 2 == 0 else sides[::-1]):
                 work = Path(tmp) / f"{label}_{pair}"
                 work.mkdir()
+                (work / "scenario.cfg").write_text(SCENARIO)
                 for name, argv in plan:
                     calibration = calibrate()
                     result = run_stage(src, argv, work)
