@@ -131,6 +131,10 @@ def cmd_detect(args, cfg: lkio.RunConfig, out: Path) -> int:
 def cmd_robustness(args, cfg: lkio.RunConfig, out: Path) -> int:
     layout = cfg.layout
     trajectories = _ingest_corpus(args, cfg)
+    # the sweep reads only the resampled tracks, and keeps each as it is:
+    # holding it in its raw track's place frees the raw samples
+    for i, pre in preprocess(trajectories, layout, cfg.resample_rate, cfg.lowpass_cutoff)[0]:
+        trajectories[i] = pre
     truth = lkio.read_events(args.truth)
     corpus = SyntheticCorpus(tuple(trajectories), tuple(truth), layout)
 

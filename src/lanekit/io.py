@@ -7,12 +7,12 @@ Trajectory CSV schema (one row per sample, SI units, 9 significant digits):
 The marking-distance columns may be empty (aerial-style inputs).  Vehicle
 shapes are not part of the trajectory schema; they travel in a companion
 vehicles CSV (``vehicle_id,class,length,width``) or fall back to a
-configured default.  ``ingest`` parses a clean trajectory file
-column-wise with ``np.loadtxt`` in one streaming pass, a chunk of rows
-per call, and any other file, a marked one with an empty marking among
-them, row by row with ``csv.reader``, the only reader that names a
-rejected row; it splits either parser's rows by vehicle, so both give
-the same report.
+configured default.  ``ingest`` parses a clean trajectory file in one
+streaming pass, one structured ``np.loadtxt`` call per chunk of lines,
+the id included, and cuts each chunk into its vehicles' rows before it
+reads the next; any other file, a marked one with an empty marking among
+them, it reads row by row with ``csv.reader``, the only reader that names
+a rejected row.  Both give the same report.
 
 Configuration files are ``key = value`` lines with ``#`` comments.  JSON
 reports carry a top-level ``"schema": 1``.
@@ -23,10 +23,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from io import StringIO
-from itertools import accumulate, chain, repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -120,93 +119,69 @@ def _read_table(path: str | Path, header: list[str],
 
 
 _HEADER_LINE = ",".join(TRAJECTORY_HEADER)
+_HEADER_LINES = ((_HEADER_LINE + "\n").encode(), (_HEADER_LINE + "\r\n").encode())
 _LANE = CHANNELS.index("lane")  # its column in the rows of t..d_right
-_BLOCK_CHARS = 1 << 14  # size hint of the line blocks the columnar parse reads
-# Rows per array of the columnar parse, a few hundred kB.  One array of a
-# whole large file, freed as ingest returns, leaves a heap hole that the
-# next ingest's array may or may not fit in, so a long-lived process's peak
-# memory would depend on what it ran before.
-_CHUNK_ROWS = 1 << 13
-# Characters with which csv.reader or float() may read a line otherwise
-# than np.loadtxt does: a quote (csv.reader unquotes), a NUL (csv.reader
-# refuses it before Python 3.11), and the separators U+001C..U+001F, which
-# loadtxt strips around a number and float() refuses.
-_UNSAFE = ('"', "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+# Lines per chunk of the structured parse: a chunk's lines, their joined
+# bytes and its parsed rows are each a few hundred kB.  Each chunk is cut
+# into its vehicles' runs of rows and freed before the next is read, so
+# ingest holds the rows it has read plus one chunk.
+_CHUNK_ROWS = 1 << 11
+_ID_BYTES = 64  # the id field's width: a longer id would be cut, so the row parser reads it
+_MARKED = np.dtype([("vehicle_id", f"S{_ID_BYTES}"),
+                    ("values", float, len(CHANNELS + MARKINGS))])
+_UNMARKED = np.dtype([("vehicle_id", f"S{_ID_BYTES}"), ("values", float, len(CHANNELS)),
+                      ("markings", "S1", len(MARKINGS))])
+# Bytes with which csv.reader or float() may read a line otherwise than
+# np.loadtxt does: a quote (csv.reader unquotes), a NUL (the parsed id
+# drops a trailing one), and the separators U+001C..U+001F, which loadtxt
+# strips around a number and float() refuses.
+_UNSAFE = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 class _Unclean(Exception):
-    """Data the columnar parse cannot read exactly as csv.reader does."""
+    """Data the structured parse cannot read exactly as csv.reader does."""
 
 
-def _unmarked(text: str) -> int:
-    """Lines of ``text`` that end in two empty fields."""
-    return text.count(",,\n") + text.count(",,\r") + text.endswith(",,")
+def _parse_clean(fh) -> dict[str, list[np.ndarray]]:
+    """Columns t..d_right of each vehicle of the clean file open in binary
+    ``fh`` (see ``ingest``), in order of first appearance, as one array per
+    run of its rows; columns t..a_lat only when the first line has empty
+    markings.  Raises ``_Unclean`` on any other file.
 
-
-def _scan_lines(fh, block: list[str], unmarked: bool,
-                runs: list[tuple[str, int]]) -> Iterator[list[str]]:
-    """Blocks of data lines of an open trajectory CSV, ``block`` first.
-
-    Lines come in blocks of about ``_BLOCK_CHARS`` characters, split where
-    ``csv.reader`` splits them (``\n``, ``\r\n`` or ``\r``).  The runs of
-    equal ``vehicle_id`` go to ``runs`` as ``(vehicle_id, first row)``.
-    Raises ``_Unclean`` on a blank line (np.loadtxt skips it), on a block
-    with a character of ``_UNSAFE`` or with other than nine commas per line
-    (loadtxt drops extra columns) and, with ``unmarked``, on a block with a
-    line whose two last fields are not both empty.  As loadtxt refuses a
-    line with fewer fields than it reads, every line it returns had ten.
+    The dtype holds the id as bytes, then the numbers, then, when the first
+    line's markings are empty, the markings as one byte each, so loadtxt
+    refuses a line without ten fields.  Each chunk's runs of equal ids are
+    copied out and the chunk freed before the next is parsed.
     """
-    row = 0
-    prefix = "\n,"  # starts no line: "\n" ends one
-    while block:
-        n = len(block)
-        text = "".join(block)
-        if (text.count(",") != (len(TRAJECTORY_HEADER) - 1) * n
-                or any(c in text for c in _UNSAFE) or unmarked and _unmarked(text) != n):
+    if fh.readline() not in _HEADER_LINES:
+        raise _Unclean
+    vehicles: dict[str, list[np.ndarray]] = {}
+    dtype = None
+    while lines := list(islice(fh, _CHUNK_ROWS)):
+        text = b"".join(lines)
+        if not text.isascii() or any(c in text for c in _UNSAFE) or text.isspace():
+            raise _Unclean  # isspace: a chunk of blank lines, which loadtxt warns of
+        del text
+        if dtype is None:
+            dtype = _UNMARKED if lines[0].rstrip(b"\r\n").endswith(b",,") else _MARKED
+        try:  # loadtxt refuses a CR inside a line and a line without one field per dtype field
+            chunk = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            raise _Unclean from None
+        if len(chunk) != len(lines):  # loadtxt skipped a blank line
             raise _Unclean
-        # the block continues the run if its first line and every line
-        # after a "\n" start with prefix ("\n" only ends a line)
-        if not (block[0].startswith(prefix) and text.count("\n" + prefix) == n - 1):
-            for i, line in enumerate(block):
-                if not line.startswith(prefix):
-                    end = line.find(",")
-                    if end < 0:  # a blank line, which loadtxt skips
-                        raise _Unclean
-                    prefix = line[:end + 1]
-                    runs.append((line[:end], row + i))
-        row += n
-        yield block
-        block = fh.readlines(_BLOCK_CHARS)
-
-
-def _parse_clean(fh) -> tuple[list[np.ndarray], list[tuple[str, int]]] | None:
-    """Columns t..d_right of a clean file (see ``ingest``) as arrays of
-    ``_CHUNK_ROWS`` rows (the last one shorter), plus its id runs; None
-    for any other file.  When the first line has empty markings the
-    arrays hold columns t..a_lat only.
-    """
-    if fh.readline().rstrip("\r\n") != _HEADER_LINE:
-        return None
-    block = fh.readlines(_BLOCK_CHARS)
-    if not block:
-        return None
-    unmarked = _unmarked(block[0]) == 1
-    columns = CHANNELS if unmarked else CHANNELS + MARKINGS
-    runs: list[tuple[str, int]] = []
-    lines = chain.from_iterable(_scan_lines(fh, block, unmarked, runs))
-    chunks = []
-    try:
-        for first in lines:  # loadtxt reads no line past max_rows
-            data = np.loadtxt(chain([first], lines), delimiter=",", max_rows=_CHUNK_ROWS,
-                              usecols=range(1, 1 + len(columns)), comments=None, ndmin=2)
-            lane = data[:, _LANE]
-            if not (np.isfinite(data[:, :len(CHANNELS)]).all()
-                    and (np.floor(lane) == lane).all()):
-                return None
-            chunks.append(data)
-    except (_Unclean, ValueError):
-        return None
-    return chunks, runs
+        del lines
+        values, ids = chunk["values"], chunk["vehicle_id"]
+        lane = values[:, _LANE]
+        if not (np.isfinite(values[:, :len(CHANNELS)]).all() and (np.floor(lane) == lane).all()
+                and (dtype is _MARKED or (chunk["markings"] == b"").all())):
+            raise _Unclean
+        cuts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
+        for a, b in zip(cuts, cuts[1:]):
+            if len(ids[a]) >= _ID_BYTES:
+                raise _Unclean
+            vehicles.setdefault(ids[a].decode(), []).append(values[a:b].copy())
+    return vehicles
 
 
 def ingest(path: str | Path,
@@ -219,64 +194,45 @@ def ingest(path: str | Path,
     samples are rejected with a diagnostic.  A malformed header is a hard
     error.
 
-    A clean file is parsed in one streaming pass by ``np.loadtxt``, a
-    chunk of ``_CHUNK_ROWS`` rows per call.  Clean means no row would be
-    rejected and no field is empty: the header is exact, no line is blank
-    or holds a quote, every line has ten fields, the columns ``t``..``a_lat``
-    are finite and every lane is integral; the one exception is a file
-    whose first line has empty markings, where every line's must be
-    empty.  Any other file goes through the row-by-row
+    A clean file is read in binary in one streaming pass, one structured
+    ``np.loadtxt`` call per ``_CHUNK_ROWS`` lines (``_parse_clean``).
+    Clean means every line is ASCII with ten fields and no byte of
+    ``_UNSAFE``, no row would be rejected and no field is empty, save that
+    the markings may all be empty when the first line's are; no line is
+    blank, no id has ``_ID_BYTES`` bytes or more, and every CR comes before
+    an LF or ends the file.  Any other file goes to the row-by-row
     ``csv.reader`` parser, the only one that names a rejected row's line
-    and reason.  Either parser's rows are then split by vehicle here, a
-    vehicle's rows in file order even where other vehicles' rows
-    interleave.  Both give the same report, bit for bit: loadtxt and
-    ``float()`` both round correctly.
+    and reason.  A vehicle's rows are in file order even where other
+    vehicles' rows interleave, and both parsers give the same report, bit
+    for bit: loadtxt and ``float()`` both round correctly.
     """
     path = Path(path)
     default_shape = default_shape or VehicleShape()
     report = IngestReport()
     try:
-        with path.open(newline="") as fh:
-            parsed = _parse_clean(fh)
-    except UnicodeDecodeError:  # the row parser raises it again
-        parsed = None
-    chunks, runs = parsed or _ingest_rows(path, report)
-    if not runs:
+        with path.open("rb") as fh:
+            vehicles = _parse_clean(fh)
+    except _Unclean:
+        vehicles = _ingest_rows(path, report)
+    if not vehicles:
         report.warnings.append(f"{path}: no data rows, empty corpus")
-    firsts = [0, *accumulate(len(c) for c in chunks)]  # each chunk's first row, then the end
-    spans: dict[str, list[tuple[int, int]]] = {}
-    ends = [start for _, start in runs[1:]] + [firsts[-1]]
-    for (vid, start), end in zip(runs, ends):
-        spans.setdefault(vid, []).append((start, end))
-    for vid, parts in spans.items():
-        rows = np.concatenate([piece for a, b in parts for piece in _rows(chunks, firsts, a, b)])
+    for vid in list(vehicles):
+        parts = vehicles.pop(vid)  # each vehicle's rows are freed once its track is built
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
         _add_vehicle(report, vid, rows, shapes, default_shape)
     return report
 
 
-def _rows(chunks: list[np.ndarray], firsts: list[int], a: int, b: int) -> Iterator[np.ndarray]:
-    """Rows ``a`` to ``b`` of the concatenated ``chunks``, a view of each chunk they span."""
-    i = bisect_right(firsts, a) - 1
-    while a < b:
-        end = min(b, firsts[i + 1])
-        yield chunks[i][a - firsts[i]:end - firsts[i]]
-        a, i = end, i + 1
-
-
-def _ingest_rows(path: Path,
-                 report: IngestReport) -> tuple[list[np.ndarray], list[tuple[str, int]]]:
-    """Columns t..d_right of the accepted rows of the file at ``path``, in
-    one array, and their id runs, as ``_parse_clean`` gives them, read row
-    by row with ``csv.reader``; each rejected row goes to ``report`` with
-    its reason."""
-    rows: list[list[float]] = []
-    runs: list[tuple[str, int]] = []
+def _ingest_rows(path: Path, report: IngestReport) -> dict[str, list[np.ndarray]]:
+    """The accepted rows of the file at ``path`` as ``_parse_clean`` gives
+    them, one array per vehicle, read row by row with ``csv.reader``; each
+    rejected row goes to ``report`` with its reason."""
+    rows: dict[str, list[list[float]]] = {}
     with path.open(newline="") as fh:
         for lineno, row in _data_rows(fh, path, TRAJECTORY_HEADER):
             if len(row) != len(TRAJECTORY_HEADER):
                 report.rejected_rows.append((lineno, "wrong column count"))
                 continue
-            vid = row[0]
             try:
                 values = [_parse_float(c) for c in row[1:]]
             except ValueError:
@@ -289,10 +245,8 @@ def _ingest_rows(path: Path,
             if not values[_LANE].is_integer():
                 report.rejected_rows.append((lineno, "non-integer lane"))
                 continue
-            if not runs or runs[-1][0] != vid:
-                runs.append((vid, len(rows)))
-            rows.append(values)
-    return [np.array(rows, dtype=float).reshape(-1, len(CHANNELS + MARKINGS))], runs
+            rows.setdefault(row[0], []).append(values)
+    return {vid: [np.array(values)] for vid, values in rows.items()}
 
 
 def _add_vehicle(report: IngestReport, vid: str, rows: np.ndarray,

@@ -676,7 +676,7 @@ def assert_same_rollout(got, want) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Reference trajectory I/O: the row-by-row csv.reader ingest the columnar
+# Reference trajectory I/O: the row-by-row csv.reader ingest the structured
 # parse replaced, and the per-row writer.  Test-only; the library must
 # match them exactly.
 

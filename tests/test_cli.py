@@ -352,6 +352,52 @@ def test_robustness_skips_short_track(workdir, tmp_path, capsys):
         assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
+def test_robustness_sweeps_resampled_tracks_in_place(tmp_path, monkeypatch):
+    # a 25 Hz file with a too-short vehicle first: the sweep gets each kept
+    # track resampled in its raw track's place, the skipped one raw, and
+    # writes what the sweep of the raw ingested corpus writes
+    from lanekit import cli
+    from lanekit.io import (IngestReport, RunConfig, ingest, read_events, read_vehicles,
+                            write_robustness)
+    from lanekit.robustness import Perturbation, sweep
+    from lanekit.synth import SyntheticCorpus
+    from lanekit.trajectory import resample
+    from helpers import aerial_corpus, assert_same_ingest
+    aerial = aerial_corpus(n=6)
+    *tracks, short = aerial.trajectories
+    assert len(short.t) == 25 and all(t.rate == 25.0 for t in tracks)
+    inputs, truth = _write_corpus(SyntheticCorpus((short, *tracks), aerial.truth_events,
+                                                  aerial.layout), tmp_path / "in")
+    handed = []
+
+    def spy(corpus, *args, **kwargs):
+        handed.append(corpus)
+        return sweep(corpus, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "sweep", spy)
+    assert run("robustness", *inputs, "--truth", truth, "--out", tmp_path / "cli") == 0
+
+    cfg = RunConfig()
+    raw = ingest(tmp_path / "in" / "trajectories.csv",
+                 shapes=read_vehicles(tmp_path / "in" / "vehicles.csv")).trajectories
+    grid = ([Perturbation("bias", b) for b in cfg.bias_grid]
+            + [Perturbation("brownian", b) for b in cfg.brownian_grid])
+    report = sweep(SyntheticCorpus(tuple(raw), tuple(read_events(truth)), cfg.layout),
+                   ("peak", "distance"), grid, cfg.layout, cfg.peak,
+                   distance_threshold=cfg.distance_threshold, seed=cfg.seed,
+                   cutoff=cfg.lowpass_cutoff, rate=cfg.resample_rate)
+    assert report.skipped == (("short", "insufficient samples"),)
+    write_robustness(tmp_path / "ref.csv", tmp_path / "ref.json", report)
+    assert (tmp_path / "cli" / "robustness.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert ((tmp_path / "cli" / "robustness_plot.json").read_bytes()
+            == (tmp_path / "ref.json").read_bytes())
+
+    [corpus] = handed
+    assert [t.rate == cfg.resample_rate for t in corpus.trajectories] == [False] + [True] * 6
+    assert_same_ingest(IngestReport(list(corpus.trajectories)), IngestReport(
+        [raw[0], *(resample(t, cfg.resample_rate) for t in raw[1:])]))
+
+
 def test_criticality_and_stats(workdir, tmp_path):
     det = tmp_path / "det"
     assert run("detect", "--traj", workdir / "trajectories.csv",
@@ -374,6 +420,55 @@ def test_criticality_and_stats(workdir, tmp_path):
     assert payload["schema"] == 1
     assert "all" in payload["groups"]
     assert {"duration", "speed"} <= set(payload["groups"]["all"].keys())
+
+
+def test_criticality_skips_double_events(workdir, tmp_path):
+    from dataclasses import replace
+    from lanekit.detection import EventKind
+    from lanekit.io import read_events, write_events
+    assert run("detect", "--traj", workdir / "trajectories.csv", "--criteria", "peak",
+               "--out", tmp_path / "det") == 0
+    singles = [e for e in read_events(tmp_path / "det" / "events.csv")
+               if e.kind is EventKind.SINGLE]
+    assert singles
+    write_events(tmp_path / "singles.csv", singles)
+    write_events(tmp_path / "doubled.csv", [ev for e in singles
+                                            for ev in (replace(e, kind=EventKind.DOUBLE), e)])
+    for name in ("singles", "doubled"):
+        assert run("criticality", "--traj", workdir / "trajectories.csv",
+                   "--events", tmp_path / f"{name}.csv", "--out", tmp_path / name) == 0
+    for name in ("criticality_records.csv", "histograms.json", "direction_boxes.json"):
+        assert (tmp_path / "doubled" / name).read_bytes() == (tmp_path / "singles" / name).read_bytes()
+
+
+def test_histograms_leave_out_a_metric_without_values(tmp_path):
+    # a vehicle alone has no opponent: its distance, THW, DCE and TTCE are NaN
+    import csv
+    from lanekit.criticality import METRIC_NAMES, record_field
+    from lanekit.detection import Direction, LaneChangeEvent
+    from lanekit.io import write_events, write_trajectories
+    from helpers import sigmoid_lane_change
+    write_trajectories(tmp_path / "alone.csv", [sigmoid_lane_change(vehicle_id="r01v0001")])
+    write_events(tmp_path / "events.csv", [LaneChangeEvent(
+        "r01v0001", 27.0, 30.0, 33.0, 6.0, Direction.LEFT, 30.0, 3.5, criterion="peak")])
+    assert run("criticality", "--traj", tmp_path / "alone.csv", "--events", tmp_path / "events.csv",
+               "--out", tmp_path / "crit") == 0
+    with (tmp_path / "crit" / "criticality_records.csv").open() as fh:
+        [record] = list(csv.DictReader(fh))
+    empty = {m for m in METRIC_NAMES if record[record_field(m)] == ""}
+    assert empty == {"d", "thw", "dce", "ttce"}
+    histograms = json.loads((tmp_path / "crit" / "histograms.json").read_text())["histograms"]
+    assert set(histograms) == set(METRIC_NAMES) - empty
+
+
+def test_rejected_vehicles_are_named_on_stderr(workdir, tmp_path, capsys):
+    text = (workdir / "trajectories.csv").read_text()
+    (tmp_path / "mixed.csv").write_text(text + "back,0.4,12,0,0.1,30,0,0,,\r\n"
+                                        "back,0.2,6,0,0.1,30,0,0,,\r\nsolo,1.0,0,0,0.1,30,0,0,,\r\n")
+    assert run("detect", "--traj", tmp_path / "mixed.csv", "--out", tmp_path / "det") == 0
+    err = capsys.readouterr().err.splitlines()
+    assert "warning: vehicle back rejected: non-monotone time" in err
+    assert "warning: vehicle solo rejected: fewer than 2 samples" in err
 
 
 @pytest.mark.parametrize("v_mids,null_speed", [

@@ -445,6 +445,36 @@ def test_gradient_matches_peak_at_zero_perturbation():
         assert abs(grad[0].t_mid - peak[0].t_mid) < 1.0
 
 
+def test_gradient_fallback_window_without_a_matching_peak():
+    # a left change 1.1 s after the track starts and a right one 0.9 s
+    # before it ends; no peak of the jump's direction lies within 3 s (the
+    # peaks given lie at the jump in the other direction, or 3.1 s away)
+    from lanekit.detection import _gradient_events
+    t = np.arange(0.0, 6.0, 0.2)
+    y = sigmoid_profile(t, 1.0, 1.5, 3.5) - sigmoid_profile(t, 5.0, 1.5, 3.5)
+    traj = make_trajectory(t, y, v=np.linspace(25.0, 31.0, len(t)))
+    jumps = np.flatnonzero(np.abs(np.diff(traj.d_left)) > 0.5 * LAYOUT.lane_width)
+    mids = [0.5 * (t[i] + t[i + 1]) for i in jumps]
+    assert len(mids) == 2
+
+    def peak(t_mid, direction):
+        return LaneChangeEvent("veh", t_mid - 1.0, t_mid, t_mid + 1.0, 2.0, direction, 30.0, 3.5)
+
+    y_cont = traj.lane * LAYOUT.lane_width + traj.lat
+    for peaks in ([], [peak(mids[0], Direction.RIGHT), peak(mids[0] + 3.1, Direction.LEFT),
+                       peak(mids[1] - 3.1, Direction.RIGHT)]):
+        events = _gradient_events(traj, LAYOUT, peaks)
+        assert [e.direction for e in events] == [Direction.LEFT, Direction.RIGHT]
+        for ev, t_mid in zip(events, mids):
+            t0, t1 = max(t[0], t_mid - 2.5), min(t[-1], t_mid + 2.5)
+            assert (ev.t_start, ev.t_mid, ev.t_end, ev.duration) == (t0, t_mid, t1, t1 - t0)
+            assert ev.truncated and ev.criterion == "gradient" and ev.kind is EventKind.SINGLE
+            assert ev.v_mid == float(np.interp(t_mid, t, traj.v))
+            assert ev.lateral_extent == abs(float(np.interp(t1, t, y_cont))
+                                            - float(np.interp(t0, t, y_cont)))
+        assert events[0].t_start == t[0] and events[1].t_end == t[-1]  # clamped to the track
+
+
 # ---------------------------------------------------------------------------
 # classify_double
 

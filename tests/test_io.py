@@ -203,10 +203,13 @@ def test_ingest_without_markings(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# columnar ingest against the row-by-row reference
+# structured ingest against the row-by-row reference
 
 HEADER = ",".join(lkio.TRAJECTORY_HEADER)
-IDS = ("a", "ab", "veh 1", "a01v0001", "\u00fc", "")
+# ids of 63 to 65 bytes sit at the structured parse's id width, the last
+# one's two-byte character across it
+IDS = ("a", "ab", "veh 1", "a01v0001", "\u00fc", "", "x" * 63, "x" * 64, "x" * 65,
+       "x" * 63 + "\u00fc")
 # tokens float() and np.loadtxt read differently, or the checks reject
 ODD_TOKENS = ("nan", "NaN", "-nan", "inf", "-inf", "Infinity", "+Infinity",
               "1_0", "\u0663", "\uff11", " 2 ", "\t1", "2 ", "\xa01", "\u20031",
@@ -301,21 +304,73 @@ def _ingest_quietly(fn, path):
             return type(exc), str(exc)
 
 
-@settings(max_examples=400, deadline=None)
-@given(text=trajectory_files(), block=st.sampled_from((1, 120, 1 << 14)),
-       chunk=st.sampled_from((1, 3, 1 << 13)))
-def test_ingest_matches_row_reference(text, block, chunk):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "traj.csv"
-        path.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(lkio, "_BLOCK_CHARS", block), \
-                mock.patch.object(lkio, "_CHUNK_ROWS", chunk):
-            got = _ingest_quietly(ingest, path)
-        want = _ingest_quietly(ref_ingest, path)
+def _assert_ingest_matches_reference(path, chunk):
+    with mock.patch.object(lkio, "_CHUNK_ROWS", chunk):
+        got = _ingest_quietly(ingest, path)
+    want = _ingest_quietly(ref_ingest, path)
     if isinstance(want, tuple):
         assert got == want
     else:
         assert_same_ingest(got, want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=trajectory_files(), chunk=st.sampled_from((1, 3, 1 << 11)))
+def test_ingest_matches_row_reference(text, chunk):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traj.csv"
+        path.write_bytes(text.encode("utf-8"))
+        _assert_ingest_matches_reference(path, chunk)
+
+
+def _rows(vid, n=4, marks="0.5,0.6", lane="0"):
+    return [f"{vid},{0.2 * i:.1f},{6 * i},{lane},0.1,30,0,0,{marks}" for i in range(n)]
+
+
+def _file(lines, end="\n", last=None):
+    return end.join([HEADER, *lines]) + (end if last is None else last)
+
+
+# files at each edge of what the structured parse reads
+EDGE_FILES = {
+    "whitespace-only lines": _file(["   ", " \t "]),
+    "tab and blank lines": _file([*_rows("a")[:2], "", "\t", *_rows("a")[2:]]),
+    "blank last line": _file(_rows("a"), last="\n\n"),
+    "lone CR ends": _file(_rows("a") + _rows("b"), end="\r"),
+    "a lone CR": _file(_rows("a")).replace("\n", "\r", 3),
+    "CRLF": _file(_rows("a") + _rows("b"), end="\r\n"),
+    "CR CR LF": _file(_rows("a") + _rows("b"), end="\r\r\n"),
+    "no final line end": _file(_rows("a") + _rows("b"), last=""),
+    "a last line ended by CR": _file(_rows("a") + _rows("b"), last="\r"),
+    "ids of 63 to 65 bytes": _file(_rows("x" * 63) + _rows("x" * 64) + _rows("x" * 65)),
+    "empty id": _file(_rows("") + _rows("b")),
+    "spaces around ids": _file(_rows(" a") + _rows("a ") + _rows("a")),
+    "quoted ids": _file(_rows('"a"') + _rows('"a,b"')),
+    "NUL in an id": _file(_rows("a\x00") + _rows("a")),
+    "U+001C in an id": _file(_rows("a\x1c") + _rows("a")),
+    "U+001C by a number": _file([r.replace(",30,", ",30\x1c,") for r in _rows("a")]),
+    "an extra field": _file(_rows("a") + [_rows("b")[0] + ",1"] + _rows("b")[1:]),
+    "a missing field": _file(_rows("a") + [_rows("b")[0].rsplit(",", 1)[0]] + _rows("b")[1:]),
+    "nan speed": _file(_rows("a") + [_rows("b")[0].replace(",30,", ",nan,")] + _rows("b")[1:]),
+    "nan marking": _file(_rows("a") + _rows("b", marks="nan,0.6")),
+    "interleaved": _file([r for rows in zip(_rows("a"), _rows("b"), _rows("c")) for r in rows]),
+    "marked, then unmarked": _file(_rows("a") + _rows("b", marks=",")),
+    "unmarked, then marked": _file(_rows("a", marks=",") + _rows("b")),
+    "a space for a marking": _file(_rows("a", marks=",") + _rows("b", marks=", ")),
+    "header only, no line end": _file([], last=""),
+    "header ended by CR CR LF": _file(_rows("a"), end="\n").replace("\n", "\r\r\n", 1),
+    "non-ASCII id": _file(_rows("\u00fc") + _rows("a")),
+    "ids in comment style": _file(_rows("#a") + _rows("b")),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 11])
+@pytest.mark.parametrize("case", sorted(EDGE_FILES))
+def test_ingest_edge_files_match_row_reference(tmp_path, case, chunk):
+    # with one-line chunks a blank line is a chunk of its own
+    path = tmp_path / "edge.csv"
+    path.write_bytes(EDGE_FILES[case].encode())
+    _assert_ingest_matches_reference(path, chunk)
 
 
 @pytest.mark.parametrize("markings", [True, False])
@@ -332,9 +387,8 @@ def test_ingest_clean_file_takes_columnar_parse(tmp_path, markings, interleave):
         path.write_text(header + "".join(r for turn in zip_longest(*runs) for r in turn if r))
     want = ref_ingest(path)
     rows = sum(len(t.t) for t in trajs)
-    for chunk in (7, 1 << 13):  # with 7-row chunks, vehicles' runs straddle chunks
+    for chunk in (7, 1 << 11):  # with 7-row chunks, vehicles' runs straddle chunks
         with mock.patch.object(lkio, "_ingest_rows", side_effect=AssertionError("row parser")), \
-                mock.patch.object(lkio, "_BLOCK_CHARS", 4096), \
                 mock.patch.object(lkio, "_CHUNK_ROWS", chunk), \
                 mock.patch.object(lkio.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             got = ingest(path)
@@ -342,6 +396,51 @@ def test_ingest_clean_file_takes_columnar_parse(tmp_path, markings, interleave):
         assert_same_ingest(got, want)
         assert [t.vehicle_id for t in got.trajectories] == [t.vehicle_id for t in trajs]
         assert [t.has_markings for t in got.trajectories] == [markings] * len(trajs)
+
+
+@pytest.mark.parametrize("markings", [True, False])
+def test_ingest_holds_each_sample_once(tmp_path, markings):
+    # 40 vehicles of 500 rows in chunks of 512: most runs straddle a chunk
+    # bound.  Holding every parsed chunk until the end, or each vehicle's
+    # rows beside its track, would peak near twice the tracks.
+    import tracemalloc
+    n = 500
+    t = np.arange(n) * 0.04
+    marks = dict(d_left=np.full(n, 0.5), d_right=np.full(n, 0.6)) if markings else {}
+    trajs = [Trajectory(vehicle_id=f"a01v{k:04d}", shape=VehicleShape(), t=t + k,
+                        s=30.0 * t + k, lane=np.full(n, k % 3), lat=np.sin(t + k),
+                        v=np.full(n, 30.0 + k), a_lon=np.cos(t), a_lat=np.sin(t) / 7,
+                        rate=25.0, **marks) for k in range(40)]
+    path = tmp_path / "big.csv"
+    write_trajectories(path, trajs)
+    chunk = 512
+    # a chunk's lines, as bytes objects and joined, and their parsed rows:
+    # each about the bytes of a line
+    chunk_bytes = 4 * chunk * path.stat().st_size / sum(len(tr.t) for tr in trajs)
+    with mock.patch.object(lkio, "_CHUNK_ROWS", chunk):
+        ingest(path)
+        tracemalloc.start()
+        try:
+            report = ingest(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert_same_ingest(report, ref_ingest(path))
+    tracks = sum(getattr(tr, name).nbytes for tr in report.trajectories
+                 for name in lkio.TRAJECTORY_HEADER[1:] if getattr(tr, name) is not None)
+    assert held < 1.1 * tracks
+    assert peak < held + 2 * chunk_bytes, (peak, held, tracks, chunk_bytes)
+
+
+def test_ingest_invalid_utf8_raises(tmp_path):
+    # a lone 0xA0 byte: loadtxt, decoding bytes as latin-1, would strip it
+    # from a number as a no-break space; the structured parse leaves a
+    # non-ASCII byte to the row parser, whose decoding refuses it
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(f"{HEADER}\n".encode() + b"a,0,0,0,0.1,30\xa0,0,0,,\n"
+                     + b"a,0.2,6,0,0.1,30,0,0,,\n")
+    with pytest.raises(UnicodeDecodeError):
+        ingest(path)
 
 
 def _marked_rows():
